@@ -7,7 +7,8 @@ Usage:
 
 A config file is a flat key=value listing of the same options ('#' starts a
 comment).  Command line flags win over config file entries.  The exit status
-is 0 when every check passes, 1 when any check fails, and 2 on bad usage.
+is 0 when every check passes, 1 when any check fails, 2 on bad usage and 3
+on an internal error, so that an error never reads as a failed check.
 """
 
 import argparse
@@ -107,10 +108,14 @@ def main(argv=None):
             kwargs["B1"] = parse_b1(args.B1)
         cfg = SuiteConfig(**kwargs)
         report = run_suite(cfg)
+        text = emit_report(report, cfg.format)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(report, cfg.format))
+    except Exception as exc:
+        print("internal error: %r" % (exc,), file=sys.stderr)
+        return 3
+    sys.stdout.write(text)
     return 0 if report.failed == 0 else 1
 
 

@@ -37,10 +37,11 @@ original support bounds them), creation modes run over a half-line that the
 partners' upper bounds cut to a finite range.
 """
 
+import itertools
 import random
 from collections import namedtuple
 
-from .scalars import QQ, ONE
+from .scalars import qq
 
 # variable codes
 X, X1, Y, Y1 = 0, 1, 2, 3
@@ -60,13 +61,13 @@ class RepParams:
         if r not in (0, 1):
             raise ValueError("r must be 0 or 1")
         self.r = r
-        self.kappa0 = QQ(kappa0)
+        self.kappa0 = qq(kappa0)
         if not self.kappa0:
             raise ValueError("kappa0 must be nonzero")
-        self.B0 = QQ(B0)
+        self.B0 = qq(B0)
         self.B1 = (
-            (QQ(B1[0][0]), QQ(B1[0][1])),
-            (QQ(B1[1][0]), QQ(B1[1][1])),
+            (qq(B1[0][0]), qq(B1[0][1])),
+            (qq(B1[1][0]), qq(B1[1][1])),
         )
         if self.B1[0][0] != self.B1[1][1]:
             raise ValueError("B1 must have equal diagonal entries")
@@ -90,7 +91,7 @@ class FockState:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = QQ(c)
+                c = qq(c)
                 if c:
                     self.terms[mono] = c
 
@@ -128,7 +129,7 @@ class FockState:
         return st
 
     def scale(self, c):
-        c = QQ(c)
+        c = qq(c)
         st = FockState()
         if c:
             st.terms = {mono: c * v for mono, v in self.terms.items()}
@@ -184,24 +185,24 @@ def apply_factor(fam, m, mono, params):
         code = X if fam == "a" else X1
         if r == 0 and m >= 0:
             hit = _mono_diff(mono, (code, m))
-            return [(hit[0], QQ(hit[1]))] if hit else []
-        return [(_mono_mul(mono, (code, m)), ONE)]
+            return [hit] if hit else []
+        return [(_mono_mul(mono, (code, m)), 1)]
     if fam == "a*" or fam == "a1*":
         code = X if fam == "a*" else X1
         if r == 0 and m <= 0:
-            return [(_mono_mul(mono, (code, -m)), ONE)]
+            return [(_mono_mul(mono, (code, -m)), 1)]
         hit = _mono_diff(mono, (code, -m))
-        return [(hit[0], QQ(-hit[1]))] if hit else []
+        return [(hit[0], -hit[1])] if hit else []
     if fam == "b":
         if m < 0:
-            return [(_mono_mul(mono, (Y, m)), ONE)]
+            return [(_mono_mul(mono, (Y, m)), 1)]
         if m == 0:
             return [(mono, params.B0)] if params.B0 else []
         hit = _mono_diff(mono, (Y, -m))
         return [(hit[0], -2 * m * params.kappa0 * hit[1])] if hit else []
     if fam == "b1":
         if m < 0:
-            return [(_mono_mul(mono, (Y1, m)), ONE)]
+            return [(_mono_mul(mono, (Y1, m)), 1)]
         out = []
         hit = _mono_diff(mono, (Y1, -2 - m))
         if hit:
@@ -239,7 +240,7 @@ def apply_product(factors, mono, params):
     r = params.r
     ordered = [f for f in factors if not is_annihilation(f[0], f[1], r)]
     ordered += [f for f in factors if is_annihilation(f[0], f[1], r)]
-    current = [(mono, ONE)]
+    current = [(mono, 1)]
     for fam, m in reversed(ordered):
         nxt = []
         for mo, c in current:
@@ -448,6 +449,10 @@ def naive_sum_apply(sum_op, state, params, box):
 # ---------------------------------------------------------------------------
 
 _MEMO = {}
+# Operator keys interned to small ints, so a memo lookup hashes (int, mono)
+# instead of the nested key.  Ids are never reused: clear_memo keeps them.
+_OP_IDS = {}
+_NEXT_OP_ID = itertools.count()
 
 
 def clear_memo():
@@ -462,33 +467,37 @@ class ModeOp:
     sums:  tuple of QuadSum / CubicSum
 
     Application is linear, so per-monomial images are memoized globally,
-    keyed by the operator's content and parameters.
+    keyed by the operator's content and parameters.  The key is interned to
+    op_id on first application, so operators that are only combined (by +
+    or scaled) into larger ones never enter the intern table.
     """
 
-    __slots__ = ("terms", "sums", "params", "key")
+    __slots__ = ("terms", "sums", "params", "key", "op_id")
 
     def __init__(self, terms=(), sums=(), params=None):
         if params is None:
             raise ValueError("params required")
-        self.terms = tuple((QQ(c), tuple(fs)) for c, fs in terms if QQ(c))
+        terms = ((qq(c), fs) for c, fs in terms)
+        self.terms = tuple((c, tuple(fs)) for c, fs in terms if c)
         self.sums = tuple(sums)
         self.params = params
         self.key = (self.terms, self.sums, params.key)
+        self.op_id = None
 
     def is_zero_op(self):
         return not self.terms and not self.sums
 
     def scaled(self, c):
-        c = QQ(c)
+        c = qq(c)
         if not c:
             return ModeOp((), (), self.params)
         terms = [(c * cc, fs) for cc, fs in self.terms]
         sums = []
         for s in self.sums:
             if isinstance(s, QuadSum):
-                sums.append(QuadSum(s.famA, s.famB, s.M, c * s.c0, c * s.c1))
+                sums.append(QuadSum(s.famA, s.famB, s.M, qq(c * s.c0), qq(c * s.c1)))
             else:
-                sums.append(CubicSum(s.famA, s.famB, s.famC, s.M, c * s.c))
+                sums.append(CubicSum(s.famA, s.famB, s.famC, s.M, qq(c * s.c)))
         return ModeOp(terms, sums, self.params)
 
     def __add__(self, other):
@@ -497,7 +506,10 @@ class ModeOp:
         return ModeOp(self.terms + other.terms, self.sums + other.sums, self.params)
 
     def apply_mono(self, mono):
-        cached = _MEMO.get((self.key, mono))
+        op_id = self.op_id
+        if op_id is None:
+            op_id = self.op_id = _OP_IDS.setdefault(self.key, next(_NEXT_OP_ID))
+        cached = _MEMO.get((op_id, mono))
         if cached is None:
             acc = {}
             for coeff, factors in self.terms:
@@ -513,7 +525,7 @@ class ModeOp:
                 else:
                     apply_cubic_sum(sum_op, mono, self.params, acc)
             cached = tuple(acc.items())
-            _MEMO[(self.key, mono)] = cached
+            _MEMO[(op_id, mono)] = cached
         return cached
 
     def apply(self, state):
@@ -560,30 +572,30 @@ def contraction(famA, famB, m, n, params):
     pair = (famA, famB)
     if pair in (("a", "a*"), ("a1", "a1*")):
         if m + n != 0:
-            return QQ(0)
+            return 0
         if r == 0:
-            return QQ(1) if m >= 0 else QQ(0)
-        return QQ(0)
+            return 1 if m >= 0 else 0
+        return 0
     if pair in (("a*", "a"), ("a1*", "a1")):
         if m + n != 0:
-            return QQ(0)
+            return 0
         if r == 0:
-            return QQ(-1) if m >= 1 else QQ(0)
-        return QQ(-1)
+            return -1 if m >= 1 else 0
+        return -1
     if pair == ("b", "b"):
         if m + n == 0 and m > 0:
             return -2 * m * k0
-        return QQ(0)
+        return 0
     if pair == ("b1", "b1"):
         if m < 0:
-            return QQ(0)
-        out = QQ(0)
+            return 0
+        out = 0
         if m + n == -2:
             out += -(2 * m + 2) * k0
         if m + n == -1:
             out += -(8 * m + 4) * k0
         return out
-    return QQ(0)
+    return 0
 
 
 def _commutator_value(famA, famB, m, n, params):
@@ -591,19 +603,19 @@ def _commutator_value(famA, famB, m, n, params):
     k0 = params.kappa0
     pair = (famA, famB)
     if pair in (("a", "a*"), ("a1", "a1*")):
-        return QQ(1) if m + n == 0 else QQ(0)
+        return 1 if m + n == 0 else 0
     if pair in (("a*", "a"), ("a1*", "a1")):
-        return QQ(-1) if m + n == 0 else QQ(0)
+        return -1 if m + n == 0 else 0
     if pair == ("b", "b"):
-        return -2 * m * k0 if m + n == 0 else QQ(0)
+        return -2 * m * k0 if m + n == 0 else 0
     if pair == ("b1", "b1"):
-        out = QQ(0)
+        out = 0
         if m + n == -2:
             out += (n - m) * k0
         if m + n == -1:
             out += 4 * (n - m) * k0
         return out
-    return QQ(0)
+    return 0
 
 
 def contraction_check(params, window, states):

@@ -30,7 +30,7 @@ would repair any failure, so a convention drift surfaces as a loud
 diagnostic instead of a silent mismatch.
 """
 
-from .scalars import QQ, binom
+from .scalars import QQ, binom, qq
 from .fock import CubicSum, ModeOp, QuadSum, commutator_apply
 
 AFFINE_GENERATORS = ("e", "f", "h", "e1", "f1", "h1")
@@ -221,12 +221,12 @@ class VirParams:
     __slots__ = ("nu", "zeta", "gamma1", "mu", "gamma2", "gammaP", "key")
 
     def __init__(self, nu, zeta=0, gamma1=0, mu=0, gamma2=0, gammaP=0):
-        self.nu = QQ(nu)
-        self.zeta = QQ(zeta)
-        self.gamma1 = QQ(gamma1)
-        self.mu = QQ(mu)
-        self.gamma2 = QQ(gamma2)
-        self.gammaP = QQ(gammaP)
+        self.nu = qq(nu)
+        self.zeta = qq(zeta)
+        self.gamma1 = qq(gamma1)
+        self.mu = qq(mu)
+        self.gamma2 = qq(gamma2)
+        self.gammaP = qq(gammaP)
         self.key = (self.nu, self.zeta, self.gamma1, self.mu, self.gamma2,
                     self.gammaP)
 
@@ -237,7 +237,7 @@ class VirParams:
         nu = +1/(2 kappa0) (only nu^2 is forced; the sign choice is a
         convention, the other sign being induced by b1 -> -b1).
         """
-        k0 = QQ(kappa0)
+        k0 = qq(kappa0)
         if not k0:
             raise ValueError("kappa0 must be nonzero")
         quarter = QQ(1) / (4 * k0)
@@ -321,7 +321,7 @@ def vir_realize(vec, params, vparams=None, c1_value=None, c2_value=0):
 
 def _field_one(k, params):
     if k == -1:
-        return _identity_op(QQ(1), params)
+        return _identity_op(1, params)
     return ModeOp((), (), params)
 
 
@@ -392,7 +392,7 @@ def gj_mode_op(terms, k, params):
     """
     op = ModeOp((), (), params)
     for coeff, p, name, nderiv in terms:
-        coeff = QQ(coeff)
+        coeff = qq(coeff)
         if not coeff:
             continue
         if nderiv == 0:
@@ -404,10 +404,7 @@ def gj_mode_op(terms, k, params):
     return op
 
 
-def bracket_rhs_op(j_terms, m, n, params, shift=0):
-    """The translated right-hand side sum_j binom(m, j) (G_j)_{m+n-j+shift}
-    as one operator (shift is used by the convention audit)."""
-    grouped = _group_j_terms(j_terms)
+def _rhs_op(grouped, m, n, params, shift=0):
     op = ModeOp((), (), params)
     for j, terms in sorted(grouped.items()):
         bj = binom(m, j)
@@ -415,6 +412,12 @@ def bracket_rhs_op(j_terms, m, n, params, shift=0):
             continue
         op = op + gj_mode_op(terms, m + n - j + shift, params).scaled(bj)
     return op
+
+
+def bracket_rhs_op(j_terms, m, n, params, shift=0):
+    """The translated right-hand side sum_j binom(m, j) (G_j)_{m+n-j+shift}
+    as one operator (shift is used by the convention audit)."""
+    return _rhs_op(_group_j_terms(j_terms), m, n, params, shift)
 
 
 def lambda_to_modes(lhs_a, lhs_b, j_terms, params):
@@ -427,24 +430,25 @@ def lambda_to_modes(lhs_a, lhs_b, j_terms, params):
 
         [A_m, B_n] state  -  sum_j binom(m, j) (G_j)_{m+n-j} state,
 
-    which is zero exactly when the identity holds on that state.
+    which is zero exactly when the identity holds on that state.  The three
+    operators are built once per (m, n) and reused while consecutive calls
+    keep the same modes, as they do when one (m, n) runs over many states.
     """
     grouped = _group_j_terms(j_terms)
     if lhs_a not in FIELD_BUILDERS or lhs_b not in FIELD_BUILDERS:
         raise ValueError("unknown field %r" % (lhs_a if lhs_a not in
                                                FIELD_BUILDERS else lhs_b,))
+    built = {}
 
     def check(m, n, state):
-        op_a = field_mode(lhs_a, m, params)
-        op_b = field_mode(lhs_b, n, params)
-        lhs = commutator_apply(op_a, op_b, state)
-        rhs = ModeOp((), (), params)
-        for j, terms in sorted(grouped.items()):
-            bj = binom(m, j)
-            if not bj:
-                continue
-            rhs = rhs + gj_mode_op(terms, m + n - j, params).scaled(bj)
-        return lhs - rhs.apply(state)
+        ops = built.get((m, n))
+        if ops is None:
+            built.clear()
+            ops = built[(m, n)] = (field_mode(lhs_a, m, params),
+                                   field_mode(lhs_b, n, params),
+                                   _rhs_op(grouped, m, n, params))
+        op_a, op_b, rhs = ops
+        return commutator_apply(op_a, op_b, state) - rhs.apply(state)
 
     return check
 

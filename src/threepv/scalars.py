@@ -1,9 +1,15 @@
-"""Exact rational scalars.
+"""One place for scalar policy: `int` while integral, `QQ` otherwise.
 
 Every quantity in this package is an exact rational number; there is no
 floating point anywhere in the math path.  gmpy2's mpq is used when
 available (arbitrary-precision, much faster), with fractions.Fraction as
 a drop-in fallback.
+
+Coefficients on the Fock path pass through qq: an integral value is kept
+as a Python int, whose arithmetic and hashing cost far less than either
+rational type's, and only a non-integral value (a rational kappa0 or B1
+entry, say) stays QQ.  An int compares and hashes equal to the same QQ
+and prints the same way, so the choice never shows in a report.
 """
 
 try:
@@ -13,8 +19,14 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as QQ
     _BACKEND = "fractions"
 
-ZERO = QQ(0)
-ONE = QQ(1)
+
+def qq(x):
+    """x as an int when integral, else as QQ."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, QQ):
+        x = QQ(x)
+    return int(x.numerator) if x.denominator == 1 else x
 
 
 def rat(p, q=1):
@@ -43,7 +55,7 @@ def rat_str(x):
 
 def binom(m, j):
     """Binomial coefficient binom(m, j) for integer m (possibly negative),
-    integer j >= 0, as an exact rational-friendly integer."""
+    integer j >= 0, as an exact int."""
     if j < 0:
         return 0
     num = 1
@@ -52,4 +64,4 @@ def binom(m, j):
     den = 1
     for i in range(2, j + 1):
         den *= i
-    return QQ(num, den)
+    return num // den

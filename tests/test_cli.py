@@ -43,6 +43,18 @@ def test_bad_flag_value_is_an_error(capsys):
     assert "window" in err
 
 
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("threepv.cli.run_suite", broken)
+    code, out, err = run_cli(capsys, "mu-compare", "--window", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:") and "boom" in err
+    assert err.count("\n") == 1
+
+
 def test_text_is_default_format(capsys):
     code, out, _ = run_cli(capsys, "kaehler-basis", "--window", "1")
     assert code == 0

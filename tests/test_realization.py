@@ -254,6 +254,19 @@ def test_zero_cross_bracket(params):
                 assert check(m, n, s).is_zero()
 
 
+@pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
+def test_residual_follows_the_modes_of_each_call(params):
+    # with no right-hand side the residual is the commutator itself,
+    # [b_m, b_n] = -2 m kappa0 delta_{m+n,0}, so reused operators would show
+    check = lambda_to_modes("beta", "beta", [], params)
+    states = [FockState.vacuum()] + seeded_states(83, 2, max_degree=2)
+    for m in range(-2, 3):
+        for n in range(-2, 3):
+            for s in states:
+                want = -2 * m * params.kappa0 if m + n == 0 else 0
+                assert check(m, n, s) == s.scale(want), (m, n)
+
+
 def test_identity_field_mode():
     s = seeded_states(91, 1)[0]
     assert bracket_rhs_op([(0, 5, 0, "1", 0)], -1, 0, P0).apply(s) == s.scale(5)
