@@ -30,11 +30,17 @@ Single modes act in one of two gauges r in {0, 1}:
     b1_0 additionally acts by the matrix B1 on the auxiliary component.
 
 Infinite normal-ordered sums (QuadSum, CubicSum) act locally finitely: for
-each monomial only finitely many summands contribute, and the contributing
-mode sets are enumerated exactly — annihilation candidates are read off the
-monomial's variables (normal ordering makes annihilators act first, so the
-original support bounds them), creation modes run over a half-line that the
-partners' upper bounds cut to a finite range.
+each monomial only finitely many summands contribute, and they are found
+exactly.  Normal ordering puts every annihilator right of every creator, so
+each summand is creators(annihilators(monomial)).  Annihilators act by
+derivatives and zero-mode scalars or matrices, and creators by multiplying
+with coefficient 1, so each group commutes within itself.  The sum is
+therefore walked slot by slot: a slot either annihilates, with a mode read
+off the monomial's variables, and is applied at once to the partial image
+the later slots share; or it is left to create.  The creating slots then
+take up the rest of the total mode, each within its half-line.  A sum
+with an unbounded creating slot beside another creating slot has no finite
+range and raises AssertionError.
 """
 
 import itertools
@@ -178,31 +184,39 @@ def _mono_diff(mono, var):
     return None
 
 
+# Smallest annihilating mode of each family, per gauge r.  A mode m at or
+# above it annihilates: it acts by derivatives, by the zero-mode scalar B0 or
+# by the matrix B1.  A mode below it creates: it multiplies by the variable
+# (code, sign * m), with (code, sign) = CREATES[fam] and coefficient 1.
+# -inf: the family never creates; +inf: every mode creates (the unstarred
+# oscillators at r = 1).
+_INF = float("inf")
+ANN_FROM = (
+    {"a": 0, "a1": 0, "a*": 1, "a1*": 1, "b": 0, "b1": 0},
+    {"a": _INF, "a1": _INF, "a*": -_INF, "a1*": -_INF, "b": 0, "b1": 0},
+)
+CREATES = {"a": (X, 1), "a1": (X1, 1), "a*": (X, -1), "a1*": (X1, -1),
+           "b": (Y, 1), "b1": (Y1, 1)}
+
+
 def apply_factor(fam, m, mono, params):
     """Single mode on a single monomial -> list of (monomial, coeff)."""
-    r = params.r
+    # an unknown family falls through to the ValueError at the end
+    if m < ANN_FROM[params.r].get(fam, -_INF):
+        code, sign = CREATES[fam]
+        return [(_mono_mul(mono, (code, sign * m)), 1)]
     if fam == "a" or fam == "a1":
-        code = X if fam == "a" else X1
-        if r == 0 and m >= 0:
-            hit = _mono_diff(mono, (code, m))
-            return [hit] if hit else []
-        return [(_mono_mul(mono, (code, m)), 1)]
+        hit = _mono_diff(mono, (X if fam == "a" else X1, m))
+        return [hit] if hit else []
     if fam == "a*" or fam == "a1*":
-        code = X if fam == "a*" else X1
-        if r == 0 and m <= 0:
-            return [(_mono_mul(mono, (code, -m)), 1)]
-        hit = _mono_diff(mono, (code, -m))
+        hit = _mono_diff(mono, (X if fam == "a*" else X1, -m))
         return [(hit[0], -hit[1])] if hit else []
     if fam == "b":
-        if m < 0:
-            return [(_mono_mul(mono, (Y, m)), 1)]
         if m == 0:
             return [(mono, params.B0)] if params.B0 else []
         hit = _mono_diff(mono, (Y, -m))
         return [(hit[0], -2 * m * params.kappa0 * hit[1])] if hit else []
     if fam == "b1":
-        if m < 0:
-            return [(_mono_mul(mono, (Y1, m)), 1)]
         out = []
         hit = _mono_diff(mono, (Y1, -2 - m))
         if hit:
@@ -222,13 +236,10 @@ def apply_factor(fam, m, mono, params):
 
 def is_annihilation(fam, m, r):
     """Normal-ordering side of the mode (m-indexed classification)."""
-    if fam in ("b", "b1"):
-        return m >= 0
-    if fam in ("a", "a1"):
-        return r == 0 and m >= 0
-    if fam in ("a*", "a1*"):
-        return m >= 1 if r == 0 else True
-    raise ValueError("unknown mode family %r" % (fam,))
+    low = ANN_FROM[r].get(fam)
+    if low is None:
+        raise ValueError("unknown mode family %r" % (fam,))
+    return m >= low
 
 
 def apply_product(factors, mono, params):
@@ -237,9 +248,9 @@ def apply_product(factors, mono, params):
     Creation factors move left (original order kept within each group), so
     application order is: annihilators right-to-left first, then creators.
     """
-    r = params.r
-    ordered = [f for f in factors if not is_annihilation(f[0], f[1], r)]
-    ordered += [f for f in factors if is_annihilation(f[0], f[1], r)]
+    ann_from = ANN_FROM[params.r]
+    ordered = [f for f in factors if f[1] < ann_from[f[0]]]
+    ordered += [f for f in factors if f[1] >= ann_from[f[0]]]
     current = [(mono, 1)]
     for fam, m in reversed(ordered):
         nxt = []
@@ -296,125 +307,88 @@ def _ann_candidates(fam, mono, params):
     return out
 
 
-def _creation_bound(fam, r):
-    """Upper end of the creation half-line: an int, None (no creation side),
-    or "all" (every mode creates; only r=1 unstarred oscillators)."""
-    if fam in ("b", "b1"):
-        return -1
-    if fam in ("a", "a1"):
-        return -1 if r == 0 else "all"
-    if fam in ("a*", "a1*"):
-        return 0 if r == 0 else None
-    raise ValueError("unknown mode family %r" % (fam,))
+def _creation_modes(rest, highs):
+    """Mode tuples summing to rest, each at most its slot's bound in highs."""
+    if len(highs) == 1:
+        return [(rest,)] if rest <= highs[0] else []
+    least = rest - sum(highs[1:])
+    return [(m,) + tail for m in range(least, highs[0] + 1)
+            for tail in _creation_modes(rest - m, highs[1:])]
 
 
-def _slot_upper(fam, mono, params):
-    """Largest mode this slot can contribute (None = unbounded)."""
-    cre = _creation_bound(fam, params.r)
-    if cre == "all":
-        return None
-    ub = None
-    if cre is not None:
-        ub = cre
-    anns = _ann_candidates(fam, mono, params)
-    if anns:
-        m = max(anns)
-        ub = m if ub is None or m > ub else ub
-    return ub
+def _apply_sum(fams, M, c0, c1, mono, params, acc):
+    """Accumulate sum over modes m_i of fams with total M of
+    (c0 + c1 m_0) :prod_i fam_i(m_i): applied to mono into the dict acc.
 
+    Each term is creators(annihilators(mono)).  The slots are walked right
+    to left, as apply_product applies them, ending with slot 0, whose mode
+    sets the weight.  A slot either annihilates with a mode read off mono,
+    applied at once so that the slots after it share the partial image, or
+    is left to create.  The creating slots then fill the rest of M within
+    their half-lines.
+    """
+    ann_from = ANN_FROM[params.r]
+    # (partial image, rest of M, creating slots, sum of their highest modes,
+    #  mode of slot 0 if it annihilates)
+    branches = [([(mono, 1)], M, (), 0, None)]
+    for i in range(len(fams) - 1, -1, -1):
+        fam = fams[i]
+        low = ann_from[fam]
+        cands = _ann_candidates(fam, mono, params) if low < _INF else ()
+        nxt = []
+        for terms, rest, creating, top, _ in branches:
+            if low > -_INF:
+                nxt.append((terms, rest, creating + (i,), top + low - 1, None))
+            for m in cands:
+                # slot 0 is the last: the creators must take up the rest
+                if i == 0 and (rest - m > top or not creating and rest != m
+                               or not c0 + c1 * m):
+                    continue
+                image = [(mo2, c * c2) for mo, c in terms
+                         for mo2, c2 in apply_factor(fam, m, mo, params)]
+                if image:
+                    nxt.append((image, rest - m, creating, top,
+                                m if i == 0 else None))
+        if not nxt:
+            return
+        branches = nxt
 
-def _slot_candidates(fam, mono, params, remaining, others_upper):
-    """Finite candidate set for one enumerated slot, given the remaining mode
-    sum and the other slots' upper bounds."""
-    cand = _ann_candidates(fam, mono, params)
-    cre = _creation_bound(fam, params.r)
-    if isinstance(cre, int):
-        if any(u is None for u in others_upper):
-            raise AssertionError("cannot bound creation range")
-        lb = remaining - sum(others_upper)
-        cand.update(range(lb, cre + 1))
-    return cand
-
-
-def apply_quad_sum(qs, mono, params, acc):
-    """Accumulate (QuadSum applied to monomial) into the dict acc."""
-    famA, famB, M, c0, c1 = qs
-    creA = _creation_bound(famA, params.r)
-    creB = _creation_bound(famB, params.r)
-
-    if creB is None:
-        # famB never creates: its annihilation candidates are necessary
-        cand_q = _ann_candidates(famB, mono, params)
-        pairs = [(M - q, q) for q in cand_q]
-    elif creA is None:
-        cand_p = _ann_candidates(famA, mono, params)
-        pairs = [(p, M - p) for p in cand_p]
-    elif creA == "all" or creB == "all":
-        raise AssertionError("cannot bound creation range")
-    else:
-        cand_p = _slot_candidates(
-            famA, mono, params, M, [_slot_upper(famB, mono, params)]
-        )
-        pairs = [(p, M - p) for p in cand_p]
-
-    for p, q in pairs:
-        w = c0 + c1 * p
-        if not w:
+    for terms, rest, creating, top, p in branches:
+        if rest > top:
             continue
-        for mo, c in apply_product(((famA, p), (famB, q)), mono, params):
-            s = acc.get(mo, 0) + w * c
-            if s:
-                acc[mo] = s
-            else:
-                acc.pop(mo, None)
-
-
-def apply_cubic_sum(cs, mono, params, acc):
-    """Accumulate (CubicSum applied to monomial) into the dict acc."""
-    famA, famB, famC, M, weight = cs
-    fams = (famA, famB, famC)
-    bounds = [_creation_bound(f, params.r) for f in fams]
-    all_slots = [i for i, b in enumerate(bounds) if b == "all"]
-    if len(all_slots) > 1:
-        raise AssertionError("sum with two unbounded creation slots")
-    det = all_slots[0] if all_slots else 2
-    enum = [i for i in range(3) if i != det]
-
-    uppers = [_slot_upper(f, mono, params) for f in fams]
-
-    s1, s2 = enum
-    cand1 = _slot_candidates(fams[s1], mono, params, M, [uppers[s2], uppers[det]])
-    for v1 in cand1:
-        cand2 = _slot_candidates(fams[s2], mono, params, M - v1, [uppers[det]])
-        for v2 in cand2:
-            modes = [None, None, None]
-            modes[s1] = v1
-            modes[s2] = v2
-            modes[det] = M - v1 - v2
-            factors = tuple((fams[i], modes[i]) for i in range(3))
-            for mo, c in apply_product(factors, mono, params):
-                s = acc.get(mo, 0) + weight * c
+        if len(creating) > 1:
+            highs = [ann_from[fams[k]] - 1 for k in creating]
+            if _INF in highs:
+                raise AssertionError("cannot bound creation range")
+            modes_list = _creation_modes(rest, highs)
+        else:
+            modes_list = [(rest,)] if creating else [()]
+        for modes in modes_list:
+            # slot 0, when it creates, is the last creating slot
+            w = c0 + c1 * (modes[-1] if p is None else p)
+            if not w:
+                continue
+            for mo, c in terms:
+                for k, m in zip(creating, modes):
+                    code, sign = CREATES[fams[k]]
+                    mo = _mono_mul(mo, (code, sign * m))
+                s = acc.get(mo, 0) + w * c
                 if s:
                     acc[mo] = s
                 else:
                     acc.pop(mo, None)
 
 
-def no_sum_apply(sum_op, state, params):
-    """Apply one normal-ordered infinite sum to a state, exactly."""
-    out = FockState()
-    for mono, c in state.terms.items():
-        acc = {}
-        if isinstance(sum_op, QuadSum):
-            apply_quad_sum(sum_op, mono, params, acc)
-        elif isinstance(sum_op, CubicSum):
-            apply_cubic_sum(sum_op, mono, params, acc)
-        else:
-            raise TypeError("not a sum: %r" % (sum_op,))
-        for mo, cc in acc.items():
-            out.terms[mo] = out.terms.get(mo, 0) + c * cc
-    out.terms = {mo: c for mo, c in out.terms.items() if c}
-    return out
+def apply_quad_sum(qs, mono, params, acc):
+    """Accumulate (QuadSum applied to monomial) into the dict acc."""
+    famA, famB, M, c0, c1 = qs
+    _apply_sum((famA, famB), M, c0, c1, mono, params, acc)
+
+
+def apply_cubic_sum(cs, mono, params, acc):
+    """Accumulate (CubicSum applied to monomial) into the dict acc."""
+    famA, famB, famC, M, weight = cs
+    _apply_sum((famA, famB, famC), M, weight, 0, mono, params, acc)
 
 
 def naive_sum_apply(sum_op, state, params, box):

@@ -2,8 +2,17 @@
 
 import pytest
 
+from threepv import fock
 from threepv.scalars import QQ
 from threepv.liealg import heis_bracket
+from threepv.realization import (
+    AFFINE_GENERATORS,
+    FIELD_BUILDERS,
+    field_mode,
+    pi_vir_mode,
+    pi_witt_mode,
+    tau_mode,
+)
 from threepv.fock import (
     RepParams,
     FockState,
@@ -14,7 +23,6 @@ from threepv.fock import (
     apply_factor,
     is_annihilation,
     apply_product,
-    no_sum_apply,
     naive_sum_apply,
     osc_apply,
     heis_apply,
@@ -213,7 +221,7 @@ def test_quad_sums_match_naive(params):
         for M in (-3, -1, 0, 2):
             qs = QuadSum(famA, famB, M, QQ(1), QQ(2))
             for s in states:
-                smart = no_sum_apply(qs, s, params)
+                smart = ModeOp((), (qs,), params).apply(s)
                 brute = naive_sum_apply(qs, s, params, 12)
                 assert smart == brute, (famA, famB, M)
 
@@ -225,7 +233,7 @@ def test_cubic_sums_match_naive(params):
         for M in (-2, 0, 1):
             cs = CubicSum(fams[0], fams[1], fams[2], M, QQ(1))
             for s in states:
-                smart = no_sum_apply(cs, s, params)
+                smart = ModeOp((), (cs,), params).apply(s)
                 brute = naive_sum_apply(cs, s, params, 12)
                 assert smart == brute, (fams, M)
 
@@ -233,9 +241,9 @@ def test_cubic_sums_match_naive(params):
 def test_unboundable_sum_raises():
     st = FockState.vacuum()
     with pytest.raises(AssertionError):
-        no_sum_apply(QuadSum("a", "b", 0, QQ(1), QQ(0)), st, P1)
+        ModeOp((), (QuadSum("a", "b", 0, QQ(1), QQ(0)),), P1).apply(st)
     with pytest.raises(AssertionError):
-        no_sum_apply(QuadSum("a", "a1", 0, QQ(1), QQ(0)), st, P1)
+        ModeOp((), (QuadSum("a", "a1", 0, QQ(1), QQ(0)),), P1).apply(st)
 
 
 def test_quad_sum_frozen_example():
@@ -244,8 +252,107 @@ def test_quad_sum_frozen_example():
     # x_j with j < 0 counts -1 per power (term p = j, ordered x_j (-d/dx_j))
     qs = QuadSum("a", "a*", 0, QQ(2), QQ(0))
     st = FockState({make_monomial({(X, 2): 1, (X, -1): 2}): 1})
-    out = no_sum_apply(qs, st, P0)
+    out = ModeOp((), (qs,), P0).apply(st)
     assert out == st.scale(2 * (1 - 2))
+
+
+def _box(sum_op, state):
+    """Half-width of a mode box holding every mode of the sum that can act
+    nonzero on the state: annihilators are bounded by the state's variable
+    indices I (shifted by at most 2), and each other slot by |M| + 2 (I + 2)."""
+    idx = [abs(i) for mono in state.terms for (_code, i), _e in mono[0]]
+    return abs(sum_op.M) + 2 * (max(idx, default=0) + 2) + 1
+
+
+def _assert_sum_matches_naive(sum_op, states, params):
+    for s in states:
+        smart = ModeOp((), (sum_op,), params).apply(s)
+        assert smart == naive_sum_apply(sum_op, s, params, _box(sum_op, s)), \
+            (sum_op, params, s)
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
+def test_quad_sum_weight_vanishing_at_a_contributing_mode(params):
+    # c0 + c1 p = 2 - p vanishes at p = 2, where a_2 / a1_2 / b_2 act
+    st = FockState({
+        make_monomial({(X, 2): 1, (X1, 2): 1, (X, -1): 1}): 1,
+        make_monomial({(X, -2): 1, (Y, -2): 1, (X1, 0): 1}, 1): -3,
+    })
+    for famA, famB in QUAD_SHAPES:
+        for M in (-1, 0, 2, 3):
+            qs = QuadSum(famA, famB, M, 2, -1)
+            _assert_sum_matches_naive(qs, [st], params)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_sums_with_vanishing_zero_mode_data(r):
+    # B0 = 0 kills b_0; B1 with a zero off-diagonal entry keeps b1_0 on one
+    # auxiliary component from one side only
+    params = RepParams(r=r, B0=0, B1=((2, 0), (3, 2)))
+    states = [
+        FockState({make_monomial({(Y1, -2): 1, (X, -1): 1}, 0): 1}),
+        FockState({make_monomial({(Y1, -1): 2, (Y, -1): 1}, 1): 1,
+                   make_monomial({(X1, 1): 1}, 1): 2}),
+        FockState({((), 0): 1, ((), 1): 5}),
+    ]
+    for famA, famB in QUAD_SHAPES:
+        for M in (-2, 0, 1):
+            _assert_sum_matches_naive(QuadSum(famA, famB, M, 1, 1), states, params)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_sums_at_rational_kappa0(r):
+    params = RepParams(r=r, kappa0=QQ(3, 2), B1=((QQ(1, 2), 2), (3, QQ(1, 2))))
+    states = [FockState.vacuum()] + seeded_states(808, 2, max_degree=2)
+    for famA, famB in QUAD_SHAPES:
+        for M in (-2, 0, 1):
+            _assert_sum_matches_naive(QuadSum(famA, famB, M, QQ(1, 3), 2),
+                                      states, params)
+    for fams in CUBIC_SHAPES:
+        _assert_sum_matches_naive(CubicSum(*fams, -1, QQ(-5, 2)), states, params)
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
+def test_every_realization_sum_matches_naive(params):
+    """Each sum that the realizations build for |m| <= 2."""
+    ops = []
+    for m in range(-2, 3):
+        ops += [tau_mode(g, m, params) for g in AFFINE_GENERATORS]
+        ops += [pi_witt_mode(k, m, params) for k in ("d", "d1")]
+        ops += [pi_vir_mode(k, m, params) for k in ("D", "D1")]
+        ops += [field_mode(name, m, params) for name in FIELD_BUILDERS]
+    sums = {s for op in ops for s in op.sums}
+    assert any(isinstance(s, CubicSum) for s in sums)
+    states = [
+        FockState.vacuum(),
+        FockState({
+            make_monomial({(X, 2): 1, (X, -1): 1, (X1, 1): 1, (Y1, -2): 1}, 1): 3,
+            make_monomial({(X1, -2): 1, (X, 0): 1, (Y, -1): 1}): -2,
+        }),
+    ]
+    for sum_op in sorted(sums, key=repr):
+        _assert_sum_matches_naive(sum_op, states, params)
+
+
+def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
+    """ModeOp.apply_mono looks up apply_quad_sum / apply_cubic_sum in the
+    module and passes them exactly (sum, monomial, params, acc)."""
+    st = FockState({make_monomial({(X, 1): 2, (X, -1): 1}): 1})
+    for name, sum_op in (("apply_quad_sum", QuadSum("a", "a*", 0, 1, 0)),
+                         ("apply_cubic_sum", CubicSum("a", "a*", "a*", 0, 1))):
+        calls = []
+        clear_memo()
+        try:
+            assert not ModeOp((), (sum_op,), P0).apply(st).is_zero()
+            clear_memo()
+            monkeypatch.setattr(
+                fock, name,
+                lambda s, mono, params, acc: calls.append((s, mono, params)))
+            assert ModeOp((), (sum_op,), P0).apply(st).is_zero()
+        finally:
+            monkeypatch.undo()
+            clear_memo()
+        assert calls == [(sum_op, next(iter(st.terms)), P0)], name
 
 
 # ---------------------------------------------------------------------------
