@@ -41,6 +41,11 @@ the later slots share; or it is left to create.  The creating slots then
 take up the rest of the total mode, each within its half-line.  A sum
 with an unbounded creating slot beside another creating slot has no finite
 range and raises AssertionError.
+
+ModeOp memoizes monomial images in _MEMO for one parameter set at a time:
+an application under other parameters clears it in place, so repeated runs
+of one configuration stay warm and any other frees the last one's entries.
+Linear combinations (+, scaled) apply through their parts' memo entries.
 """
 
 import itertools
@@ -53,9 +58,6 @@ from .scalars import qq
 X, X1, Y, Y1 = 0, 1, 2, 3
 
 VACUUM_MONO = ((), 0)
-
-OSC_FAMILIES = ("a", "a*", "a1", "a1*")
-HEIS_FAMILIES = ("b", "b1")
 
 
 class RepParams:
@@ -232,14 +234,6 @@ def apply_factor(fam, m, mono, params):
                     out.append(((vars_tuple, col), c))
         return out
     raise ValueError("unknown mode family %r" % (fam,))
-
-
-def is_annihilation(fam, m, r):
-    """Normal-ordering side of the mode (m-indexed classification)."""
-    low = ANN_FROM[r].get(fam)
-    if low is None:
-        raise ValueError("unknown mode family %r" % (fam,))
-    return m >= low
 
 
 def apply_product(factors, mono, params):
@@ -424,13 +418,11 @@ def naive_sum_apply(sum_op, state, params, box):
 
 _MEMO = {}
 # Operator keys interned to small ints, so a memo lookup hashes (int, mono)
-# instead of the nested key.  Ids are never reused: clear_memo keeps them.
+# instead of the nested key.  Ids are never reused, so an operator that kept
+# its id across a clear can never hit another operator's entries.
 _OP_IDS = {}
 _NEXT_OP_ID = itertools.count()
-
-
-def clear_memo():
-    _MEMO.clear()
+_MEMO_PARAMS = None     # the RepParams whose entries _MEMO holds
 
 
 class ModeOp:
@@ -440,13 +432,15 @@ class ModeOp:
     terms: tuple of (coeff, ((family, mode), ...)) -- () is the identity
     sums:  tuple of QuadSum / CubicSum
 
-    Application is linear, so per-monomial images are memoized globally,
-    keyed by the operator's content and parameters.  The key is interned to
-    op_id on first application, so operators that are only combined (by +
-    or scaled) into larger ones never enter the intern table.
+    A base operator (parts None) memoizes its monomial images in _MEMO by
+    op_id, its key interned on first application; _MEMO holds one parameter
+    set and is cleared in place when another is applied.  +, scaled and
+    combine return a combination: parts is a tuple of (coeff, base), and
+    apply sums coeff * image over the parts, reusing their entries and adding
+    none.  Its flat terms, sums and key are built when first read.
     """
 
-    __slots__ = ("terms", "sums", "params", "key", "op_id")
+    __slots__ = ("terms", "sums", "params", "key", "op_id", "parts")
 
     def __init__(self, terms=(), sums=(), params=None):
         if params is None:
@@ -457,27 +451,28 @@ class ModeOp:
         self.params = params
         self.key = (self.terms, self.sums, params.key)
         self.op_id = None
+        self.parts = None
 
-    def is_zero_op(self):
-        return not self.terms and not self.sums
+    def __getattr__(self, name):
+        # only a combination leaves these unset, until they are first read
+        if name not in ("terms", "sums", "key"):
+            raise AttributeError(name)
+        self.terms = tuple((qq(c * cc), fs) for c, base in self.parts
+                           for cc, fs in base.terms)
+        self.sums = tuple(
+            QuadSum(*s[:3], qq(c * s.c0), qq(c * s.c1))
+            if isinstance(s, QuadSum) else CubicSum(*s[:4], qq(c * s.c))
+            for c, base in self.parts for s in base.sums)
+        self.key = (self.terms, self.sums, self.params.key)
+        return getattr(self, name)
 
     def scaled(self, c):
-        c = qq(c)
-        if not c:
-            return ModeOp((), (), self.params)
-        terms = [(c * cc, fs) for cc, fs in self.terms]
-        sums = []
-        for s in self.sums:
-            if isinstance(s, QuadSum):
-                sums.append(QuadSum(s.famA, s.famB, s.M, qq(c * s.c0), qq(c * s.c1)))
-            else:
-                sums.append(CubicSum(s.famA, s.famB, s.famC, s.M, qq(c * s.c)))
-        return ModeOp(terms, sums, self.params)
+        return combine(((c, self),), self.params)
 
     def __add__(self, other):
-        if self.params.key != other.params.key:
+        if self.params is not other.params and self.params.key != other.params.key:
             raise ValueError("parameter mismatch")
-        return ModeOp(self.terms + other.terms, self.sums + other.sums, self.params)
+        return combine(((1, self), (1, other)), self.params)
 
     def apply_mono(self, mono):
         op_id = self.op_id
@@ -503,31 +498,48 @@ class ModeOp:
         return cached
 
     def apply(self, state):
+        global _MEMO_PARAMS
+        params = self.params
+        if params is not _MEMO_PARAMS:
+            if _MEMO_PARAMS is None or params.key != _MEMO_PARAMS.key:
+                _MEMO.clear()
+                _OP_IDS.clear()
+            _MEMO_PARAMS = params
         out = {}
-        for mono, c in state.terms.items():
-            for mo, cc in self.apply_mono(mono):
-                s = out.get(mo, 0) + c * cc
-                if s:
-                    out[mo] = s
-                else:
-                    out.pop(mo, None)
+        for coeff, base in self.parts or ((1, self),):
+            items = state.terms.items()
+            if coeff != 1:
+                items = [(mono, coeff * c) for mono, c in items]
+            for mono, c in items:
+                for mo, cc in base.apply_mono(mono):
+                    s = out.get(mo, 0) + c * cc
+                    if s:
+                        out[mo] = s
+                    else:
+                        out.pop(mo, None)
         st = FockState()
         st.terms = out
         return st
 
 
-def osc_apply(fam, m, state, params):
-    """One oscillator mode a / a* / a1 / a1* on a state."""
-    if fam not in OSC_FAMILIES:
-        raise ValueError("not an oscillator family: %r" % (fam,))
-    return ModeOp(((1, ((fam, m),)),), (), params).apply(state)
-
-
-def heis_apply(fam, m, state, params):
-    """One current mode b / b1 on a state."""
-    if fam not in HEIS_FAMILIES:
-        raise ValueError("not a current family: %r" % (fam,))
-    return ModeOp(((1, ((fam, m),)),), (), params).apply(state)
+def combine(pairs, params):
+    """The operator sum of c * op over (c, op) in pairs, as a combination of
+    the ops' base operators merged by content, with zero coefficients and
+    zero bases dropped.  A single base with coefficient 1 is returned as is.
+    """
+    merged = {}
+    for c, op in pairs:
+        for cc, base in op.parts or ((1, op),):
+            merged.setdefault((base.terms, base.sums), [0, base])[0] += c * cc
+    parts = tuple((qq(c), base) for c, base in merged.values()
+                  if c and (base.terms or base.sums))
+    if not parts:
+        return ModeOp((), (), params)
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    op = ModeOp.__new__(ModeOp)
+    op.params, op.op_id, op.parts = params, None, parts
+    return op
 
 
 def commutator_apply(opA, opB, state):

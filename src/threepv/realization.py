@@ -31,7 +31,7 @@ diagnostic instead of a silent mismatch.
 """
 
 from .scalars import QQ, binom, qq
-from .fock import CubicSum, ModeOp, QuadSum, commutator_apply
+from .fock import CubicSum, ModeOp, QuadSum, combine, commutator_apply
 
 AFFINE_GENERATORS = ("e", "f", "h", "e1", "f1", "h1")
 WITT_KINDS = ("d", "d1")
@@ -45,8 +45,9 @@ def chi0(params):
     return params.kappa0 + (4 if params.r == 0 else 0)
 
 
-def _identity_op(c, params):
-    return ModeOp(((c, ()),), (), params)
+def _unit(params):
+    # every multiple of the identity goes through this one base
+    return ModeOp(((1, ()),), (), params)
 
 
 # ---------------------------------------------------------------------------
@@ -123,45 +124,39 @@ def tau_realize(vec, params):
     Generator modes go through tau_mode; the class w0 acts by chi0 times the
     identity and w1 acts by zero.
     """
-    op = ModeOp((), (), params)
+    pairs = []
     for (fam, mode), coeff in sorted(vec.terms.items()):
         if fam == "w0":
-            op = op + _identity_op(coeff * chi0(params), params)
-        elif fam == "w1":
-            continue
-        else:
-            op = op + tau_mode(fam, mode, params).scaled(coeff)
-    return op
+            pairs.append((coeff * chi0(params), _unit(params)))
+        elif fam != "w1":
+            pairs.append((coeff, tau_mode(fam, mode, params)))
+    return combine(pairs, params)
 
 
 # ---------------------------------------------------------------------------
 # pi: the derivation families
 # ---------------------------------------------------------------------------
 
-def pi_witt_mode(kind, m, params):
-    """Mode m of the realized derivation family d or d1 (authoritative sums)."""
+def _witt_sums(kind, m):
     if kind == "d":
-        return ModeOp(
-            (),
-            (
-                QuadSum("a", "a*", m + 1, -m - 1, 1),
-                QuadSum("a", "a*", m, -4 * m, 4),
-                QuadSum("a1", "a1*", m + 1, -m, 1),
-                QuadSum("a1", "a1*", m, 2 - 4 * m, 4),
-            ),
-            params,
+        return (
+            QuadSum("a", "a*", m + 1, -m - 1, 1),
+            QuadSum("a", "a*", m, -4 * m, 4),
+            QuadSum("a1", "a1*", m + 1, -m, 1),
+            QuadSum("a1", "a1*", m, 2 - 4 * m, 4),
         )
     if kind == "d1":
-        return ModeOp(
-            (),
-            (
-                QuadSum("a1", "a*", m - 1, 1 - m, 1),
-                QuadSum("a", "a1*", m + 1, -m, 1),
-                QuadSum("a", "a1*", m, 2 - 4 * m, 4),
-            ),
-            params,
+        return (
+            QuadSum("a1", "a*", m - 1, 1 - m, 1),
+            QuadSum("a", "a1*", m + 1, -m, 1),
+            QuadSum("a", "a1*", m, 2 - 4 * m, 4),
         )
     raise ValueError("unknown derivation family %r" % (kind,))
+
+
+def pi_witt_mode(kind, m, params):
+    """Mode m of the realized derivation family d or d1 (authoritative sums)."""
+    return ModeOp((), _witt_sums(kind, m), params)
 
 
 # field pieces (coeff, p, famA, famB, derivB) meaning
@@ -264,9 +259,8 @@ def pi_vir_mode(kind, m, params, vparams=None):
     if vparams is None:
         vparams = VirParams.standard(params.kappa0)
     if kind == "D":
-        op = pi_witt_mode("d", m + 1, params)
         terms = []
-        sums = []
+        sums = list(_witt_sums("d", m + 1))
         if vparams.gammaP:
             sums.append(QuadSum("b", "b", m + 2, vparams.gammaP, 0))
             sums.append(QuadSum("b", "b", m + 1, 4 * vparams.gammaP, 0))
@@ -276,16 +270,15 @@ def pi_vir_mode(kind, m, params, vparams=None):
             terms.append((-(m + 1) * vparams.mu, (("b", m),)))
         if vparams.gamma2:
             terms.append((vparams.gamma2, (("b", m + 1),)))
-        return op + ModeOp(terms, sums, params)
+        return ModeOp(terms, sums, params)
     if kind == "D1":
-        op = pi_witt_mode("d1", m + 1, params)
         terms = []
-        sums = []
+        sums = list(_witt_sums("d1", m + 1))
         if vparams.nu:
             sums.append(QuadSum("b", "b1", m, vparams.nu, 0))
         if vparams.zeta:
             terms.append((-(m + 1) * vparams.zeta, (("b1", m),)))
-        return op + ModeOp(terms, sums, params)
+        return ModeOp(terms, sums, params)
     raise ValueError("unknown extended family %r" % (kind,))
 
 
@@ -298,21 +291,19 @@ def vir_realize(vec, params, vparams=None, c1_value=None, c2_value=0):
     """
     if c1_value is None:
         c1_value = central_charge(params.r)
-    op = ModeOp((), (), params)
+    pairs = []
     for (fam, mode), coeff in sorted(vec.terms.items()):
         if fam == "c1":
-            if c1_value:
-                op = op + _identity_op(coeff * QQ(c1_value), params)
+            pairs.append((coeff * QQ(c1_value), _unit(params)))
         elif fam == "c2":
-            if c2_value:
-                op = op + _identity_op(coeff * QQ(c2_value), params)
+            pairs.append((coeff * QQ(c2_value), _unit(params)))
         elif fam == "d":
-            op = op + pi_vir_mode("D", mode - 1, params, vparams).scaled(-coeff)
+            pairs.append((-coeff, pi_vir_mode("D", mode - 1, params, vparams)))
         elif fam == "d1":
-            op = op + pi_vir_mode("D1", mode - 1, params, vparams).scaled(-coeff)
+            pairs.append((-coeff, pi_vir_mode("D1", mode - 1, params, vparams)))
         else:
             raise ValueError("unexpected family %r" % (fam,))
-    return op
+    return combine(pairs, params)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +311,7 @@ def vir_realize(vec, params, vparams=None, c1_value=None, c2_value=0):
 # ---------------------------------------------------------------------------
 
 def _field_one(k, params):
-    if k == -1:
-        return _identity_op(1, params)
-    return ModeOp((), (), params)
+    return _unit(params) if k == -1 else ModeOp((), (), params)
 
 
 def _field_single(fam):
@@ -390,28 +379,24 @@ def gj_mode_op(terms, k, params):
     Translation rules: (w^p F)_K = F_{K+p} and
     (w^p dF)_K = -(K+p) F_{K+p-1}.
     """
-    op = ModeOp((), (), params)
+    pairs = []
     for coeff, p, name, nderiv in terms:
-        coeff = qq(coeff)
         if not coeff:
             continue
         if nderiv == 0:
-            op = op + field_mode(name, k + p, params).scaled(coeff)
+            pairs.append((coeff, field_mode(name, k + p, params)))
         else:
-            op = op + field_mode(name, k + p - 1, params).scaled(
-                -coeff * (k + p)
-            )
-    return op
+            pairs.append((-coeff * (k + p), field_mode(name, k + p - 1, params)))
+    return combine(pairs, params)
 
 
 def _rhs_op(grouped, m, n, params, shift=0):
-    op = ModeOp((), (), params)
+    pairs = []
     for j, terms in sorted(grouped.items()):
         bj = binom(m, j)
-        if not bj:
-            continue
-        op = op + gj_mode_op(terms, m + n - j + shift, params).scaled(bj)
-    return op
+        if bj:
+            pairs.append((bj, gj_mode_op(terms, m + n - j + shift, params)))
+    return combine(pairs, params)
 
 
 def bracket_rhs_op(j_terms, m, n, params, shift=0):

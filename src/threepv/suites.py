@@ -258,10 +258,6 @@ def _modes(window):
     return range(-window, window + 1)
 
 
-def _single(fam, m, params):
-    return ModeOp(((1, ((fam, m),)),), (), params)
-
-
 def _suite_ring_witt(cfg):
     gens = [(k, m) for k in ("d", "d1") for m in _modes(cfg.window)]
 
@@ -444,9 +440,10 @@ def _suite_heisenberg_rep(cfg):
         checks = []
         name = "[%s_%d, %s_%d]" % (famA, m, famB, n)
         rhs = "%s * id (one0 -> kappa0, one1 -> 0)" % rat_str(expected)
+        opA = ModeOp(((1, ((famA, m),)),), (), params)
+        opB = ModeOp(((1, ((famB, n),)),), (), params)
         for label, s in states:
-            got = commutator_apply(_single(famA, m, params),
-                                   _single(famB, n, params), s)
+            got = commutator_apply(opA, opB, s)
             checks.append(_state_check("realized %s" % name, rhs, label,
                                        got, s.scale(expected)))
         return checks

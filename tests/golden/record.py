@@ -65,6 +65,18 @@ CASES = (
      "--states", "random:2:2", "--seed", "4"),
     ("audit", "--r", "0", "--kappa0", "3/2", "--B0", "1/2", "--window", "1",
      "--states", "random:2:3", "--seed", "9"),
+    # The algebra suites, which apply no Fock operator: small windows, and
+    # seeded ring elements for kaehler-basis.
+    ("ring-witt", "--window", "2"),
+    ("kaehler-basis", "--window", "3", "--states", "random:3:2", "--seed", "4"),
+    ("kaehler-basis", "--window", "2"),
+    ("mu-compare", "--window", "2"),
+    ("affine-jacobi", "--window", "1"),
+    ("kassel-vs-table", "--window", "1"),
+    ("cocycle-identity", "--window", "2"),
+    ("coboundary-window", "--window", "3"),
+    ("density-module", "--window", "2"),
+    ("lambda-table", "--window", "3"),
 )
 
 

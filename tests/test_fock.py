@@ -4,14 +4,17 @@ import pytest
 
 from threepv import fock
 from threepv.scalars import QQ
-from threepv.liealg import heis_bracket
+from threepv.liealg import affine_bracket, heis_bracket
 from threepv.realization import (
     AFFINE_GENERATORS,
     FIELD_BUILDERS,
+    bracket_rhs_op,
     field_mode,
     pi_vir_mode,
     pi_witt_mode,
     tau_mode,
+    tau_realize,
+    witt_rep_gj,
 )
 from threepv.fock import (
     RepParams,
@@ -21,16 +24,12 @@ from threepv.fock import (
     CubicSum,
     make_monomial,
     apply_factor,
-    is_annihilation,
     apply_product,
     naive_sum_apply,
-    osc_apply,
-    heis_apply,
     commutator_apply,
     contraction,
     contraction_check,
     seeded_states,
-    clear_memo,
     VACUUM_MONO,
     X, X1, Y, Y1,
 )
@@ -88,33 +87,33 @@ def test_single_modes_on_vacuum_r1():
 
 def test_b1_zero_mode_matrix_action():
     vac0 = FockState({VACUUM_MONO: 1})
-    out = heis_apply("b1", 0, vac0, P0)
+    out = single("b1", 0, P0).apply(vac0)
     # default B1 = ((1,2),(3,1)): component 0 -> 1*v0 + 2*v1
     assert out.terms == {((), 0): QQ(1), ((), 1): QQ(2)}
     vac1 = FockState({((), 1): 1})
-    out = heis_apply("b1", 0, vac1, P0)
+    out = single("b1", 0, P0).apply(vac1)
     assert out.terms == {((), 0): QQ(3), ((), 1): QQ(1)}
 
 
 def test_b1_positive_mode_derivatives():
     # b1_1 = -4 k0 d/dy1_{-3} - 12 k0 d/dy1_{-2}
     st = FockState({make_monomial({(Y1, -3): 1}): 1})
-    out = heis_apply("b1", 1, st, RepParams(r=0, kappa0=2))
+    out = single("b1", 1, RepParams(r=0, kappa0=2)).apply(st)
     assert out.terms == {VACUUM_MONO: QQ(-8)}
     st = FockState({make_monomial({(Y1, -2): 2}): 1})
-    out = heis_apply("b1", 1, st, RepParams(r=0, kappa0=2))
+    out = single("b1", 1, RepParams(r=0, kappa0=2)).apply(st)
     assert out.terms == {make_monomial({(Y1, -2): 1}): QQ(-48)}
 
 
 def test_normal_order_partition_is_stable():
     # in :a*_1 a_-1: (r=0) both factors are on their stated sides already
-    assert is_annihilation("a*", 1, 0)
-    assert not is_annihilation("a", -1, 0)
+    assert 1 >= fock.ANN_FROM[0]["a*"]
+    assert -1 < fock.ANN_FROM[0]["a"]
     # :a_0 a*_0: (r=0) reorders to a*_0 a_0, killing the vacuum
     assert apply_product((("a", 0), ("a*", 0)), VACUUM_MONO, P0) == []
     # while the plain product gives it back: contraction 1
     vac = FockState.vacuum()
-    plain = osc_apply("a", 0, osc_apply("a*", 0, vac, P0), P0)
+    plain = single("a", 0, P0).apply(single("a*", 0, P0).apply(vac))
     assert plain.terms == {VACUUM_MONO: QQ(1)}
     assert contraction("a", "a*", 0, 0, P0) == 1
 
@@ -341,17 +340,14 @@ def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
     for name, sum_op in (("apply_quad_sum", QuadSum("a", "a*", 0, 1, 0)),
                          ("apply_cubic_sum", CubicSum("a", "a*", "a*", 0, 1))):
         calls = []
-        clear_memo()
-        try:
-            assert not ModeOp((), (sum_op,), P0).apply(st).is_zero()
-            clear_memo()
-            monkeypatch.setattr(
-                fock, name,
-                lambda s, mono, params, acc: calls.append((s, mono, params)))
-            assert ModeOp((), (sum_op,), P0).apply(st).is_zero()
-        finally:
-            monkeypatch.undo()
-            clear_memo()
+        monkeypatch.setattr(fock, "_MEMO", {})
+        assert not ModeOp((), (sum_op,), P0).apply(st).is_zero()
+        monkeypatch.setattr(fock, "_MEMO", {})
+        monkeypatch.setattr(
+            fock, name,
+            lambda s, mono, params, acc: calls.append((s, mono, params)))
+        assert ModeOp((), (sum_op,), P0).apply(st).is_zero()
+        monkeypatch.undo()
         assert calls == [(sum_op, next(iter(st.terms)), P0)], name
 
 
@@ -369,8 +365,8 @@ def test_mode_op_addition_and_scaling():
     }
 
 
-def test_memoization_is_consistent():
-    clear_memo()
+def test_memoization_is_consistent(monkeypatch):
+    monkeypatch.setattr(fock, "_MEMO", {})
     op = ModeOp(
         ((1, (("a", -1), ("a", 0))),),
         (QuadSum("a", "a*", 0, QQ(1), QQ(1)),),
@@ -380,7 +376,7 @@ def test_memoization_is_consistent():
     first = op.apply(st)
     second = op.apply(st)  # memo hit
     assert first == second
-    clear_memo()
+    monkeypatch.setattr(fock, "_MEMO", {})
     third = op.apply(st)  # recomputed
     assert first == third
     # operators with identical content share their memo key
@@ -393,6 +389,69 @@ def test_memoization_is_consistent():
     # but different parameters split it
     op3 = ModeOp(op.terms, op.sums, RepParams(r=0, kappa0=2))
     assert op3.key != op.key
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("kappa0", [1, QQ(3, 2)], ids=["k1", "k3/2"])
+def test_combinations_apply_as_their_flat_operator(r, kappa0):
+    params = RepParams(r=r, kappa0=kappa0)
+    A = tau_mode("e", 1, params)
+    B = pi_vir_mode("D", 0, params)
+    unit = ModeOp(((1, ()),), (), params)
+    combos = [
+        A.scaled(2) + B.scaled(-3) + unit.scaled(5),
+        A.scaled(QQ(1, 2)) + (B + A).scaled(QQ(-1, 2)) + B.scaled(QQ(1, 2)),
+        (A + B).scaled(3) + A.scaled(-3),
+    ]
+    # parts merge by base and drop zero coefficients
+    assert [op.parts for op in combos[1:]] == [None, ((3, B),)]
+    assert combos[1].terms == combos[1].sums == ()
+    states = [FockState.vacuum()] + seeded_states(909, 3)
+    for op in combos:
+        for s in states:
+            assert op.apply(s) == ModeOp(op.terms, op.sums, params).apply(s)
+
+
+def test_right_hand_sides_reuse_their_generators_memo_entries(monkeypatch):
+    params = RepParams(r=0, kappa0=QQ(3, 2))
+    rhss = [tau_realize(affine_bracket(("e1", 1), ("f1", -3)), params),
+            bracket_rhs_op(witt_rep_gj(("d", "d"), 0), 2, -1, params)]
+    assert all(len(rhs.parts) > 1 for rhs in rhss)
+    states = [FockState.vacuum()] + seeded_states(5, 2)
+    monkeypatch.setattr(fock, "_MEMO", {})
+    for rhs in rhss:
+        for _c, base in rhs.parts:
+            for s in states:
+                base.apply(s)
+    entries = len(fock._MEMO)
+    calls = []
+    for name in ("apply_quad_sum", "apply_cubic_sum"):
+        monkeypatch.setattr(fock, name, lambda *args: calls.append(args))
+    got = [rhs.apply(s) for rhs in rhss for s in states]
+    assert calls == [] and len(fock._MEMO) == entries
+    monkeypatch.undo()
+    assert got == [ModeOp(rhs.terms, rhs.sums, params).apply(s)
+                   for rhs in rhss for s in states]
+
+
+def test_memo_holds_one_parameter_set(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(fock, "_MEMO", memo)
+    P, Q = RepParams(r=0, kappa0=QQ(3, 2)), RepParams(r=0, kappa0=2)
+    states = [FockState.vacuum()] + seeded_states(17, 2)
+    opP, opQ = tau_mode("e", 0, P), tau_mode("e", 0, Q)
+    for s in states:
+        opP.apply(s)
+    assert {op_id for op_id, _ in memo} == {opP.op_id}
+    for s in states:
+        opQ.apply(s)
+    # cleared in place: the same dict, now with Q's entries only
+    assert fock._MEMO is memo
+    assert {op_id for op_id, _ in memo} == {opQ.op_id}
+    # equal parameters in a new object keep them
+    entries = dict(memo)
+    tau_mode("e", 0, RepParams(r=0, kappa0=2)).apply(states[1])
+    assert memo == entries
 
 
 def test_identity_term():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from threepv import fock
 from threepv.scalars import QQ
 from threepv.suites import (
     SUITE_NAMES,
@@ -258,6 +259,25 @@ def test_byte_identical_json_across_thread_counts(monkeypatch):
     monkeypatch.setenv("THREEPV_THREADS", "4")
     b = emit_report(report("heisenberg-rep", **kw), "json")
     assert a == b
+
+
+def test_reports_do_not_depend_on_the_configs_run_before(monkeypatch):
+    witt = dict(r=0, kappa0=QQ(3, 2), window=1, states="random:2:3", seed=12)
+    monkeypatch.setattr(fock, "_MEMO", {})
+    cold = emit_report(report("witt-rep", **witt), "json")
+    report("affine-rep", r=1, kappa0=2, window=1, states="random:1:2", seed=7)
+    assert emit_report(report("witt-rep", **witt), "json") == cold
+
+
+def test_a_repeated_config_enumerates_no_sum(monkeypatch):
+    # criterion 12's config: its re-runs find every image in the memo
+    kw = dict(r=0, kappa0=QQ(3, 2), window=2, states="random:8:3", seed=12)
+    first = emit_report(report("witt-rep", **kw), "json")
+    calls = []
+    for name in ("apply_quad_sum", "apply_cubic_sum"):
+        monkeypatch.setattr(fock, name, lambda *args: calls.append(args))
+    assert emit_report(report("witt-rep", **kw), "json") == first
+    assert calls == []
 
 
 def test_all_suite_names_runnable():
