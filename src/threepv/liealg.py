@@ -257,10 +257,6 @@ def heis_bracket(i, j):
 # Affine sl2: closed table and the Kassel construction
 # ---------------------------------------------------------------------------
 
-def _delta(a, b):
-    return 1 if a == b else 0
-
-
 def affine_bracket(i, j):
     """The closed bracket table for the three-point affine sl2 algebra.
 

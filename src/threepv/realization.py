@@ -17,25 +17,23 @@ fock:
   abstract weight-one basis embeds via the index shift D_m = -(d_{m+1}),
   and the first central class acts by central_charge(r).
 
-lambda_to_modes translates a bracket identity given against a formal
-parameter, [A_lambda B] = sum_j lambda^j / j! G_j, into the mode identities
+A bracket identity given against a formal parameter,
+[A_lambda B] = sum_j lambda^j / j! G_j, translates into the mode identities
 
     [A_m, B_n] = sum_j binom(m, j) (G_j)_{m+n-j},
 
 where each G_j is a w-polynomial combination of registered fields (expanded
-as sum_K F_K w^{-K-1}, the constant field contributing at mode -1), and
-returns a residual predicate over (m, n, state).  convention_audit re-runs
-such a check on a small window and reports the integer mode shift that
-would repair any failure, so a convention drift surfaces as a loud
-diagnostic instead of a silent mismatch.
+as sum_K F_K w^{-K-1}, the constant field contributing at mode -1).
+field_mode builds A_m and B_n, and bracket_rhs_op the right-hand side as one
+operator.  convention_audit re-runs such a check on a small window and
+reports the integer mode shift that would repair any failure, so a
+convention drift surfaces as a loud diagnostic instead of a silent mismatch.
 """
 
 from .scalars import QQ, binom, qq
 from .fock import CubicSum, ModeOp, QuadSum, combine, commutator_apply
 
 AFFINE_GENERATORS = ("e", "f", "h", "e1", "f1", "h1")
-WITT_KINDS = ("d", "d1")
-VIR_KINDS = ("D", "D1")
 WITT_REP_PAIRS = (("d", "d"), ("d1", "d1"), ("d", "d1"))
 PAIRS_ITEMS = (1, 3, 10, 14)
 
@@ -390,52 +388,20 @@ def gj_mode_op(terms, k, params):
     return combine(pairs, params)
 
 
-def _rhs_op(grouped, m, n, params, shift=0):
+def bracket_rhs_op(j_terms, m, n, params, shift=0):
+    """The translated right-hand side sum_j binom(m, j) (G_j)_{m+n-j+shift}
+    as one operator (shift is used by the convention audit).
+
+    j_terms is an iterable of (j, coeff, p, name, nderiv) contributions, each
+    meaning that the order-j coefficient G_j contains
+    coeff * w^p * (d/dw)^nderiv of the named field.
+    """
     pairs = []
-    for j, terms in sorted(grouped.items()):
+    for j, terms in sorted(_group_j_terms(j_terms).items()):
         bj = binom(m, j)
         if bj:
             pairs.append((bj, gj_mode_op(terms, m + n - j + shift, params)))
     return combine(pairs, params)
-
-
-def bracket_rhs_op(j_terms, m, n, params, shift=0):
-    """The translated right-hand side sum_j binom(m, j) (G_j)_{m+n-j+shift}
-    as one operator (shift is used by the convention audit)."""
-    return _rhs_op(_group_j_terms(j_terms), m, n, params, shift)
-
-
-def lambda_to_modes(lhs_a, lhs_b, j_terms, params):
-    """Residual predicate for a mode-translated bracket identity.
-
-    lhs_a, lhs_b are registered field names; j_terms is an iterable of
-    (j, coeff, p, name, nderiv) contributions, each meaning that the order-j
-    coefficient G_j contains coeff * w^p * (d/dw)^nderiv of the named field.
-    Returns check(m, n, state) -> FockState residual
-
-        [A_m, B_n] state  -  sum_j binom(m, j) (G_j)_{m+n-j} state,
-
-    which is zero exactly when the identity holds on that state.  The three
-    operators are built once per (m, n) and reused while consecutive calls
-    keep the same modes, as they do when one (m, n) runs over many states.
-    """
-    grouped = _group_j_terms(j_terms)
-    if lhs_a not in FIELD_BUILDERS or lhs_b not in FIELD_BUILDERS:
-        raise ValueError("unknown field %r" % (lhs_a if lhs_a not in
-                                               FIELD_BUILDERS else lhs_b,))
-    built = {}
-
-    def check(m, n, state):
-        ops = built.get((m, n))
-        if ops is None:
-            built.clear()
-            ops = built[(m, n)] = (field_mode(lhs_a, m, params),
-                                   field_mode(lhs_b, n, params),
-                                   _rhs_op(grouped, m, n, params))
-        op_a, op_b, rhs = ops
-        return commutator_apply(op_a, op_b, state) - rhs.apply(state)
-
-    return check
 
 
 def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states,

@@ -12,13 +12,9 @@ and carries the Witt-type basis d_n = t^n u D, d1_n = t^n D.  The geometric
 bracket of coefficient derivations is
 
     [c_A D, c_B D] = (c_A D(c_B) - c_B D(c_A)) D.
-
-Also here: the free ring C[t, t^-1, u] (no relation on u) used to verify the
-superelliptic derivation identities for general u^m = P(t), and the ring
-S = C[s, s^-1, (s-1)^-1] together with the isomorphism checks between R and S.
 """
 
-from .scalars import QQ, rat
+from .scalars import QQ
 
 
 class RRingElem:
@@ -284,314 +280,3 @@ def witt_bracket_geometric(i, j):
     A = basis_derivation(*i)
     B = basis_derivation(*j)
     return der_decompose(der_commutator(A, B))
-
-
-# ---------------------------------------------------------------------------
-# free ring C[t, t^-1, u] and the superelliptic derivation identities
-# ---------------------------------------------------------------------------
-
-class FreeUPoly:
-    """Element of the free ring C[t, t^-1, u] (no relation imposed on u).
-
-    terms: {(tpow, upow): coeff} with upow >= 0.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = QQ(c)
-                if c:
-                    self.terms[key] = c
-
-    @staticmethod
-    def monomial(tpow, upow, coeff=1):
-        p = FreeUPoly()
-        c = QQ(coeff)
-        if c:
-            p.terms[(tpow, upow)] = c
-        return p
-
-    @staticmethod
-    def from_tpoly(coeffs):
-        """Build a u-free element from {tpow: coeff}."""
-        p = FreeUPoly()
-        for k, c in coeffs.items():
-            c = QQ(c)
-            if c:
-                p.terms[(k, 0)] = c
-        return p
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, FreeUPoly) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        p = FreeUPoly()
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = FreeUPoly()
-        p.terms = {key: -c for key, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for (k1, u1), c1 in self.terms.items():
-            for (k2, u2), c2 in other.terms.items():
-                key = (k1 + k2, u1 + u2)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        p = FreeUPoly()
-        p.terms = out
-        return p
-
-    def d_dt(self):
-        p = FreeUPoly()
-        for (k, uu), c in self.terms.items():
-            if k:
-                p.terms[(k - 1, uu)] = k * c
-        return p
-
-    def d_du(self):
-        p = FreeUPoly()
-        for (k, uu), c in self.terms.items():
-            if uu:
-                p.terms[(k, uu - 1)] = uu * c
-        return p
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (k, uu) in sorted(self.terms):
-            bits.append("%s*t^%d*u^%d" % (self.terms[(k, uu)], k, uu))
-        return " + ".join(bits)
-
-
-def superelliptic_check(m, P_coeffs):
-    """Verify the derivation identities for the curve u^m = P(t) in the
-    free ring C[t, t^-1, u]:
-
-        D1(u^m - P) = 0,              D1 = (P'/m) d/du + u^(m-1) d/dt
-        D2(u^m - P) = P' (u^m - P),   D2 = (u P'/m) d/du + P d/dt
-
-    so both derivations preserve the ideal (u^m - P).
-
-    m:        integer >= 2
-    P_coeffs: {tpow: coeff} for the polynomial P(t), nonzero
-
-    Returns (ok, witnesses): witnesses maps identity name -> residual
-    FreeUPoly for any identity that fails (empty when ok).
-    """
-    if m < 2:
-        raise ValueError("need m >= 2")
-    P = FreeUPoly.from_tpoly(P_coeffs)
-    if P.is_zero():
-        raise ValueError("P must be nonzero")
-    Pp = P.d_dt()
-    gen = FreeUPoly.monomial(0, m) - P  # u^m - P(t)
-
-    def apply_der(cu, ct, f):
-        # cu * df/du + ct * df/dt
-        return cu * f.d_du() + ct * f.d_dt()
-
-    inv_m = rat(1, m)
-    scaled_Pp = FreeUPoly()
-    scaled_Pp.terms = {key: c * inv_m for key, c in Pp.terms.items()}
-
-    res1 = apply_der(scaled_Pp, FreeUPoly.monomial(0, m - 1), gen)
-    res2 = apply_der(FreeUPoly.monomial(0, 1) * scaled_Pp, P, gen) - Pp * gen
-
-    witnesses = {}
-    if not res1.is_zero():
-        witnesses["D1(u^m - P)"] = res1
-    if not res2.is_zero():
-        witnesses["D2(u^m - P) - P'(u^m - P)"] = res2
-    return (not witnesses), witnesses
-
-
-# ---------------------------------------------------------------------------
-# S = C[s, s^-1, (s-1)^-1] and the isomorphism checks with R
-# ---------------------------------------------------------------------------
-
-class SRingElem:
-    """Element of S = C[s, s^-1, (s-1)^-1], as num / (s^a (s-1)^b).
-
-    num: {spow: coeff} with spow >= 0 (a dense-enough sparse polynomial),
-    a, b: nonnegative integers.  Normalization divides out common factors
-    of s (num has no constant term) and (s-1) (num vanishes at 1) only;
-    that is enough for exact zero-testing since s and s-1 are units.
-    """
-
-    __slots__ = ("num", "a", "b")
-
-    def __init__(self, num=None, a=0, b=0):
-        self.num = {}
-        if num:
-            for k, c in num.items():
-                c = QQ(c)
-                if c:
-                    self.num[k] = c
-        self.a = a
-        self.b = b
-        self._normalize()
-
-    def _normalize(self):
-        if not self.num:
-            self.a = 0
-            self.b = 0
-            return
-        # divide by s while possible
-        while self.a > 0 and min(self.num) > 0:
-            self.num = {k - 1: c for k, c in self.num.items()}
-            self.a -= 1
-        # divide by (s - 1) while num(1) == 0
-        while self.b > 0 and sum(self.num.values()) == 0:
-            self.num = _div_by_s_minus_1(self.num)
-            self.b -= 1
-
-    def is_zero(self):
-        return not self.num
-
-    def __eq__(self, other):
-        if not isinstance(other, SRingElem):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __add__(self, other):
-        a = max(self.a, other.a)
-        b = max(self.b, other.b)
-        n1 = _poly_shift_mul(self.num, a - self.a, b - self.b)
-        n2 = _poly_shift_mul(other.num, a - other.a, b - other.b)
-        for k, c in n2.items():
-            s = n1.get(k, 0) + c
-            if s:
-                n1[k] = s
-            else:
-                n1.pop(k, None)
-        return SRingElem(n1, a, b)
-
-    def __neg__(self):
-        return SRingElem({k: -c for k, c in self.num.items()}, self.a, self.b)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.num.items():
-            for k2, c2 in other.num.items():
-                k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return SRingElem(out, self.a + other.a, self.b + other.b)
-
-    def scale_int(self, n):
-        return SRingElem({k: c * n for k, c in self.num.items()}, self.a, self.b)
-
-    def __repr__(self):
-        if not self.num:
-            return "0"
-        n = " + ".join("%s*s^%d" % (self.num[k], k) for k in sorted(self.num))
-        return "(%s) / (s^%d (s-1)^%d)" % (n, self.a, self.b)
-
-
-def _poly_shift_mul(num, ds, db):
-    """Multiply a numerator polynomial by s^ds (s-1)^db, ds, db >= 0."""
-    out = {k + ds: c for k, c in num.items()}
-    for _ in range(db):
-        nxt = {}
-        for k, c in out.items():
-            for kk, cc in ((k + 1, c), (k, -c)):
-                s = nxt.get(kk, 0) + cc
-                if s:
-                    nxt[kk] = s
-                else:
-                    nxt.pop(kk, None)
-        out = nxt
-    return out
-
-
-def _div_by_s_minus_1(num):
-    """Exact division of a polynomial (dict) by (s - 1); requires num(1) = 0."""
-    if not num:
-        return {}
-    deg = max(num)
-    out = {}
-    carry = QQ(0)
-    # synthetic division by root 1, from the top coefficient down
-    for k in range(deg, -1, -1):
-        carry = carry + num.get(k, QQ(0))
-        if k > 0 and carry:
-            out[k - 1] = carry
-    return out
-
-
-def s_elem(num, a=0, b=0):
-    """Convenience constructor for SRingElem."""
-    return SRingElem(num, a, b)
-
-
-def iso_check():
-    """Verify the ring isomorphism R ~ S both ways.
-
-    Forward (R -> S):  t |-> s^-1 (s-1)^2,  u |-> s - s^-1; the image must
-    satisfy the defining relation: f(u)^2 - f(t)^2 - 4 f(t) = 0 in S.
-
-    Backward (S -> R): s |-> (t+2+u)/2, s^-1 |-> (t+2-u)/2; the composites
-    must return t and u, and the two images must multiply to 1 in R.
-
-    Returns (ok, failures) where failures maps check name -> offending
-    nonzero element.
-    """
-    failures = {}
-
-    # --- in S ---
-    f_t = SRingElem({0: 1, 1: -2, 2: 1}, a=1)   # (s-1)^2 / s
-    f_u = SRingElem({0: -1, 2: 1}, a=1)          # (s^2 - 1) / s
-    rel = f_u * f_u - f_t * f_t - f_t.scale_int(4)
-    if not rel.is_zero():
-        failures["f(u)^2 - f(t)^2 - 4 f(t) in S"] = rel
-
-    # --- in R ---
-    half = rat(1, 2)
-    phi_s = RRingElem({(0, 0): 2 * half, (1, 0): half, (0, 1): half})
-    phi_sinv = RRingElem({(0, 0): 2 * half, (1, 0): half, (0, 1): -half})
-
-    prod = phi_s * phi_sinv - RRingElem.one()
-    if not prod.is_zero():
-        failures["phi(s) * phi(s^-1) - 1 in R"] = prod
-
-    # phi(f(t)) = phi(s) - 2 + phi(s^-1) should be t
-    img_t = phi_s + phi_sinv - RRingElem.t_pow(0, 2)
-    if not (img_t - RRingElem.t_pow(1)).is_zero():
-        failures["phi(f(t)) - t in R"] = img_t - RRingElem.t_pow(1)
-
-    # phi(f(u)) = phi(s) - phi(s^-1) should be u
-    img_u = phi_s - phi_sinv
-    if not (img_u - RRingElem.u_elem()).is_zero():
-        failures["phi(f(u)) - u in R"] = img_u - RRingElem.u_elem()
-
-    return (not failures), failures

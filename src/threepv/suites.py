@@ -5,15 +5,15 @@ and returns a CheckReport: a flat list of checks, each with a human-readable
 lhs / rhs description, the state it was evaluated on ('-' for stateless
 algebraic checks), a pass flag, and the exact residual when it fails.
 
-Reports are deterministic: for a fixed config and seed the JSON rendering is
-byte-identical across runs, regardless of the THREEPV_THREADS setting.
+Each suite body is a generator of check dicts; run_suite sorts them by
+(lhs, rhs, state), so for a fixed config and seed the JSON rendering is
+byte-identical across runs.  The representation suites share one evaluator,
+_rep_checks, which compares [A, B] with R on each labelled state.
 """
 
 import itertools
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 from .scalars import QQ, parse_rat, rat_str
 from .ring import RRingElem, witt_bracket_geometric
@@ -40,10 +40,10 @@ from .realization import (
     VirParams,
     WITT_REP_PAIRS,
     PAIRS_ITEMS,
+    bracket_rhs_op,
     central_charge,
-    chi0,
     convention_audit,
-    lambda_to_modes,
+    field_mode,
     pairs_gj,
     pi_vir_mode,
     tau_mode,
@@ -250,29 +250,37 @@ def emit_report(report, format="text"):
 
 
 # ---------------------------------------------------------------------------
-# suite bodies (each returns a list of task callables; a task returns a list
-# of check dicts)
+# suite bodies (each is a generator of check dicts)
 # ---------------------------------------------------------------------------
 
 def _modes(window):
     return range(-window, window + 1)
 
 
+def _mode_pairs(window):
+    return itertools.product(_modes(window), repeat=2)
+
+
+def _rep_checks(name, rhs, ops, states):
+    """Checks of the operator identity [A, B] == R on each labelled state."""
+    A, B, R = ops
+    for label, s in states:
+        yield _state_check(name, rhs, label, commutator_apply(A, B, s), R.apply(s))
+
+
 def _suite_ring_witt(cfg):
     gens = [(k, m) for k in ("d", "d1") for m in _modes(cfg.window)]
-
-    def task(i, j):
-        closed = witt_bracket(i, j)
-        geo = witt_bracket_geometric(i, j)
-        diff = dict(closed.terms)
-        for key, c in geo.terms.items():
-            diff[key] = diff.get(key, QQ(0)) - c
-        ok = all(not c for c in diff.values())
-        name = "[%s_%d, %s_%d]" % (i[0], i[1], j[0], j[1])
-        return [_check("closed form %s" % name, "geometric %s" % name, "-",
-                       ok, _terms_str(diff))]
-
-    return [lambda i=i, j=j: task(i, j) for i in gens for j in gens]
+    for i in gens:
+        for j in gens:
+            closed = witt_bracket(i, j)
+            geo = witt_bracket_geometric(i, j)
+            diff = dict(closed.terms)
+            for key, c in geo.terms.items():
+                diff[key] = diff.get(key, QQ(0)) - c
+            ok = all(not c for c in diff.values())
+            name = "[%s_%d, %s_%d]" % (i[0], i[1], j[0], j[1])
+            yield _check("closed form %s" % name, "geometric %s" % name, "-",
+                         ok, _terms_str(diff))
 
 
 def _seeded_ring_elems(seed, count):
@@ -291,41 +299,25 @@ def _seeded_ring_elems(seed, count):
 
 def _suite_kaehler_basis(cfg):
     kind, count, _ = parse_states_spec(cfg.states)
-    tasks = []
-
-    def basis_task(k):
+    for k in _modes(cfg.window):
         got = reduce_mod_dR(OneForm(ft=RRingElem.monomial(k, 0)))
         want = CohomClass(1, 0) if k == -1 else CohomClass()
-        return [_state_check("reduce(t^%d dt)" % k,
-                             "w0" if k == -1 else "0", "-", got, want)]
-
-    for k in _modes(cfg.window):
-        tasks.append(lambda k=k: basis_task(k))
-
+        yield _state_check("reduce(t^%d dt)" % k,
+                           "w0" if k == -1 else "0", "-", got, want)
     if kind == "random":
-        elems = _seeded_ring_elems(cfg.seed, count)
-
-        def exact_task(i, f):
+        for i, f in enumerate(_seeded_ring_elems(cfg.seed, count)):
             got = reduce_mod_dR(differential(f))
-            return [_check("reduce(d f%03d)" % i, "0", "-",
-                           got.is_zero(), repr(got))]
-
-        for i, f in enumerate(elems):
-            tasks.append(lambda i=i, f=f: exact_task(i, f))
-    return tasks
+            yield _check("reduce(d f%03d)" % i, "0", "-", got.is_zero(), repr(got))
 
 
 def _suite_mu_compare(cfg):
-    def task(m, n):
+    for m, n in _mode_pairs(cfg.window):
         closed = mu_closed_form(m, n)
         oracle = mu_oracle(m, n)
-        return [_scalar_check(
+        yield _scalar_check(
             "mu(%d,%d) closed form = %s" % (m, n, rat_str(closed)),
             "reduction oracle = %s" % rat_str(oracle),
-            "-", closed, oracle)]
-
-    return [lambda m=m, n=n: task(m, n)
-            for m in _modes(cfg.window) for n in _modes(cfg.window)]
+            "-", closed, oracle)
 
 
 def _fam_multiset(fams):
@@ -334,69 +326,54 @@ def _fam_multiset(fams):
 
 def _suite_affine_jacobi(cfg):
     gens = [(g, m) for g in AFFINE_GENERATORS for m in _modes(cfg.window)]
-
-    def task():
-        checks = []
-        bad_anti = check_antisymmetry(affine_bracket_kassel, gens)
-        checks.append(_check(
-            "antisymmetry of the oracle-backed bracket, |modes| <= %d" % cfg.window,
-            "0", "-", not bad_anti,
-            None if not bad_anti else "%d violations; first %r" % (
-                len(bad_anti), bad_anti[0][0])))
-        bad = check_jacobi(affine_bracket_kassel, gens)
-        bad_by_fams = {}
-        for (x, y, z), res in bad:
-            key = _fam_multiset((x[0], y[0], z[0]))
-            bad_by_fams.setdefault(key, []).append(((x, y, z), res))
-        for fams in sorted(set(itertools.combinations_with_replacement(
-                sorted(AFFINE_GENERATORS), 3))):
-            key = _fam_multiset(fams)
-            hits = bad_by_fams.get(key, [])
-            residual = None
-            if hits:
-                (x, y, z), res = hits[0]
-                residual = "%d violations; first at (%s_%d, %s_%d, %s_%d): %s" % (
-                    len(hits), x[0], x[1], y[0], y[1], z[0], z[1],
-                    _terms_str(res.terms))
-            checks.append(_check(
-                "jacobiator on {%s, %s, %s}, |modes| <= %d"
-                % (fams[0], fams[1], fams[2], cfg.window),
-                "0", "-", not hits, residual))
-        return checks
-
-    return [task]
+    bad_anti = check_antisymmetry(affine_bracket_kassel, gens)
+    yield _check(
+        "antisymmetry of the oracle-backed bracket, |modes| <= %d" % cfg.window,
+        "0", "-", not bad_anti,
+        None if not bad_anti else "%d violations; first %r" % (
+            len(bad_anti), bad_anti[0][0]))
+    bad_by_fams = {}
+    for (x, y, z), res in check_jacobi(affine_bracket_kassel, gens):
+        key = _fam_multiset((x[0], y[0], z[0]))
+        bad_by_fams.setdefault(key, []).append(((x, y, z), res))
+    for fams in sorted(set(itertools.combinations_with_replacement(
+            sorted(AFFINE_GENERATORS), 3))):
+        hits = bad_by_fams.get(_fam_multiset(fams), [])
+        residual = None
+        if hits:
+            (x, y, z), res = hits[0]
+            residual = "%d violations; first at (%s_%d, %s_%d, %s_%d): %s" % (
+                len(hits), x[0], x[1], y[0], y[1], z[0], z[1],
+                _terms_str(res.terms))
+        yield _check(
+            "jacobiator on {%s, %s, %s}, |modes| <= %d"
+            % (fams[0], fams[1], fams[2], cfg.window),
+            "0", "-", not hits, residual)
 
 
 def _suite_kassel_vs_table(cfg):
     gens = [(g, m) for g in AFFINE_GENERATORS for m in _modes(cfg.window)]
-
-    def task(i, j):
-        t = affine_bracket(i, j)
-        k = affine_bracket_kassel(i, j)
-        diff = t - k
-        name = "[%s_%d, %s_%d]" % (i[0], i[1], j[0], j[1])
-        return [_check("closed table %s" % name, "pairing construction %s" % name,
-                       "-", diff.is_zero(), _terms_str(diff.terms))]
-
-    return [lambda i=i, j=j: task(i, j) for i in gens for j in gens]
+    for i in gens:
+        for j in gens:
+            diff = affine_bracket(i, j) - affine_bracket_kassel(i, j)
+            name = "[%s_%d, %s_%d]" % (i[0], i[1], j[0], j[1])
+            yield _check("closed table %s" % name,
+                         "pairing construction %s" % name,
+                         "-", diff.is_zero(), _terms_str(diff.terms))
 
 
 def _suite_cocycle_identity(cfg):
-    def task(name, phi):
+    for name, phi in (("phi1", phi1), ("phi2", phi2)):
         bad = check_cocycle_identity(phi, cfg.window)
-        anti = [b for b in bad if b[0][0] == "antisym"]
-        jac = [b for b in bad if b[0][0] == "jacobi"]
-        checks = []
-        for label, hits in (("antisymmetry", anti), ("cocycle identity", jac)):
+        for label, kind in (("antisymmetry", "antisym"),
+                            ("cocycle identity", "jacobi")):
+            hits = [b for b in bad if b[0][0] == kind]
             residual = None
             if hits:
                 residual = "%d violations; first %r -> %s" % (
                     len(hits), hits[0][0], rat_str(hits[0][1]))
-            checks.append(_check("%s %s, |modes| <= %d" % (name, label, cfg.window),
-                                 "0", "-", not hits, residual))
-        return checks
-
-    return [lambda: task("phi1", phi1), lambda: task("phi2", phi2)]
+            yield _check("%s %s, |modes| <= %d" % (name, label, cfg.window),
+                         "0", "-", not hits, residual)
 
 
 def _cert_str(cert):
@@ -407,96 +384,67 @@ def _cert_str(cert):
 
 
 def _suite_coboundary_window(cfg):
-    def task(name, phi):
+    for name, phi in (("phi1", phi1), ("phi2", phi2)):
         res = coboundary_window_test(phi, cfg.window)
         infeasible = not res["feasible"]
-        checks = [_check(
+        yield _check(
             "%s on |modes| <= %d is a coboundary" % (name, cfg.window),
             "infeasible", "-", infeasible,
             None if infeasible else
-            "feasible: a linear functional matches %s on the window" % name)]
+            "feasible: a linear functional matches %s on the window" % name)
         if infeasible:
             cert = res["certificate"]
             total = sum((c * phi(x, y) for (x, y), c in cert), QQ(0))
-            checks.append(_check(
+            yield _check(
                 "certificate for %s: %s = %s while the same combination of "
                 "brackets vanishes" % (name, _cert_str(cert), rat_str(total)),
-                "nonzero", "-", bool(total), "certificate pairs to zero"))
-        return checks
-
-    return [lambda: task("phi1", phi1), lambda: task("phi2", phi2)]
+                "nonzero", "-", bool(total), "certificate pairs to zero")
 
 
 def _suite_heisenberg_rep(cfg):
     params = cfg.rep_params()
     states = build_states(cfg)
-
-    def task(famA, famB, m, n):
-        expected = QQ(0)
-        for (kind, _), c in heis_bracket((famA, m), (famB, n)).terms.items():
-            if kind == "one0":
-                expected += c * params.kappa0
-            # one1 acts by zero in this representation
-        checks = []
-        name = "[%s_%d, %s_%d]" % (famA, m, famB, n)
-        rhs = "%s * id (one0 -> kappa0, one1 -> 0)" % rat_str(expected)
-        opA = ModeOp(((1, ((famA, m),)),), (), params)
-        opB = ModeOp(((1, ((famB, n),)),), (), params)
-        for label, s in states:
-            got = commutator_apply(opA, opB, s)
-            checks.append(_state_check("realized %s" % name, rhs, label,
-                                       got, s.scale(expected)))
-        return checks
-
-    return [lambda a=a, b=b, m=m, n=n: task(a, b, m, n)
-            for a in ("b", "b1") for b in ("b", "b1")
-            for m in _modes(cfg.window) for n in _modes(cfg.window)]
+    for famA in ("b", "b1"):
+        for famB in ("b", "b1"):
+            for m, n in _mode_pairs(cfg.window):
+                # one0 acts by kappa0, one1 by zero in this representation
+                bracket = heis_bracket((famA, m), (famB, n))
+                expected = bracket.terms.get(("one0", 0), 0) * params.kappa0
+                yield from _rep_checks(
+                    "realized [%s_%d, %s_%d]" % (famA, m, famB, n),
+                    "%s * id (one0 -> kappa0, one1 -> 0)" % rat_str(expected),
+                    (ModeOp(((1, ((famA, m),)),), (), params),
+                     ModeOp(((1, ((famB, n),)),), (), params),
+                     ModeOp(((expected, ()),), (), params)),
+                    states)
 
 
 def _suite_affine_rep(cfg):
     params = cfg.rep_params()
     states = build_states(cfg)
-    pairs = list(itertools.combinations_with_replacement(AFFINE_GENERATORS, 2))
-
-    def task(gA, gB, m, n):
-        opA = tau_mode(gA, m, params)
-        opB = tau_mode(gB, n, params)
-        rhs_op = tau_realize(affine_bracket((gA, m), (gB, n)), params)
-        name = "[%s_%d, %s_%d]" % (gA, m, gB, n)
-        checks = []
-        for label, s in states:
-            got = commutator_apply(opA, opB, s)
-            want = rhs_op.apply(s)
-            checks.append(_state_check(
-                "realized %s" % name,
-                "realized bracket (w0 -> kappa0 + 4*delta_{r,0}, w1 -> 0)",
-                label, got, want))
-        return checks
-
-    return [lambda a=a, b=b, m=m, n=n: task(a, b, m, n)
-            for (a, b) in pairs
-            for m in _modes(cfg.window) for n in _modes(cfg.window)]
+    rhs = "realized bracket (w0 -> kappa0 + 4*delta_{r,0}, w1 -> 0)"
+    for gA, gB in itertools.combinations_with_replacement(AFFINE_GENERATORS, 2):
+        for m, n in _mode_pairs(cfg.window):
+            yield from _rep_checks(
+                "realized [%s_%d, %s_%d]" % (gA, m, gB, n), rhs,
+                (tau_mode(gA, m, params), tau_mode(gB, n, params),
+                 tau_realize(affine_bracket((gA, m), (gB, n)), params)),
+                states)
 
 
 def _suite_witt_rep(cfg):
     params = cfg.rep_params()
     states = build_states(cfg)
-
-    def task(pair, m, n):
-        kindA, kindB = pair
-        checker = lambda_to_modes("pi_" + kindA, "pi_" + kindB,
-                                  witt_rep_gj(pair, cfg.r), params)
-        name = "[pi(%s)_%d, pi(%s)_%d]" % (kindA, m, kindB, n)
-        checks = []
-        for label, s in states:
-            residual = checker(m, n, s)
-            checks.append(_check(name, "mode expansion of the bracket fields",
-                                 label, residual.is_zero(), repr(residual)))
-        return checks
-
-    return [lambda p=p, m=m, n=n: task(p, m, n)
-            for p in WITT_REP_PAIRS
-            for m in _modes(cfg.window) for n in _modes(cfg.window)]
+    for kA, kB in WITT_REP_PAIRS:
+        j_terms = witt_rep_gj((kA, kB), cfg.r)
+        for m, n in _mode_pairs(cfg.window):
+            yield from _rep_checks(
+                "[pi(%s)_%d, pi(%s)_%d]" % (kA, m, kB, n),
+                "mode expansion of the bracket fields",
+                (field_mode("pi_" + kA, m, params),
+                 field_mode("pi_" + kB, n, params),
+                 bracket_rhs_op(j_terms, m, n, params)),
+                states)
 
 
 _VIR_FAMILIES = (("D", "d"), ("D1", "d1"))
@@ -516,89 +464,67 @@ def _suite_virasoro_rep(cfg):
     params = cfg.rep_params()
     vparams = VirParams.standard(cfg.kappa0)
     states = build_states(cfg)
-
-    def task(kA, famA, kB, famB, m, n):
-        opA = pi_vir_mode(kA, m, params, vparams)
-        opB = pi_vir_mode(kB, n, params, vparams)
-        rhs_op = vir_realize(vir_bracket((famA, m + 1), (famB, n + 1)),
-                             params, vparams)
-        name = "[pi(%s)_%d, pi(%s)_%d]" % (kA, m, kB, n)
-        rhs = "realized bracket (c1 -> %s, c2 -> 0)" % rat_str(central_charge(cfg.r))
-        checks = []
-        for label, s in states:
-            got = commutator_apply(opA, opB, s)
-            want = rhs_op.apply(s)
-            checks.append(_state_check(name, rhs, label, got, want))
-        return checks
-
-    def probe_task(kA, kB, m, n):
-        zero = RepParams(r=cfg.r, kappa0=cfg.kappa0, B0=0, B1=((0, 0), (0, 0)))
-        famA = "d" if kA == "D" else "d1"
-        famB = "d" if kB == "D" else "d1"
-        value = phi1((famA, m + 1), (famB, n + 1)) * central_charge(cfg.r)
-        vac = FockState.vacuum()
-        got = commutator_apply(pi_vir_mode(kA, m, zero, vparams),
-                               pi_vir_mode(kB, n, zero, vparams), vac)
-        return [_state_check(
+    rhs = "realized bracket (c1 -> %s, c2 -> 0)" % rat_str(central_charge(cfg.r))
+    for kA, famA in _VIR_FAMILIES:
+        for kB, famB in _VIR_FAMILIES:
+            if (kA, kB) == ("D1", "D"):
+                continue
+            for m, n in _mode_pairs(cfg.window):
+                yield from _rep_checks(
+                    "[pi(%s)_%d, pi(%s)_%d]" % (kA, m, kB, n), rhs,
+                    (pi_vir_mode(kA, m, params, vparams),
+                     pi_vir_mode(kB, n, params, vparams),
+                     vir_realize(vir_bracket((famA, m + 1), (famB, n + 1)),
+                                 params, vparams)),
+                    states)
+    zero = RepParams(r=cfg.r, kappa0=cfg.kappa0, B0=0, B1=((0, 0), (0, 0)))
+    fam = dict(_VIR_FAMILIES)
+    for kA, kB, m, n in _VIR_PROBES:
+        value = phi1((fam[kA], m + 1), (fam[kB], n + 1)) * central_charge(cfg.r)
+        yield from _rep_checks(
             "pure-central [pi(%s)_%d, pi(%s)_%d] with B0 = 0, B1 = 0"
             % (kA, m, kB, n),
             "%s * |0>" % rat_str(value),
-            "vacuum", got, vac.scale(value))]
-
-    tasks = [lambda a=a, fa=fa, b=b, fb=fb, m=m, n=n: task(a, fa, b, fb, m, n)
-             for (a, fa) in _VIR_FAMILIES for (b, fb) in _VIR_FAMILIES
-             for m in _modes(cfg.window) for n in _modes(cfg.window)
-             if (a, b) != ("D1", "D")]
-    tasks.extend(lambda a=a, b=b, m=m, n=n: probe_task(a, b, m, n)
-                 for (a, b, m, n) in _VIR_PROBES)
-    return tasks
+            (pi_vir_mode(kA, m, zero, vparams), pi_vir_mode(kB, n, zero, vparams),
+             ModeOp(((value, ()),), (), zero)),
+            [("vacuum", FockState.vacuum())])
 
 
 def _suite_pairs_subset(cfg):
     params = cfg.rep_params()
     states = build_states(cfg)
-
-    def task(item, m, n):
+    for item in PAIRS_ITEMS:
         lhs_a, lhs_b, j_terms = pairs_gj(item, params)
-        checker = lambda_to_modes(lhs_a, lhs_b, j_terms, params)
-        name = "item %d: [%s_%d, %s_%d]" % (item, lhs_a, m, lhs_b, n)
-        checks = []
-        for label, s in states:
-            residual = checker(m, n, s)
-            checks.append(_check(name, "mode expansion of the bracket fields",
-                                 label, residual.is_zero(), repr(residual)))
-        return checks
-
-    return [lambda i=i, m=m, n=n: task(i, m, n)
-            for i in PAIRS_ITEMS
-            for m in _modes(cfg.window) for n in _modes(cfg.window)]
+        for m, n in _mode_pairs(cfg.window):
+            yield from _rep_checks(
+                "item %d: [%s_%d, %s_%d]" % (item, lhs_a, m, lhs_b, n),
+                "mode expansion of the bracket fields",
+                (field_mode(lhs_a, m, params), field_mode(lhs_b, n, params),
+                 bracket_rhs_op(j_terms, m, n, params)),
+                states)
 
 
 def _suite_density_module(cfg):
-    def task(alpha):
+    for alpha in _DENSITY_ALPHAS:
         bad = density_module_check(alpha, cfg.window)
         residual = None
         if bad:
             (x, y, key), res = bad[0]
             residual = "%d violations; first at ([%s_%d, %s_%d], %s_%d): %r" % (
                 len(bad), x[0], x[1], y[0], y[1], key[0], key[1], res)
-        return [_check(
+        yield _check(
             "module axioms for U_alpha, alpha = %s, |modes| <= %d"
             % (rat_str(alpha), cfg.window),
-            "0", "-", not bad, residual)]
-
-    return [lambda a=a: task(a) for a in _DENSITY_ALPHAS]
+            "0", "-", not bad, residual)
 
 
 def _suite_lambda_table(cfg):
-    def task(j):
+    for j in _modes(cfg.window):
         closed = CohomClass(0, lambda_coeff(j))
         got = reduce_mod_dR(OneForm(ft=RRingElem.monomial(j, 1)))
-        return [_state_check(
+        yield _state_check(
             "lambda(%d) closed form = %s" % (j, rat_str(closed.q1)),
-            "class(t^%d u dt) = %r" % (j, got), "-", got, closed)]
-
-    return [lambda j=j: task(j) for j in _modes(cfg.window)]
+            "class(t^%d u dt) = %r" % (j, got), "-", got, closed)
 
 
 # Deliberately small windows whose failures report the observed index shift:
@@ -615,19 +541,15 @@ def _suite_audit(cfg):
     labelled = build_states(cfg)
     labels = [label for label, _ in labelled]
     states = [s for _, s in labelled]
-    window = min(cfg.window, 2)
-    mn_pairs = [(m, n) for m in range(-window, window + 1)
-                for n in range(-window, window + 1)]
-
-    def task(name, key):
+    mn_pairs = list(_mode_pairs(min(cfg.window, 2)))
+    for name, key in _AUDIT_LINES:
         if key == "item-1":
             lhs_a, lhs_b, j_terms = pairs_gj(1, params)
         else:
             lhs_a, lhs_b = "pi_d1", "pi_d1"
             j_terms = witt_rep_gj(("d1", "d1"), cfg.r)
-        rows = convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states)
-        checks = []
-        for row in rows:
+        for row in convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs,
+                                    states):
             residual = None
             if not row["pass"]:
                 if row["shift"] is None:
@@ -635,15 +557,11 @@ def _suite_audit(cfg):
                 else:
                     residual = ("identity holds after the uniform mode shift "
                                 "K -> K + %d" % row["shift"])
-            checks.append(_check(
+            yield _check(
                 "audit %s: [%s_%d, %s_%d]" % (name, lhs_a, row["m"],
                                               lhs_b, row["n"]),
                 "mode-translated bracket, no shift",
-                labels[row["state"]], row["pass"], residual))
-        return checks
-
-    return [lambda name=name, key=key: task(name, key)
-            for name, key in _AUDIT_LINES]
+                labels[row["state"]], row["pass"], residual)
 
 
 _SUITES = {
@@ -665,36 +583,10 @@ _SUITES = {
 }
 
 
-# ---------------------------------------------------------------------------
-# execution
-# ---------------------------------------------------------------------------
-
-def thread_count():
-    """Worker cap from THREEPV_THREADS (default 1, minimum 1)."""
-    raw = os.environ.get("THREEPV_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _run_tasks(tasks):
-    n = thread_count()
-    if n <= 1:
-        batches = [t() for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            batches = list(pool.map(lambda t: t(), tasks))
-    checks = [c for batch in batches for c in batch]
-    checks.sort(key=lambda c: (c["lhs"], c["rhs"], c["state"]))
-    return checks
-
-
 def run_suite(cfg):
-    """Run one named suite and return its CheckReport."""
+    """Run one named suite and return its CheckReport, checks sorted."""
     builder = _SUITES.get(cfg.suite)
     if builder is None:
         raise ValueError("unknown suite: %s" % (cfg.suite,))
-    checks = _run_tasks(builder(cfg))
+    checks = sorted(builder(cfg), key=lambda c: (c["lhs"], c["rhs"], c["state"]))
     return CheckReport(cfg.suite, cfg.params_dict(), checks)

@@ -12,9 +12,9 @@ message spells out the measured residual; everything else passes.
 """
 
 import json
-import os
 import time
 
+from threepv import fock
 from threepv.liealg import (
     check_jacobi,
     heis_bracket,
@@ -226,20 +226,18 @@ def test_criterion_11_lambda_bracket_pairs_subset():
     assert ok, line
 
 
-def test_criterion_12_deterministic_json():
+def test_criterion_12_deterministic_json(monkeypatch):
     kw = dict(window=2, states="random:8:3", seed=12, kappa0=QQ(3, 2))
+    monkeypatch.setattr(fock, "_MEMO", {})
     a = emit_report(run_suite(SuiteConfig("witt-rep", **kw)), "json")
     b = emit_report(run_suite(SuiteConfig("witt-rep", **kw)), "json")
-    old = os.environ.get("THREEPV_THREADS")
-    try:
-        os.environ["THREEPV_THREADS"] = "4"
-        c = emit_report(run_suite(SuiteConfig("witt-rep", **kw)), "json")
-    finally:
-        if old is None:
-            os.environ.pop("THREEPV_THREADS", None)
-        else:
-            os.environ["THREEPV_THREADS"] = old
-    ok = a == b == c
+    # a run at other parameters clears the memo in place
+    witt_entries = set(fock._MEMO)
+    run_suite(SuiteConfig("affine-rep", r=1, kappa0=2, window=1,
+                          states="random:1:2", seed=7))
+    cleared = not witt_entries & set(fock._MEMO)
+    c = emit_report(run_suite(SuiteConfig("witt-rep", **kw)), "json")
+    ok = cleared and a == b == c
     line = _line(12, ok, "identical config and seed give byte-identical JSON, "
-                 "independent of THREEPV_THREADS")
+                 "cold, warm and after the memo was cleared")
     assert ok, line

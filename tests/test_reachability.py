@@ -1,0 +1,47 @@
+"""Every top-level name in src/threepv is reached from the program itself.
+
+A function, class or constant counts as reached when another top-level
+statement of src/threepv, or a perfbench script, loads it by name (as a
+name or as an attribute).  Tests do not count: code that only its own
+tests reach is either wired into the program or deleted.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ALLOWED = {
+    "pi_field_mode": "the independent reference the realization tests compare against",
+    "contraction": "the Wick-contraction certificates are to build on it",
+    "contraction_check": "the Wick-contraction certificates are to build on it",
+    "_commutator_value": "the Wick-contraction certificates are to build on it",
+    "__version__": "package metadata",
+}
+
+
+def _defined(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _loaded(stmt):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_top_level_name_is_reached_outside_the_tests():
+    sources = [(p, True) for p in (ROOT / "src" / "threepv").glob("*.py")]
+    sources += [(p, False) for p in (ROOT / "perfbench").glob("*.py")
+                if not p.name.startswith("test_")]
+    defined, loaded = set(), set()
+    for path, in_src in sources:
+        for stmt in ast.parse(path.read_text()).body:
+            names = _defined(stmt) if in_src else set()
+            defined |= names
+            loaded |= _loaded(stmt) - names
+    unreached = sorted(defined - loaded - set(ALLOWED))
+    assert not unreached, "reached by no program code: " + ", ".join(unreached)

@@ -1,10 +1,8 @@
 """Ring arithmetic, the generating derivation, and the geometric bracket."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from threepv.ring import (
-    FreeUPoly,
     RDerivation,
     RRingElem,
     WittVector,
@@ -12,12 +10,9 @@ from threepv.ring import (
     basis_derivation,
     der_commutator,
     der_decompose,
-    iso_check,
     r_mul,
-    superelliptic_check,
     witt_bracket_geometric,
 )
-from threepv.scalars import rat
 
 
 def elem(terms):
@@ -193,37 +188,3 @@ def test_der_commutator_on_scaled_input():
     B = basis_derivation("d", 0)
     got = der_decompose(der_commutator(A, B))
     assert got == WittVector({("d", 2): -1, ("d", 1): -4})
-
-
-# --- superelliptic identities ----------------------------------------------
-
-@pytest.mark.parametrize(
-    "m,P",
-    [
-        (2, {2: 1, 1: 4}),
-        (2, {2: 1, 1: -6, 0: 1}),
-        (3, {3: 1, 0: 1}),
-    ],
-)
-def test_superelliptic_identities(m, P):
-    ok, witnesses = superelliptic_check(m, P)
-    assert ok, witnesses
-
-
-def test_superelliptic_rejects_bad_input():
-    with pytest.raises(ValueError):
-        superelliptic_check(1, {2: 1})
-    with pytest.raises(ValueError):
-        superelliptic_check(2, {})
-
-
-def test_free_ring_has_no_u_relation():
-    u = FreeUPoly.monomial(0, 1)
-    assert (u * u) == FreeUPoly.monomial(0, 2)
-
-
-# --- isomorphism with C[s, s^-1, (s-1)^-1] ---------------------------------
-
-def test_iso_check_passes():
-    ok, failures = iso_check()
-    assert ok, failures

@@ -5,11 +5,13 @@ import json
 import pytest
 
 from threepv import fock
+from threepv.fock import FockState, ModeOp, RepParams, seeded_states
 from threepv.scalars import QQ
 from threepv.suites import (
     SUITE_NAMES,
     CheckReport,
     SuiteConfig,
+    _rep_checks,
     build_states,
     emit_report,
     parse_states_spec,
@@ -194,6 +196,24 @@ def test_virasoro_rep_like_kind_passes_mixed_fails():
             assert c["residual"].endswith("((), 0)")  # scalar multiple of |0>
 
 
+def test_rep_checks_residual_is_got_minus_want():
+    # [b_1, b_{-1}] = -2 kappa0 = -3, so against R = 0 every state s fails
+    # with residual -3 s, and against R = -3 Id every state passes
+    params = RepParams(r=0, kappa0=QQ(3, 2))
+    b_1 = ModeOp(((1, (("b", 1),)),), (), params)
+    b_m1 = ModeOp(((1, (("b", -1),)),), (), params)
+    states = [("vacuum", FockState.vacuum())] + [
+        ("s%02d" % i, s) for i, s in enumerate(seeded_states(17, 3, 3))]
+    zero = ModeOp((), (), params)
+    checks = list(_rep_checks("[b_1, b_-1]", "0", (b_1, b_m1, zero), states))
+    assert [c["state"] for c in checks] == [label for label, _ in states]
+    for c, (_, s) in zip(checks, states):
+        assert not c["pass"] and c["residual"] == repr(s.scale(-3))
+    minus_three = ModeOp(((-3, ()),), (), params)
+    for c in _rep_checks("[b_1, b_-1]", "-3", (b_1, b_m1, minus_three), states):
+        assert c["pass"] and c["residual"] is None
+
+
 # ---------------------------------------------------------------------------
 # report schema and emission
 # ---------------------------------------------------------------------------
@@ -249,15 +269,6 @@ def test_byte_identical_json_same_config_and_seed():
     kw = dict(r=0, kappa0=2, window=1, states="random:4:3", seed=11)
     a = emit_report(report("affine-rep", **kw), "json")
     b = emit_report(report("affine-rep", **kw), "json")
-    assert a == b
-
-
-def test_byte_identical_json_across_thread_counts(monkeypatch):
-    kw = dict(r=1, kappa0=1, window=1, states="random:3:2", seed=2)
-    monkeypatch.delenv("THREEPV_THREADS", raising=False)
-    a = emit_report(report("heisenberg-rep", **kw), "json")
-    monkeypatch.setenv("THREEPV_THREADS", "4")
-    b = emit_report(report("heisenberg-rep", **kw), "json")
     assert a == b
 
 
