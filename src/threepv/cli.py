@@ -24,8 +24,7 @@ from .suites import (
     run_suite,
 )
 
-_CONFIG_KEYS = ("suite", "r", "kappa0", "B0", "B1", "window", "states",
-                "seed", "format")
+_CONFIG_KEYS = SuiteConfig.__slots__
 
 
 def load_config_file(path):
@@ -92,21 +91,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        kwargs = {}
-        if args.config:
-            kwargs.update(coerce_options(load_config_file(args.config)))
-        kwargs["suite"] = args.suite
-        for key in ("r", "window", "seed", "states", "format"):
+        raw = load_config_file(args.config) if args.config else {}
+        for key in _CONFIG_KEYS:
             value = getattr(args, key)
             if value is not None:
-                kwargs[key] = value
-        if args.kappa0 is not None:
-            kwargs["kappa0"] = parse_rat(args.kappa0)
-        if args.B0 is not None:
-            kwargs["B0"] = parse_rat(args.B0)
-        if args.B1 is not None:
-            kwargs["B1"] = parse_b1(args.B1)
-        cfg = SuiteConfig(**kwargs)
+                raw[key] = value
+        cfg = SuiteConfig(**coerce_options(raw))
         report = run_suite(cfg)
         text = emit_report(report, cfg.format)
     except (ValueError, OSError) as exc:

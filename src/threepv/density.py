@@ -8,25 +8,21 @@ For a weight alpha, the module U_alpha has basis {a_i, abar_i : i integer}
     d1_n . a_i    = (alpha+i) abar_{n+i-1}
     d1_n . abar_i = (alpha+i+1) a_{n+i+1} + 2 (2 alpha + 2i + 1) a_{n+i}
 
-density_module_check verifies [x, y].v = x.(y.v) - y.(x.v) exactly on a
-window of generators and basis vectors.
+Vectors of U_alpha are scalars.Vec combinations with keys ("a", i) and
+("abar", i).  density_module_check verifies [x, y].v = x.(y.v) - y.(x.v)
+exactly on a window of generators and basis vectors.
 """
 
 import itertools
 
-from .liealg import LieVector, witt_bracket
-from .scalars import QQ
-
-# vectors in U_alpha reuse the generic sparse-combination container,
-# with keys ("a", i) and ("abar", i)
-UAlphaVec = LieVector
+from .liealg import witt_bracket
+from .scalars import Vec
 
 
 def density_act(gen, vec, alpha):
-    """Action of the Witt generator gen = ("d"|"d1", n) on a UAlphaVec."""
+    """Action of the Witt generator gen = ("d"|"d1", n) on a vector of U_alpha."""
     kind, n = gen
-    alpha = QQ(alpha)
-    out = UAlphaVec()
+    out = Vec()
     for (base, i), c in vec.terms.items():
         if kind == "d" and base == "a":
             w = c * (alpha + i)
@@ -46,7 +42,7 @@ def density_act(gen, vec, alpha):
 
 
 def _act_by_vector(wv, vec, alpha):
-    out = UAlphaVec()
+    out = Vec()
     for gen, c in wv.terms.items():
         out += density_act(gen, vec, alpha).scale(c)
     return out
@@ -65,7 +61,7 @@ def density_module_check(alpha, window):
     for x, y in itertools.combinations(gens, 2):
         via_bracket = witt_bracket(x, y)
         for key in basis:
-            v = UAlphaVec({key: 1})
+            v = Vec({key: 1})
             lhs = _act_by_vector(via_bracket, v, alpha)
             rhs = density_act(x, density_act(y, v, alpha), alpha) - density_act(
                 y, density_act(x, v, alpha), alpha

@@ -45,14 +45,14 @@ range and raises AssertionError.
 ModeOp memoizes monomial images in _MEMO for one parameter set at a time:
 an application under other parameters clears it in place, so repeated runs
 of one configuration stay warm and any other frees the last one's entries.
-Linear combinations (+, scaled) apply through their parts' memo entries.
+Linear combinations (+, combine) apply through their parts' memo entries.
 """
 
 import itertools
 import random
 from collections import namedtuple
 
-from .scalars import qq
+from .scalars import Vec, qq
 
 # variable codes
 X, X1, Y, Y1 = 0, 1, 2, 3
@@ -90,58 +90,14 @@ class RepParams:
         )
 
 
-class FockState:
+class FockState(Vec):
     """Finite rational combination of Fock monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = qq(c)
-                if c:
-                    self.terms[mono] = c
+    __slots__ = ()
 
     @staticmethod
     def vacuum():
         return FockState({VACUUM_MONO: 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, FockState) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        st = FockState()
-        st.terms = out
-        return st
-
-    def __sub__(self, other):
-        st = FockState()
-        st.terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = st.terms.get(mono, 0) - c
-            if s:
-                st.terms[mono] = s
-            else:
-                st.terms.pop(mono, None)
-        return st
-
-    def scale(self, c):
-        c = qq(c)
-        st = FockState()
-        if c:
-            st.terms = {mono: c * v for mono, v in self.terms.items()}
-        return st
 
     def __repr__(self):
         if not self.terms:
@@ -366,6 +322,7 @@ def _apply_sum(fams, M, c0, c1, mono, params, acc):
                 for k, m in zip(creating, modes):
                     code, sign = CREATES[fams[k]]
                     mo = _mono_mul(mo, (code, sign * m))
+                # inline rather than Vec.add_term: the kernel's per-term loop
                 s = acc.get(mo, 0) + w * c
                 if s:
                     acc[mo] = s
@@ -390,7 +347,6 @@ def naive_sum_apply(sum_op, state, params, box):
     enumeration.  Only valid when box exceeds every contributing mode."""
     out = FockState()
     for mono, c in state.terms.items():
-        acc = {}
         if isinstance(sum_op, QuadSum):
             famA, famB, M, c0, c1 = sum_op
             for p in range(-box, box + 1):
@@ -398,17 +354,14 @@ def naive_sum_apply(sum_op, state, params, box):
                 if not w:
                     continue
                 for mo, cc in apply_product(((famA, p), (famB, M - p)), mono, params):
-                    acc[mo] = acc.get(mo, 0) + w * cc
+                    out.add_term(mo, c * w * cc)
         else:
             famA, famB, famC, M, weight = sum_op
             for i in range(-box, box + 1):
                 for j in range(-box, box + 1):
                     factors = ((famA, i), (famB, j), (famC, M - i - j))
                     for mo, cc in apply_product(factors, mono, params):
-                        acc[mo] = acc.get(mo, 0) + weight * cc
-        for mo, cc in acc.items():
-            out.terms[mo] = out.terms.get(mo, 0) + c * cc
-    out.terms = {mo: c for mo, c in out.terms.items() if c}
+                        out.add_term(mo, c * weight * cc)
     return out
 
 
@@ -434,8 +387,8 @@ class ModeOp:
 
     A base operator (parts None) memoizes its monomial images in _MEMO by
     op_id, its key interned on first application; _MEMO holds one parameter
-    set and is cleared in place when another is applied.  +, scaled and
-    combine return a combination: parts is a tuple of (coeff, base), and
+    set and is cleared in place when another is applied.  + and combine
+    return a combination: parts is a tuple of (coeff, base), and
     apply sums coeff * image over the parts, reusing their entries and adding
     none.  Its flat terms, sums and key are built when first read.
     """
@@ -466,9 +419,6 @@ class ModeOp:
         self.key = (self.terms, self.sums, self.params.key)
         return getattr(self, name)
 
-    def scaled(self, c):
-        return combine(((c, self),), self.params)
-
     def __add__(self, other):
         if self.params is not other.params and self.params.key != other.params.key:
             raise ValueError("parameter mismatch")
@@ -483,6 +433,7 @@ class ModeOp:
             acc = {}
             for coeff, factors in self.terms:
                 for mo, c in apply_product(factors, mono, self.params):
+                    # inline rather than Vec.add_term: a per-term loop on a miss
                     s = acc.get(mo, 0) + coeff * c
                     if s:
                         acc[mo] = s
@@ -512,6 +463,7 @@ class ModeOp:
                 items = [(mono, coeff * c) for mono, c in items]
             for mono, c in items:
                 for mo, cc in base.apply_mono(mono):
+                    # inline rather than Vec.add_term: the per-term loop of every apply
                     s = out.get(mo, 0) + c * cc
                     if s:
                         out[mo] = s

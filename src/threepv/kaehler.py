@@ -23,8 +23,8 @@ signed Catalan numbers with two rational stragglers below zero:
 The closed form for them is lambda_{l-1} = (-1)^l 2^l (2l-1)!! / (l+1)!.
 """
 
-from .ring import RRingElem, r_mul
-from .scalars import QQ, rat
+from .ring import RRingElem
+from .scalars import QQ, Vec, qq, rat
 
 
 class OneForm:
@@ -53,7 +53,7 @@ class OneForm:
 
     def rmul(self, r):
         """Left module action r * (f dt + g du)."""
-        return OneForm(r_mul(r, self.ft), r_mul(r, self.fu))
+        return OneForm(r * self.ft, r * self.fu)
 
     def __repr__(self):
         return "(%r) dt + (%r) du" % (self.ft, self.fu)
@@ -65,8 +65,8 @@ class CohomClass:
     __slots__ = ("q0", "q1")
 
     def __init__(self, q0=0, q1=0):
-        self.q0 = QQ(q0)
-        self.q1 = QQ(q1)
+        self.q0 = qq(q0)
+        self.q1 = qq(q1)
 
     def is_zero(self):
         return not self.q0 and not self.q1
@@ -81,7 +81,7 @@ class CohomClass:
         return CohomClass(self.q0 - other.q0, self.q1 - other.q1)
 
     def scale(self, c):
-        return CohomClass(self.q0 * QQ(c), self.q1 * QQ(c))
+        return CohomClass(self.q0 * c, self.q1 * c)
 
     def __repr__(self):
         return "%s*w0 + %s*w1" % (self.q0, self.q1)
@@ -89,34 +89,11 @@ class CohomClass:
 
 def differential(f):
     """d f as a OneForm: d(t^k) = k t^(k-1) dt, d(t^k u) = k t^(k-1) u dt + t^k du."""
-    ft = {}
-    fu = {}
-    for (k, uu), c in f.terms.items():
-        if uu == 0:
-            if k:
-                key = (k - 1, 0)
-                s = ft.get(key, 0) + k * c
-                if s:
-                    ft[key] = s
-                else:
-                    ft.pop(key, None)
-        else:
-            if k:
-                key = (k - 1, 1)
-                s = ft.get(key, 0) + k * c
-                if s:
-                    ft[key] = s
-                else:
-                    ft.pop(key, None)
-            key = (k, 0)
-            s = fu.get(key, 0) + c
-            if s:
-                fu[key] = s
-            else:
-                fu.pop(key, None)
     out = OneForm()
-    out.ft.terms = ft
-    out.fu.terms = fu
+    for (k, uu), c in f.terms.items():
+        out.ft.add_term((k - 1, uu), k * c)
+        if uu:
+            out.fu.add_term((k, 0), c)
     return out
 
 
@@ -126,43 +103,34 @@ def reduce_mod_dR(form):
     Follows steps (i)-(iv) of the module docstring; all arithmetic exact.
     """
     # collect everything as coefficients of t^k dt and t^j u dt
-    plain = {}   # k -> coeff of t^k dt
-    ustem = {}   # j -> coeff of t^j u dt
-
-    def put(d, k, c):
-        s = d.get(k, 0) + c
-        if s:
-            d[k] = s
-        else:
-            d.pop(k, None)
+    plain = Vec()   # k -> coeff of t^k dt
+    ustem = Vec()   # j -> coeff of t^j u dt
 
     for (k, uu), c in form.ft.terms.items():
-        put(ustem if uu else plain, k, c)
+        (ustem if uu else plain).add_term(k, c)
 
     for (k, uu), c in form.fu.terms.items():
         if uu:
             # (i): t^k u du = t^(k+1) dt + 2 t^k dt
-            put(plain, k + 1, c)
-            put(plain, k, 2 * c)
+            plain.add_term(k + 1, c)
+            plain.add_term(k, 2 * c)
         else:
             # (ii): t^k du == -k t^(k-1) u dt  mod dR
-            if k:
-                put(ustem, k - 1, -k * c)
+            ustem.add_term(k - 1, -k * c)
 
     # (iii)
-    q0 = plain.get(-1, QQ(0))
+    q0 = plain.terms.get(-1, 0)
 
     # (iv): walk each u-term exponent to -1
-    q1 = QQ(0)
-    for j, c in ustem.items():
-        c = QQ(c)
+    q1 = 0
+    for j, c in ustem.terms.items():
         while j > -1:
             # (j+2) t^j u dt == -(4j+2) t^(j-1) u dt
             c = c * rat(-(4 * j + 2), j + 2)
             j -= 1
         while j < -1:
             if j == -3:
-                c = QQ(0)
+                c = 0
                 break
             # (j+3) t^(j+1) u dt == -(4j+6) t^j u dt, read upward
             c = c * rat(-(j + 3), 4 * j + 6)
@@ -182,11 +150,23 @@ def _odd_double_factorial(n):
         while n >= 1:
             out *= n
             n -= 2
-        return QQ(out)
+        return out
     if n == -1:
-        return QQ(1)
+        return 1
     j = (-n - 1) // 2
     return rat(1 if j % 2 == 0 else -1) / _odd_double_factorial(2 * j - 1)
+
+
+def _pow2(k):
+    """2^k as an exact rational, for k of either sign."""
+    return rat(2) ** k if k >= 0 else rat(1) / (rat(2) ** (-k))
+
+
+def _fact(n):
+    out = 1
+    for i in range(2, n + 1):
+        out *= i
+    return out
 
 
 def lambda_coeff(j):
@@ -196,14 +176,10 @@ def lambda_coeff(j):
     and lambda_j = 0 for j <= -3.
     """
     if j <= -3:
-        return QQ(0)
+        return 0
     l = j + 1
     sign = -1 if l % 2 else 1
-    two_l = rat(2) ** l if l >= 0 else rat(1) / (rat(2) ** (-l))
-    fact = 1
-    for i in range(2, l + 2):
-        fact *= i
-    return QQ(sign) * two_l * _odd_double_factorial(2 * l - 1) / fact
+    return QQ(sign) * _pow2(l) * _odd_double_factorial(2 * l - 1) / _fact(l + 1)
 
 
 def pairing(f, g):

@@ -21,105 +21,11 @@ Only the Kassel route satisfies the Jacobi identity.
 
 import itertools
 
-from .kaehler import pairing
+from .kaehler import _fact, _odd_double_factorial, _pow2, pairing
 from .ring import RRingElem
-from .scalars import QQ, rat
+from .scalars import QQ, Vec, rat
 
 CENTRAL_FAMILIES = frozenset(["w0", "w1", "one0", "one1", "c1", "c2"])
-
-
-class LieVector:
-    """Finite rational combination of generators, {GenId: coeff}."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = QQ(c)
-                if c:
-                    self.terms[key] = c
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, LieVector) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        v = LieVector()
-        v.terms = out
-        return v
-
-    def __sub__(self, other):
-        v = LieVector()
-        v.terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = v.terms.get(key, 0) - c
-            if s:
-                v.terms[key] = s
-            else:
-                v.terms.pop(key, None)
-        return v
-
-    def __neg__(self):
-        v = LieVector()
-        v.terms = {key: -c for key, c in self.terms.items()}
-        return v
-
-    def scale(self, c):
-        c = QQ(c)
-        v = LieVector()
-        if c:
-            v.terms = {key: c * v0 for key, v0 in self.terms.items()}
-        return v
-
-    def add_term(self, key, c):
-        s = self.terms.get(key, 0) + c
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            "%s*%s_%s" % (self.terms[k], k[0], k[1]) for k in sorted(self.terms)
-        )
-
-
-def _odd_dfact(n):
-    """(n)!! for odd n, with (-1)!! = 1 and (-2j-1)!! = (-1)^j / (2j-1)!!."""
-    if n >= 1:
-        out = 1
-        while n >= 1:
-            out *= n
-            n -= 2
-        return QQ(out)
-    if n == -1:
-        return QQ(1)
-    j = (-n - 1) // 2
-    return rat(1 if j % 2 == 0 else -1) / _odd_dfact(2 * j - 1)
-
-
-def _pow2(k):
-    return rat(2) ** k if k >= 0 else rat(1) / (rat(2) ** (-k))
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def mu_closed_form(m, n):
@@ -129,9 +35,9 @@ def mu_closed_form(m, n):
     """
     s = m + n
     if s <= -2:
-        return QQ(0)
+        return 0
     sign = -1 if (s + 1) % 2 else 1
-    return QQ(m) * sign * _pow2(s) * _odd_dfact(2 * s - 1) / _fact(s + 1)
+    return QQ(m) * sign * _pow2(s) * _odd_double_factorial(2 * s - 1) / _fact(s + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +53,13 @@ def witt_bracket(i, j):
     """
     (ki, m), (kj, n) = i, j
     if ki in CENTRAL_FAMILIES or kj in CENTRAL_FAMILIES:
-        return LieVector()
+        return Vec()
     if ki == "d" and kj == "d":
-        return LieVector({("d", m + n + 1): n - m, ("d", m + n): 4 * (n - m)})
+        return Vec({("d", m + n + 1): n - m, ("d", m + n): 4 * (n - m)})
     if ki == "d1" and kj == "d1":
-        return LieVector({("d", m + n - 1): n - m})
+        return Vec({("d", m + n - 1): n - m})
     if ki == "d" and kj == "d1":
-        return LieVector(
+        return Vec(
             {("d1", m + n + 1): n - m - 1, ("d1", m + n): 4 * n - 4 * m - 2}
         )
     if ki == "d1" and kj == "d":
@@ -165,7 +71,7 @@ def phi1(i, j):
     """The first 2-cocycle on the Witt-type algebra, in closed form."""
     (ki, k), (kj, l) = i, j
     if ki == "d1" and kj == "d1":
-        out = QQ(0)
+        out = 0
         if k + l == 1:
             out += 2 * (l * l - l) * (2 * l - 1)
         if k + l == 0:
@@ -173,19 +79,19 @@ def phi1(i, j):
         return out
     if ki == "d1" and kj == "d":
         if k + l <= -2:
-            return QQ(0)
+            return 0
         sign = -1 if (k + l) % 2 else 1
         return (
             QQ(6 * sign)
             * _pow2(k + l)
             * (k - 1) * k * l
-            * _odd_dfact(2 * k + 2 * l - 3)
+            * _odd_double_factorial(2 * k + 2 * l - 3)
             / _fact(k + l + 1)
         )
     if ki == "d" and kj == "d1":
         return -phi1(j, i)
     if ki == "d" and kj == "d":
-        out = QQ(0)
+        out = 0
         if k + l == -2:
             out += l * (l + 1) * (l + 2)
         if k + l == -1:
@@ -200,20 +106,16 @@ def phi2(i, j):
     """The second 2-cocycle: -2 phi1 on like-kind pairs, zero on mixed."""
     if i[0] == j[0]:
         return -2 * phi1(i, j)
-    return QQ(0)
+    return 0
 
 
 def vir_bracket(i, j):
     """Witt bracket centrally extended by phi1 c1 + phi2 c2."""
     if i[0] in CENTRAL_FAMILIES or j[0] in CENTRAL_FAMILIES:
-        return LieVector()
+        return Vec()
     out = witt_bracket(i, j)
-    c = phi1(i, j)
-    if c:
-        out.add_term(("c1", 0), c)
-    c = phi2(i, j)
-    if c:
-        out.add_term(("c2", 0), c)
+    out.add_term(("c1", 0), phi1(i, j))
+    out.add_term(("c2", 0), phi2(i, j))
     return out
 
 
@@ -230,24 +132,20 @@ def heis_bracket(i, j):
     """
     (ki, m), (kj, n) = i, j
     if ki in CENTRAL_FAMILIES or kj in CENTRAL_FAMILIES:
-        return LieVector()
-    out = LieVector()
+        return Vec()
+    out = Vec()
     if ki == "b" and kj == "b":
         if m + n == 0:
-            out.add_term(("one0", 0), QQ(n - m))
+            out.add_term(("one0", 0), n - m)
     elif ki == "b1" and kj == "b1":
         if m + n == -2:
-            out.add_term(("one0", 0), QQ(n - m))
+            out.add_term(("one0", 0), n - m)
         if m + n == -1:
-            out.add_term(("one0", 0), QQ(4 * (n - m)))
+            out.add_term(("one0", 0), 4 * (n - m))
     elif ki == "b1" and kj == "b":
-        c = 2 * mu_closed_form(m, n)
-        if c:
-            out.add_term(("one1", 0), c)
+        out.add_term(("one1", 0), 2 * mu_closed_form(m, n))
     elif ki == "b" and kj == "b1":
-        c = -2 * mu_closed_form(n, m)
-        if c:
-            out.add_term(("one1", 0), c)
+        out.add_term(("one1", 0), -2 * mu_closed_form(n, m))
     else:
         raise ValueError("not heisenberg generators: %r, %r" % (i, j))
     return out
@@ -265,9 +163,9 @@ def affine_bracket(i, j):
     """
     (ki, m), (kj, n) = i, j
     if ki in CENTRAL_FAMILIES or kj in CENTRAL_FAMILIES:
-        return LieVector()
+        return Vec()
 
-    out = LieVector()
+    out = Vec()
     pair = (ki, kj)
 
     # same-letter e/f pairs vanish
@@ -276,48 +174,42 @@ def affine_bracket(i, j):
 
     if pair == ("h", "h"):
         if m + n == 0:
-            out.add_term(("w0", 0), QQ(n - m))
+            out.add_term(("w0", 0), n - m)
     elif pair == ("h1", "h1"):
-        c = QQ(n - m)
         if m + n == -2:
-            out.add_term(("w0", 0), c)
+            out.add_term(("w0", 0), n - m)
         if m + n == -1:
-            out.add_term(("w0", 0), 4 * c)
+            out.add_term(("w0", 0), 4 * (n - m))
     elif pair == ("h", "h1"):
-        c = -2 * mu_closed_form(m, n)
-        if c:
-            out.add_term(("w1", 0), c)
+        out.add_term(("w1", 0), -2 * mu_closed_form(m, n))
     elif pair == ("e", "f"):
-        out.add_term(("h", m + n), QQ(1))
+        out.add_term(("h", m + n), 1)
         if m + n == 0:
-            out.add_term(("w0", 0), QQ(-m))
+            out.add_term(("w0", 0), -m)
     elif pair in (("e", "f1"), ("e1", "f")):
-        out.add_term(("h1", m + n), QQ(1))
-        c = -QQ(m) * mu_closed_form(m, n)
-        if c:
-            out.add_term(("w1", 0), c)
+        out.add_term(("h1", m + n), 1)
+        out.add_term(("w1", 0), -m * mu_closed_form(m, n))
     elif pair == ("e1", "f1"):
-        out.add_term(("h", m + n + 2), QQ(1))
-        out.add_term(("h", m + n + 1), QQ(4))
-        c = rat(n - m, 2)
-        if m + n == -2 and c:
-            out.add_term(("w0", 0), c)
-        if m + n == -1 and c:
-            out.add_term(("w0", 0), 4 * c)
+        out.add_term(("h", m + n + 2), 1)
+        out.add_term(("h", m + n + 1), 4)
+        if m + n == -2:
+            out.add_term(("w0", 0), rat(n - m, 2))
+        if m + n == -1:
+            out.add_term(("w0", 0), 2 * (n - m))
     elif pair == ("h", "e"):
-        out.add_term(("e", m + n), QQ(2))
+        out.add_term(("e", m + n), 2)
     elif pair in (("h", "e1"), ("h1", "e")):
-        out.add_term(("e1", m + n), QQ(2))
+        out.add_term(("e1", m + n), 2)
     elif pair == ("h1", "e1"):
-        out.add_term(("e", m + n + 2), QQ(2))
-        out.add_term(("e", m + n + 1), QQ(8))
+        out.add_term(("e", m + n + 2), 2)
+        out.add_term(("e", m + n + 1), 8)
     elif pair == ("h", "f"):
-        out.add_term(("f", m + n), QQ(-2))
+        out.add_term(("f", m + n), -2)
     elif pair in (("h", "f1"), ("h1", "f")):
-        out.add_term(("f1", m + n), QQ(-2))
+        out.add_term(("f1", m + n), -2)
     elif pair == ("h1", "f1"):
-        out.add_term(("f", m + n + 2), QQ(-2))
-        out.add_term(("f", m + n + 1), QQ(-8))
+        out.add_term(("f", m + n + 2), -2)
+        out.add_term(("f", m + n + 1), -8)
     else:
         return -affine_bracket(j, i)
     return out
@@ -332,7 +224,7 @@ _SL2_BRACKET = {
     ("f", "h"): (("f", 2),),
 }
 
-_SL2_FORM = {("e", "f"): QQ(1), ("f", "e"): QQ(1), ("h", "h"): QQ(2)}
+_SL2_FORM = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 
 
 def _split_affine_gen(g):
@@ -352,11 +244,11 @@ def affine_bracket_kassel(i, j):
     """
     (ki, _), (kj, _) = i, j
     if ki in CENTRAL_FAMILIES or kj in CENTRAL_FAMILIES:
-        return LieVector()
+        return Vec()
     x, fx = _split_affine_gen(i)
     y, fy = _split_affine_gen(j)
 
-    out = LieVector()
+    out = Vec()
     prod = fx * fy
     for (z, c) in _SL2_BRACKET.get((x, y), ()):
         for (k, uu), cc in prod.terms.items():
@@ -365,10 +257,8 @@ def affine_bracket_kassel(i, j):
     fv = _SL2_FORM.get((x, y))
     if fv:
         cls = pairing(fx, fy)
-        if cls.q0:
-            out.add_term(("w0", 0), fv * cls.q0)
-        if cls.q1:
-            out.add_term(("w1", 0), fv * cls.q1)
+        out.add_term(("w0", 0), fv * cls.q0)
+        out.add_term(("w1", 0), fv * cls.q1)
     return out
 
 
@@ -388,7 +278,7 @@ def check_antisymmetry(bracket, gens):
 
 
 def _bracket_with_vector(bracket, cache, x, vec):
-    out = LieVector()
+    out = Vec()
     for w, c in vec.terms.items():
         if w[0] in CENTRAL_FAMILIES:
             continue
@@ -422,7 +312,7 @@ def check_jacobi(bracket, gens):
 
 
 def _phi_on_vector(phi, x, vec):
-    out = QQ(0)
+    out = 0
     for w, c in vec.terms.items():
         if w[0] in CENTRAL_FAMILIES:
             continue
@@ -463,48 +353,26 @@ def coboundary_window_test(phi, window):
                   sum coeff * phi(x,y) != 0.  Verified before returning.
     """
     gens = [(k, m) for k in ("d", "d1") for m in range(-window, window + 1)]
-    pairs = list(itertools.combinations(gens, 2))
-
-    rows = []
-    for (x, y) in pairs:
-        vec = witt_bracket(x, y)
-        a = {w: QQ(c) for w, c in vec.terms.items()}
-        rows.append((a, phi(x, y), {(x, y): QQ(1)}))
-
     pivots = {}
-    for a, b, combo in rows:
-        a = dict(a)
-        b = QQ(b)
-        combo = dict(combo)
-        while a:
-            col = min(a)
+    for x, y in itertools.combinations(gens, 2):
+        a = witt_bracket(x, y)
+        b = phi(x, y)
+        combo = Vec({(x, y): 1})
+        while a.terms:
+            col = min(a.terms)
             if col in pivots:
                 pa, pb, pcombo = pivots[col]
-                c = a[col]
-                for cc, v in pa.items():
-                    s = a.get(cc, 0) - c * v
-                    if s:
-                        a[cc] = s
-                    else:
-                        a.pop(cc, None)
+                c = a.terms[col]
+                a = a - pa.scale(c)
                 b -= c * pb
-                for cc, v in pcombo.items():
-                    s = combo.get(cc, 0) - c * v
-                    if s:
-                        combo[cc] = s
-                    else:
-                        combo.pop(cc, None)
+                combo = combo - pcombo.scale(c)
             else:
-                inv = 1 / a[col]
-                pivots[col] = (
-                    {cc: v * inv for cc, v in a.items()},
-                    b * inv,
-                    {cc: v * inv for cc, v in combo.items()},
-                )
+                inv = QQ(1) / a.terms[col]
+                pivots[col] = (a.scale(inv), b * inv, combo.scale(inv))
                 break
         else:
             if b:
-                cert = sorted(combo.items())
+                cert = sorted(combo.terms.items())
                 _verify_certificate(phi, cert)
                 return {"feasible": False, "psi": None, "certificate": cert}
 
@@ -513,16 +381,16 @@ def coboundary_window_test(phi, window):
     for col in sorted(pivots, reverse=True):
         pa, pb, _ = pivots[col]
         val = pb
-        for cc, v in pa.items():
+        for cc, v in pa.terms.items():
             if cc != col:
-                val -= v * psi.get(cc, QQ(0))
+                val -= v * psi.get(cc, 0)
         psi[col] = val
     return {"feasible": True, "psi": psi, "certificate": None}
 
 
 def _verify_certificate(phi, cert):
-    total_vec = LieVector()
-    total_phi = QQ(0)
+    total_vec = Vec()
+    total_phi = 0
     for (x, y), c in cert:
         total_vec += witt_bracket(x, y).scale(c)
         total_phi += c * phi(x, y)

@@ -248,7 +248,7 @@ def central_charge(r):
     if r not in (0, 1):
         raise ValueError("r must be 0 or 1")
     d0 = 1 if r == 0 else 0
-    return -(QQ(d0) + QQ(1, 2)) / 3
+    return -(d0 + QQ(1, 2)) / 3
 
 
 def pi_vir_mode(kind, m, params, vparams=None):
@@ -292,9 +292,9 @@ def vir_realize(vec, params, vparams=None, c1_value=None, c2_value=0):
     pairs = []
     for (fam, mode), coeff in sorted(vec.terms.items()):
         if fam == "c1":
-            pairs.append((coeff * QQ(c1_value), _unit(params)))
+            pairs.append((coeff * c1_value, _unit(params)))
         elif fam == "c2":
-            pairs.append((coeff * QQ(c2_value), _unit(params)))
+            pairs.append((coeff * c2_value, _unit(params)))
         elif fam == "d":
             pairs.append((-coeff, pi_vir_mode("D", mode - 1, params, vparams)))
         elif fam == "d1":

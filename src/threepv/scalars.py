@@ -10,6 +10,11 @@ as a Python int, whose arithmetic and hashing cost far less than either
 rational type's, and only a non-integral value (a rational kappa0 or B1
 entry, say) stays QQ.  An int compares and hashes equal to the same QQ
 and prints the same way, so the choice never shows in a report.
+
+Vec is the one exact sparse vector under every layer: ring elements,
+brackets, density-module vectors and Fock states are all finite
+combinations {key: coefficient} with no zero stored and every coefficient
+canonical under qq.
 """
 
 try:
@@ -21,12 +26,80 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 
 def qq(x):
-    """x as an int when integral, else as QQ."""
+    """x as an int when integral, else as QQ; a float is refused."""
     if type(x) is int:
         return x
     if not isinstance(x, QQ):
+        if isinstance(x, float):
+            raise TypeError("float %r in the exact math path" % (x,))
         x = QQ(x)
     return int(x.numerator) if x.denominator == 1 else x
+
+
+class Vec:
+    """Finite exact combination {key: coefficient}, no zero stored.
+
+    Every coefficient goes through qq; arithmetic returns type(self), so a
+    subclass (FockState, RRingElem) inherits it and adds only what differs.
+    The default rendering, for keys (family, mode), is the sorted sum of
+    'c*family_mode' terms.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for key, c in terms.items():
+                c = qq(c)
+                if c:
+                    self.terms[key] = c
+
+    def _new(self, terms):
+        out = type(self)()
+        out.terms = terms
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def add_term(self, key, c):
+        """Add c to the coefficient of key in place, dropping a zero."""
+        s = qq(self.terms.get(key, 0) + c)
+        if s:
+            self.terms[key] = s
+        else:
+            self.terms.pop(key, None)
+
+    def __add__(self, other):
+        out = self._new(dict(self.terms))
+        for key, c in other.terms.items():
+            out.add_term(key, c)
+        return out
+
+    def __sub__(self, other):
+        out = self._new(dict(self.terms))
+        for key, c in other.terms.items():
+            out.add_term(key, -c)
+        return out
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def scale(self, c):
+        c = qq(c)
+        if not c:
+            return self._new({})
+        return self._new({key: qq(c * v) for key, v in self.terms.items()})
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join("%s*%s_%s" % (self.terms[k], k[0], k[1])
+                          for k in sorted(self.terms))
 
 
 def rat(p, q=1):

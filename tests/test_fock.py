@@ -26,6 +26,7 @@ from threepv.fock import (
     apply_factor,
     apply_product,
     naive_sum_apply,
+    combine,
     commutator_apply,
     contraction,
     contraction_check,
@@ -356,7 +357,7 @@ def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_mode_op_addition_and_scaling():
-    op = single("a", -1, P0) + single("a*", 0, P0).scaled(3)
+    op = single("a", -1, P0) + combine(((3, single("a*", 0, P0)),), P0)
     vac = FockState.vacuum()
     out = op.apply(vac)
     assert out.terms == {
@@ -399,9 +400,9 @@ def test_combinations_apply_as_their_flat_operator(r, kappa0):
     B = pi_vir_mode("D", 0, params)
     unit = ModeOp(((1, ()),), (), params)
     combos = [
-        A.scaled(2) + B.scaled(-3) + unit.scaled(5),
-        A.scaled(QQ(1, 2)) + (B + A).scaled(QQ(-1, 2)) + B.scaled(QQ(1, 2)),
-        (A + B).scaled(3) + A.scaled(-3),
+        combine(((2, A), (-3, B), (5, unit)), params),
+        combine(((QQ(1, 2), A), (QQ(-1, 2), B + A), (QQ(1, 2), B)), params),
+        combine(((3, A + B), (-3, A)), params),
     ]
     # parts merge by base and drop zero coefficients
     assert [op.parts for op in combos[1:]] == [None, ((3, B),)]

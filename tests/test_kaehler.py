@@ -22,7 +22,7 @@ from threepv.kaehler import (
     pairing,
     reduce_mod_dR,
 )
-from threepv.ring import RRingElem, r_mul
+from threepv.ring import RRingElem
 from threepv.scalars import QQ, rat
 
 J = 14  # window half-width for the oracle
@@ -277,7 +277,7 @@ ring_elems = st.dictionaries(monos, coeffs, max_size=3).map(RRingElem)
 def test_differential_leibniz_in_module(f, g):
     # d(fg) - f dg - g df lies in the module-relation span (no exact forms
     # needed): Leibniz holds in Omega^1 itself, not just in cohomology.
-    lhs = differential(r_mul(f, g))
+    lhs = differential(f * g)
     rhs = differential(g).rmul(f) + differential(f).rmul(g)
     diff = lhs - rhs
     assert not residue(MODULE_PIVOTS, form_to_vec(diff))

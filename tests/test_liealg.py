@@ -6,7 +6,6 @@ import pytest
 
 from threepv.kaehler import lambda_coeff, mu_oracle
 from threepv.liealg import (
-    LieVector,
     affine_bracket,
     affine_bracket_kassel,
     check_antisymmetry,
@@ -21,7 +20,7 @@ from threepv.liealg import (
     witt_bracket,
 )
 from threepv.ring import witt_bracket_geometric
-from threepv.scalars import QQ, rat
+from threepv.scalars import QQ, Vec, rat
 
 
 def witt_gens(window):
@@ -106,7 +105,7 @@ def test_not_coboundary_window_6():
         assert res["feasible"] is False
         assert res["certificate"], "expected an explicit Farkas certificate"
         # re-verify the certificate here, independently of the module's check
-        total_vec = LieVector()
+        total_vec = Vec()
         total_phi = QQ(0)
         for (x, y), c in res["certificate"]:
             total_vec += witt_bracket(x, y).scale(c)
@@ -127,10 +126,13 @@ def test_coboundary_detects_actual_coboundary():
     res = coboundary_window_test(phi, 4)
     assert res["feasible"] is True
     psi = res["psi"]
+    # int-first brackets must not turn the pivot inverses into floats
+    assert {type(v) for v in psi.values()} <= {int, QQ}
     gens = witt_gens(4)
     for x, y in itertools.combinations(gens, 2):
         vec = witt_bracket(x, y)
-        val = sum((psi.get(w, QQ(0)) * c for w, c in vec.terms.items()), QQ(0))
+        val = sum(psi.get(w, 0) * c for w, c in vec.terms.items())
+        assert type(val) in (int, QQ)
         assert val == phi(x, y)
 
 
@@ -165,7 +167,7 @@ def test_affine_kassel_antisymmetry():
 def test_affine_table_fails_jacobi_with_witness():
     x, y, z = ("h", 1), ("e", 1), ("f1", -1)
     cache = {}
-    total = LieVector()
+    total = Vec()
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         inner = affine_bracket(b, c)
         for w, cw in inner.terms.items():

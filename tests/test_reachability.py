@@ -1,9 +1,12 @@
-"""Every top-level name in src/threepv is reached from the program itself.
+"""Every top-level name and method in src/threepv is reached from the
+program itself.
 
 A function, class or constant counts as reached when another top-level
 statement of src/threepv, or a perfbench script, loads it by name (as a
-name or as an attribute).  Tests do not count: code that only its own
-tests reach is either wired into the program or deleted.
+name or as an attribute).  A non-dunder method counts as reached when code
+outside its own body loads its name as an attribute.  Tests do not count:
+code that only its own tests reach is either wired into the program or
+deleted.
 """
 
 import ast
@@ -45,3 +48,25 @@ def test_every_top_level_name_is_reached_outside_the_tests():
             loaded |= _loaded(stmt) - names
     unreached = sorted(defined - loaded - set(ALLOWED))
     assert not unreached, "reached by no program code: " + ", ".join(unreached)
+
+
+def _is_method(node):
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def test_every_method_is_reached_outside_the_tests():
+    sources = [(p, True) for p in (ROOT / "src" / "threepv").glob("*.py")]
+    sources += [(p, False) for p in (ROOT / "perfbench").glob("*.py")
+                if not p.name.startswith("test_")]
+    defined, loaded = set(), set()
+    for path, in_src in sources:
+        for stmt in ast.parse(path.read_text()).body:
+            in_class = isinstance(stmt, ast.ClassDef)
+            for unit in stmt.body if in_class else [stmt]:
+                own = {unit.name} if in_src and in_class and _is_method(unit) else set()
+                defined |= own
+                loaded |= {n.attr for n in ast.walk(unit)
+                           if isinstance(n, ast.Attribute)} - own
+    unreached = sorted(defined - loaded)
+    assert not unreached, "methods reached by no program code: " + ", ".join(unreached)

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from threepv.scalars import QQ
+from threepv.scalars import QQ, Vec
 from threepv.fock import (
     FockState,
     ModeOp,
@@ -14,7 +14,7 @@ from threepv.fock import (
     commutator_apply,
     seeded_states,
 )
-from threepv.liealg import LieVector, affine_bracket, phi1, vir_bracket
+from threepv.liealg import affine_bracket, phi1, vir_bracket
 from threepv.realization import (
     AFFINE_GENERATORS,
     PAIRS_ITEMS,
@@ -150,9 +150,9 @@ def test_tau_e_f_commutator_on_vacuum(r, kappa0):
 
 def test_tau_realize_classes():
     s = seeded_states(31, 1, max_degree=2)[0]
-    vec = LieVector({("w0", 0): QQ(2), ("w1", 0): QQ(7)})
+    vec = Vec({("w0", 0): QQ(2), ("w1", 0): QQ(7)})
     assert tau_realize(vec, P0).apply(s) == s.scale(2 * chi0(P0))
-    assert tau_realize(LieVector({("w1", 0): QQ(3)}), P1).apply(s).is_zero()
+    assert tau_realize(Vec({("w1", 0): QQ(3)}), P1).apply(s).is_zero()
 
 
 @pytest.mark.parametrize("r", [0, 1])

@@ -1,19 +1,24 @@
-"""Scalar policy: int while integral, QQ otherwise, with unchanged values."""
+"""Scalar policy: int while integral, QQ otherwise, with unchanged values;
+and the one sparse vector, Vec, that keeps it."""
 
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from threepv.fock import FockState, RepParams, seeded_states
+from threepv.liealg import affine_bracket, heis_bracket, witt_bracket
 from threepv.realization import (
+    AFFINE_GENERATORS,
     WITT_REP_PAIRS,
     bracket_rhs_op,
     pi_vir_mode,
     tau_mode,
     witt_rep_gj,
 )
-from threepv.scalars import QQ, binom, qq
+from threepv.ring import RRingElem
+from threepv.scalars import QQ, Vec, binom, qq
 
 
 def test_qq_keeps_ints_and_demotes_integral_rationals():
@@ -22,6 +27,8 @@ def test_qq_keeps_ints_and_demotes_integral_rationals():
     assert qq(QQ(-4)) == -4 and type(qq(QQ(-4))) is int
     half = qq(Fraction(3, 2))
     assert half == Fraction(3, 2) and type(half) is QQ
+    with pytest.raises(TypeError):
+        qq(0.5)
 
 
 def test_binom_is_an_exact_int():
@@ -91,3 +98,60 @@ def test_rational_parameters_give_the_fraction_values():
         _mono((y2,), 0): Fraction(1, 6),
         _mono((y2,), 1): Fraction(2, 3),
     }
+
+
+# --- Vec ----------------------------------------------------------------------
+
+keys = st.tuples(st.integers(min_value=-2, max_value=2),
+                 st.integers(min_value=0, max_value=1))
+coeffs = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).map(QQ))
+term_dicts = st.dictionaries(keys, coeffs, max_size=5)
+
+
+def _assert_canonical(v, cls):
+    assert type(v) is cls
+    for c in v.terms.values():
+        assert c != 0
+        # an integral coefficient is stored as an int, never as QQ
+        assert type(c) is int or (type(c) is QQ and c.denominator != 1)
+
+
+@pytest.mark.parametrize("cls", [Vec, FockState, RRingElem])
+@given(a=term_dicts, b=term_dicts, c=coeffs, key=keys)
+def test_vec_arithmetic_stores_no_zero_and_keeps_ints(cls, a, b, c, key):
+    a, b = cls(a), cls(b)
+    _assert_canonical(a, cls)
+    for v in (a + b, a - b, -a, a.scale(c), a + a.scale(-1), a.scale(0)):
+        _assert_canonical(v, cls)
+    assert (a + b) - b == a
+    assert (a - a).is_zero() and (a + a.scale(-1)).is_zero()
+    assert a.scale(c).terms == {k: v * c for k, v in a.terms.items() if v * c}
+    v = cls(a.terms)
+    v.add_term(key, c)
+    _assert_canonical(v, cls)
+    assert v.terms.get(key, 0) == a.terms.get(key, 0) + c
+    v.add_term(key, -c)
+    _assert_canonical(v, cls)
+    assert v == a
+
+
+def _witt_gens(window):
+    return [(k, m) for k in ("d", "d1") for m in range(-window, window + 1)]
+
+
+@pytest.mark.parametrize("bracket, families", [
+    (witt_bracket, ("d", "d1")),
+    (heis_bracket, ("b", "b1")),
+    (affine_bracket, AFFINE_GENERATORS),
+])
+def test_brackets_return_int_coefficients_for_integral_values(bracket, families):
+    gens = [(f, m) for f in families for m in range(-3, 4)]
+    seen = set()
+    for i in gens:
+        for j in gens:
+            for c in bracket(i, j).terms.values():
+                seen.add(type(c))
+                assert type(c) is int or c.denominator != 1, (i, j, c)
+    assert int in seen
