@@ -8,12 +8,19 @@ States are finite rational combinations of monomials in the variables
 tensored with a two-dimensional auxiliary space (component vpart in {0, 1})
 on which the zero modes b_0 and b1_0 act by the scalar B0 and the matrix B1.
 
-A monomial is a plain hashable tuple
+A monomial, wherever it leaves this module (FockState.terms, make_monomial,
+VACUUM_MONO, seeded_states, reports), is a plain hashable tuple
 
     FockMonomial = (vars, vpart)
     vars         = sorted tuple of ((code, idx), exponent)
 
-with variable codes 0 = x, 1 = x1, 2 = y, 3 = y1.
+with variable codes 0 = x, 1 = x1, 2 = y, 3 = y1.  Inside the module it is
+packed into one int: bit 0 holds vpart, and each variable gets an 8-bit
+exponent field at a shift interned on first sight, so multiplying by a
+variable is one addition and a derivative reads one field.  An exponent
+past 255 raises OverflowError rather than carry.  ModeOp.apply packs a
+state once and unpacks its image once, sorting each monomial's variables,
+so the order of interning never reaches the output.
 
 Single modes act in one of two gauges r in {0, 1}:
 
@@ -40,12 +47,15 @@ off the monomial's variables, and is applied at once to the partial image
 the later slots share; or it is left to create.  The creating slots then
 take up the rest of the total mode, each within its half-line.  A sum
 with an unbounded creating slot beside another creating slot has no finite
-range and raises AssertionError.
+range and raises AssertionError.  The annihilation stage depends only on the
+families and the monomial, so _WALKS keeps it per (families, monomial) and
+every total mode and weight of those families reuses it.
 
 ModeOp memoizes monomial images in _MEMO for one parameter set at a time:
-an application under other parameters clears it in place, so repeated runs
-of one configuration stay warm and any other frees the last one's entries.
-Linear combinations (+, combine) apply through their parts' memo entries.
+an application under other parameters clears it, _OP_IDS and _WALKS in
+place, so repeated runs of one configuration stay warm and any other frees
+the last one's entries.  Linear combinations (+, combine) apply through
+their parts' memo entries.
 """
 
 import itertools
@@ -113,33 +123,70 @@ def make_monomial(var_powers, vpart=0):
     return (vars_tuple, vpart)
 
 
-def _mono_mul(mono, var):
-    vars_tuple, vp = mono
+# Packed monomials: bit 0 is vpart, and each variable owns an exponent field
+# of _BITS bits at the shift it is given on first sight.  Shifts are never
+# reused, so a packed monomial stays valid for the life of the process.
+_BITS = 8
+_LIMIT = (1 << _BITS) - 1
+_SHIFT = {}                 # (code, idx) -> shift of its field
+_FIELD_VAR = []             # field number -> (code, idx)
+_CODE_FIELDS = [0] * 4      # code -> mask of its variables' fields
+
+
+def _shift(var):
+    s = _SHIFT.get(var)
+    if s is None:
+        s = _SHIFT[var] = 1 + _BITS * len(_FIELD_VAR)
+        _FIELD_VAR.append(var)
+        _CODE_FIELDS[var[0]] |= _LIMIT << s
+    return s
+
+
+def _fields(p):
+    """[(var, exponent)] of the variables whose fields are set in p, which
+    must have bit 0 clear."""
     out = []
-    placed = False
-    for key, e in vars_tuple:
-        if key == var:
-            out.append((key, e + 1))
-            placed = True
-        else:
-            out.append((key, e))
-    if not placed:
-        out.append((var, 1))
-        out.sort()
-    return (tuple(out), vp)
+    while p:
+        k = ((p & -p).bit_length() - 2) >> 3
+        s = 1 + _BITS * k
+        e = (p >> s) & _LIMIT
+        out.append((_FIELD_VAR[k], e))
+        p -= e << s
+    return out
 
 
-def _mono_diff(mono, var):
+def _pack(mono):
+    vars_tuple, p = mono
+    for var, e in vars_tuple:
+        if e > _LIMIT:
+            raise OverflowError("exponent %d of %r exceeds %d" % (e, var, _LIMIT))
+        p += e << _shift(var)
+    return p
+
+
+def _unpack(p):
+    return (tuple(sorted(_fields(p & ~1))), p & 1)
+
+
+def _state(packed_terms):
+    """The FockState of a {packed monomial: coeff} dict."""
+    st = FockState()
+    st.terms = {_unpack(p): c for p, c in packed_terms.items()}
+    return st
+
+
+def _mono_mul(p, var):
+    s = _SHIFT.get(var) or _shift(var)
+    if (p >> s) & _LIMIT == _LIMIT:
+        raise OverflowError("exponent of %r exceeds %d" % (var, _LIMIT))
+    return p + (1 << s)
+
+
+def _mono_diff(p, var):
     """(monomial, multiplicity) after d/d var, or None."""
-    vars_tuple, vp = mono
-    for i, (key, e) in enumerate(vars_tuple):
-        if key == var:
-            if e == 1:
-                rest = vars_tuple[:i] + vars_tuple[i + 1:]
-            else:
-                rest = vars_tuple[:i] + ((key, e - 1),) + vars_tuple[i + 1:]
-            return ((rest, vp), e)
-    return None
+    s = _SHIFT.get(var)
+    e = (p >> s) & _LIMIT if s else 0
+    return (p - (1 << s), e) if e else None
 
 
 # Smallest annihilating mode of each family, per gauge r.  A mode m at or
@@ -158,7 +205,7 @@ CREATES = {"a": (X, 1), "a1": (X1, 1), "a*": (X, -1), "a1*": (X1, -1),
 
 
 def apply_factor(fam, m, mono, params):
-    """Single mode on a single monomial -> list of (monomial, coeff)."""
+    """Single mode on a packed monomial -> list of (packed monomial, coeff)."""
     # an unknown family falls through to the ValueError at the end
     if m < ANN_FROM[params.r].get(fam, -_INF):
         code, sign = CREATES[fam]
@@ -183,17 +230,17 @@ def apply_factor(fam, m, mono, params):
         if hit:
             out.append((hit[0], -4 * (1 + 2 * m) * params.kappa0 * hit[1]))
         if m == 0:
-            vars_tuple, vp = mono
+            vp = mono & 1
             for col in (0, 1):
                 c = params.B1[vp][col]
                 if c:
-                    out.append(((vars_tuple, col), c))
+                    out.append((mono - vp + col, c))
         return out
     raise ValueError("unknown mode family %r" % (fam,))
 
 
 def apply_product(factors, mono, params):
-    """Normal-ordered product of modes on a monomial.
+    """Normal-ordered product of modes on a packed monomial.
 
     Creation factors move left (original order kept within each group), so
     application order is: annihilators right-to-left first, then creators.
@@ -225,36 +272,23 @@ CubicSum = namedtuple("CubicSum", "famA famB famC M c")
 
 def _ann_candidates(fam, mono, params):
     """Modes on the annihilation side that can act nonzero on the monomial."""
-    vars_tuple, _ = mono
     r = params.r
-    out = set()
     if fam == "a" or fam == "a1":
-        if r == 0:
-            code = X if fam == "a" else X1
-            for (c, idx), _e in vars_tuple:
-                if c == code and idx >= 0:
-                    out.add(idx)
-    elif fam == "a*" or fam == "a1*":
-        code = X if fam == "a*" else X1
-        for (c, idx), _e in vars_tuple:
-            if c == code and (r == 1 or idx < 0):
-                out.add(-idx)
-    elif fam == "b":
-        out.add(0)
-        for (c, idx), _e in vars_tuple:
-            if c == Y:
-                out.add(-idx)
-    elif fam == "b1":
-        out.add(0)
-        for (c, idx), _e in vars_tuple:
-            if c == Y1:
-                if -2 - idx > 0:
-                    out.add(-2 - idx)
-                if -1 - idx > 0:
-                    out.add(-1 - idx)
-    else:
-        raise ValueError("unknown mode family %r" % (fam,))
-    return out
+        if r == 1:
+            return ()
+        present = _fields(mono & _CODE_FIELDS[X if fam == "a" else X1])
+        return {idx for (_c, idx), _e in present if idx >= 0}
+    if fam == "a*" or fam == "a1*":
+        present = _fields(mono & _CODE_FIELDS[X if fam == "a*" else X1])
+        return {-idx for (_c, idx), _e in present if r == 1 or idx < 0}
+    if fam == "b":
+        return {0} | {-idx for (_c, idx), _e in _fields(mono & _CODE_FIELDS[Y])}
+    if fam == "b1":
+        out = {0}
+        for (_c, idx), _e in _fields(mono & _CODE_FIELDS[Y1]):
+            out.update(m for m in (-2 - idx, -1 - idx) if m > 0)
+        return out
+    raise ValueError("unknown mode family %r" % (fam,))
 
 
 def _creation_modes(rest, highs):
@@ -266,78 +300,103 @@ def _creation_modes(rest, highs):
             for tail in _creation_modes(rest - m, highs[1:])]
 
 
-def _apply_sum(fams, M, c0, c1, mono, params, acc):
-    """Accumulate sum over modes m_i of fams with total M of
-    (c0 + c1 m_0) :prod_i fam_i(m_i): applied to mono into the dict acc.
+# (fams, packed monomial) -> the annihilation branches of _walk, for the
+# parameter set of _MEMO; cleared with it.
+_WALKS = {}
 
-    Each term is creators(annihilators(mono)).  The slots are walked right
-    to left, as apply_product applies them, ending with slot 0, whose mode
-    sets the weight.  A slot either annihilates with a mode read off mono,
-    applied at once so that the slots after it share the partial image, or
-    is left to create.  The creating slots then fill the rest of M within
-    their half-lines.
+
+def _walk(fams, mono, params):
+    """The annihilation stage of every sum over fams on mono, whatever its
+    total mode and weight: a list of branches
+
+        (partial image, annihilated mode total, creating slots' (code, sign),
+         their highest modes, the sum of those, mode of slot 0 or None)
+
+    The slots are walked right to left, as apply_product applies them,
+    ending with slot 0.  A slot either annihilates with a mode read off
+    mono, applied at once so that the slots after it share the partial
+    image, or is left to create.
     """
     ann_from = ANN_FROM[params.r]
-    # (partial image, rest of M, creating slots, sum of their highest modes,
-    #  mode of slot 0 if it annihilates)
-    branches = [([(mono, 1)], M, (), 0, None)]
+    branches = [([(mono, 1)], 0, (), (), 0, None)]
     for i in range(len(fams) - 1, -1, -1):
         fam = fams[i]
         low = ann_from[fam]
         cands = _ann_candidates(fam, mono, params) if low < _INF else ()
         nxt = []
-        for terms, rest, creating, top, _ in branches:
+        for terms, total, creators, highs, top, _ in branches:
             if low > -_INF:
-                nxt.append((terms, rest, creating + (i,), top + low - 1, None))
+                nxt.append((terms, total, creators + (CREATES[fam],),
+                            highs + (low - 1,), top + low - 1, None))
             for m in cands:
-                # slot 0 is the last: the creators must take up the rest
-                if i == 0 and (rest - m > top or not creating and rest != m
-                               or not c0 + c1 * m):
-                    continue
                 image = [(mo2, c * c2) for mo, c in terms
                          for mo2, c2 in apply_factor(fam, m, mo, params)]
                 if image:
-                    nxt.append((image, rest - m, creating, top,
+                    nxt.append((image, total + m, creators, highs, top,
                                 m if i == 0 else None))
         if not nxt:
-            return
+            return []
         branches = nxt
+    return branches
 
-    for terms, rest, creating, top, p in branches:
+
+def _apply_sum(fams, M, c0, c1, mono, params, acc):
+    """Accumulate sum over modes m_i of fams with total M of
+    (c0 + c1 m_0) :prod_i fam_i(m_i): applied to mono into the dict acc.
+
+    Each term is creators(annihilators(mono)).  The annihilation branches
+    come from _walk, once per (fams, mono); the creating slots of each then
+    fill the rest of M within their half-lines, slot 0 being the last of
+    them when it creates.
+    """
+    if params is not _MEMO_PARAMS:  # say, a call from outside ModeOp._apply
+        _use(params)
+    branches = _WALKS.get((fams, mono))
+    if branches is None:
+        branches = _WALKS[(fams, mono)] = _walk(fams, mono, params)
+    for terms, total, creators, highs, top, p in branches:
+        rest = M - total
         if rest > top:
             continue
-        if len(creating) > 1:
-            highs = [ann_from[fams[k]] - 1 for k in creating]
+        if p is not None and not c0 + c1 * p:
+            continue
+        if len(highs) > 1:
             if _INF in highs:
                 raise AssertionError("cannot bound creation range")
             modes_list = _creation_modes(rest, highs)
+        elif highs:
+            modes_list = [(rest,)]
+        elif rest:
+            continue
         else:
-            modes_list = [(rest,)] if creating else [()]
+            modes_list = [()]
         for modes in modes_list:
-            # slot 0, when it creates, is the last creating slot
             w = c0 + c1 * (modes[-1] if p is None else p)
             if not w:
                 continue
+            units = [_SHIFT.get((code, sign * m)) or _shift((code, sign * m))
+                     for (code, sign), m in zip(creators, modes)]
             for mo, c in terms:
-                for k, m in zip(creating, modes):
-                    code, sign = CREATES[fams[k]]
-                    mo = _mono_mul(mo, (code, sign * m))
+                for s in units:
+                    if (mo >> s) & _LIMIT == _LIMIT:
+                        raise OverflowError("exponent exceeds %d" % _LIMIT)
+                    mo += 1 << s
                 # inline rather than Vec.add_term: the kernel's per-term loop
-                s = acc.get(mo, 0) + w * c
-                if s:
-                    acc[mo] = s
+                v = acc.get(mo, 0) + w * c
+                if v:
+                    acc[mo] = v
                 else:
                     acc.pop(mo, None)
 
 
 def apply_quad_sum(qs, mono, params, acc):
-    """Accumulate (QuadSum applied to monomial) into the dict acc."""
+    """Accumulate (QuadSum applied to a packed monomial) into the dict acc."""
     famA, famB, M, c0, c1 = qs
     _apply_sum((famA, famB), M, c0, c1, mono, params, acc)
 
 
 def apply_cubic_sum(cs, mono, params, acc):
-    """Accumulate (CubicSum applied to monomial) into the dict acc."""
+    """Accumulate (CubicSum applied to a packed monomial) into the dict acc."""
     famA, famB, famC, M, weight = cs
     _apply_sum((famA, famB, famC), M, weight, 0, mono, params, acc)
 
@@ -347,6 +406,7 @@ def naive_sum_apply(sum_op, state, params, box):
     enumeration.  Only valid when box exceeds every contributing mode."""
     out = FockState()
     for mono, c in state.terms.items():
+        mono = _pack(mono)
         if isinstance(sum_op, QuadSum):
             famA, famB, M, c0, c1 = sum_op
             for p in range(-box, box + 1):
@@ -362,7 +422,7 @@ def naive_sum_apply(sum_op, state, params, box):
                     factors = ((famA, i), (famB, j), (famC, M - i - j))
                     for mo, cc in apply_product(factors, mono, params):
                         out.add_term(mo, c * weight * cc)
-    return out
+    return _state(out.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +435,18 @@ _MEMO = {}
 # its id across a clear can never hit another operator's entries.
 _OP_IDS = {}
 _NEXT_OP_ID = itertools.count()
-_MEMO_PARAMS = None     # the RepParams whose entries _MEMO holds
+_MEMO_PARAMS = None     # the RepParams whose entries _MEMO and _WALKS hold
+
+
+def _use(params):
+    """Make params the parameter set of _MEMO and _WALKS, clearing both (and
+    _OP_IDS) in place unless it equals the one they hold."""
+    global _MEMO_PARAMS
+    if _MEMO_PARAMS is None or params.key != _MEMO_PARAMS.key:
+        _MEMO.clear()
+        _OP_IDS.clear()
+        _WALKS.clear()
+    _MEMO_PARAMS = params
 
 
 class ModeOp:
@@ -385,12 +456,14 @@ class ModeOp:
     terms: tuple of (coeff, ((family, mode), ...)) -- () is the identity
     sums:  tuple of QuadSum / CubicSum
 
-    A base operator (parts None) memoizes its monomial images in _MEMO by
-    op_id, its key interned on first application; _MEMO holds one parameter
-    set and is cleared in place when another is applied.  + and combine
-    return a combination: parts is a tuple of (coeff, base), and
-    apply sums coeff * image over the parts, reusing their entries and adding
-    none.  Its flat terms, sums and key are built when first read.
+    apply takes and returns a FockState of tuple monomials; _apply and
+    apply_mono work on packed ones.  A base operator (parts None) memoizes
+    its packed monomial images in _MEMO by op_id, its key interned on first
+    application; _MEMO holds one parameter set and is cleared in place when
+    another is applied.  + and combine return a combination: parts is a
+    tuple of (coeff, base), and apply sums coeff * image over the parts,
+    reusing their entries and adding none.  Its flat terms, sums and key are
+    built when first read.
     """
 
     __slots__ = ("terms", "sums", "params", "key", "op_id", "parts")
@@ -425,6 +498,8 @@ class ModeOp:
         return combine(((1, self), (1, other)), self.params)
 
     def apply_mono(self, mono):
+        """The image of a packed monomial, ((packed monomial, coeff), ...),
+        through _MEMO."""
         op_id = self.op_id
         if op_id is None:
             op_id = self.op_id = _OP_IDS.setdefault(self.key, next(_NEXT_OP_ID))
@@ -449,16 +524,15 @@ class ModeOp:
         return cached
 
     def apply(self, state):
-        global _MEMO_PARAMS
-        params = self.params
-        if params is not _MEMO_PARAMS:
-            if _MEMO_PARAMS is None or params.key != _MEMO_PARAMS.key:
-                _MEMO.clear()
-                _OP_IDS.clear()
-            _MEMO_PARAMS = params
+        return _state(self._apply({_pack(mono): c for mono, c in state.terms.items()}))
+
+    def _apply(self, packed_terms):
+        """apply on a {packed monomial: coeff} dict, returning another."""
+        if self.params is not _MEMO_PARAMS:
+            _use(self.params)
         out = {}
         for coeff, base in self.parts or ((1, self),):
-            items = state.terms.items()
+            items = packed_terms.items()
             if coeff != 1:
                 items = [(mono, coeff * c) for mono, c in items]
             for mono, c in items:
@@ -469,9 +543,7 @@ class ModeOp:
                         out[mo] = s
                     else:
                         out.pop(mo, None)
-        st = FockState()
-        st.terms = out
-        return st
+        return out
 
 
 def combine(pairs, params):
@@ -495,8 +567,16 @@ def combine(pairs, params):
 
 
 def commutator_apply(opA, opB, state):
-    """[opA, opB] applied to a state: A(B(s)) - B(A(s))."""
-    return opA.apply(opB.apply(state)) - opB.apply(opA.apply(state))
+    """[opA, opB] applied to a state: A(B(s)) - B(A(s)), packed throughout."""
+    s = {_pack(mono): c for mono, c in state.terms.items()}
+    out = opA._apply(opB._apply(s))
+    for mo, c in opB._apply(opA._apply(s)).items():
+        v = out.get(mo, 0) - c
+        if v:
+            out[mo] = v
+        else:
+            out.pop(mo, None)
+    return _state(out)
 
 
 # ---------------------------------------------------------------------------

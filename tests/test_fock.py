@@ -23,7 +23,6 @@ from threepv.fock import (
     QuadSum,
     CubicSum,
     make_monomial,
-    apply_factor,
     apply_product,
     naive_sum_apply,
     combine,
@@ -53,6 +52,29 @@ def test_make_monomial_sorts_and_drops_zero_exponents():
     assert m == ((((X, 3), 2), ((Y, -1), 1)), 1)
 
 
+def test_packed_exponents_raise_at_the_field_limit_and_never_carry():
+    top = fock._LIMIT
+    full = make_monomial({(X, -7): top, (X, -6): 1, (Y, -1): 2})
+    # packing takes the limit and refuses one more
+    assert fock._unpack(fock._pack(full)) == full
+    with pytest.raises(OverflowError):
+        fock._pack(make_monomial({(X, -7): top + 1}))
+    # multiplying up to the limit stays in the field
+    below = fock._pack(make_monomial({(X, -7): top - 1, (X, -6): 1, (Y, -1): 2}))
+    assert fock._unpack(fock._mono_mul(below, (X, -7))) == full
+    # and past it raises, on a single mode and in a sum's creating slots
+    with pytest.raises(OverflowError):
+        fock._mono_mul(fock._pack(full), (X, -7))
+    st = FockState({full: 1})
+    with pytest.raises(OverflowError):
+        single("a", -7, P0).apply(st)
+    with pytest.raises(OverflowError):
+        ModeOp((), (QuadSum("a", "a", -8, 1, 0),), P0).apply(st)
+    # a derivative reads the field alone
+    assert single("a*", 6, P0).apply(st).terms == {
+        make_monomial({(X, -7): top, (Y, -1): 2}): -1}
+
+
 def test_rep_params_validation():
     with pytest.raises(ValueError):
         RepParams(r=2)
@@ -62,28 +84,31 @@ def test_rep_params_validation():
         RepParams(B1=((1, 2), (3, 5)))
 
 
+def on_vacuum(fam, m, params):
+    """The terms of a single mode applied to the vacuum."""
+    return single(fam, m, params).apply(FockState.vacuum()).terms
+
+
 def test_single_modes_on_vacuum_r0():
-    vac = VACUUM_MONO
     # annihilators kill the vacuum
-    assert apply_factor("a", 3, vac, P0) == []
-    assert apply_factor("a*", 2, vac, P0) == []
-    assert apply_factor("b", 1, vac, P0) == []
+    assert on_vacuum("a", 3, P0) == {}
+    assert on_vacuum("a*", 2, P0) == {}
+    assert on_vacuum("b", 1, P0) == {}
     # creators populate it
-    assert apply_factor("a", -2, vac, P0) == [(make_monomial({(X, -2): 1}), 1)]
-    assert apply_factor("a*", -1, vac, P0) == [(make_monomial({(X, 1): 1}), 1)]
-    assert apply_factor("b", -3, vac, P0) == [(make_monomial({(Y, -3): 1}), 1)]
-    assert apply_factor("b1", -1, vac, P0) == [(make_monomial({(Y1, -1): 1}), 1)]
+    assert on_vacuum("a", -2, P0) == {make_monomial({(X, -2): 1}): 1}
+    assert on_vacuum("a*", -1, P0) == {make_monomial({(X, 1): 1}): 1}
+    assert on_vacuum("b", -3, P0) == {make_monomial({(Y, -3): 1}): 1}
+    assert on_vacuum("b1", -1, P0) == {make_monomial({(Y1, -1): 1}): 1}
     # b_0 is the scalar B0
-    assert apply_factor("b", 0, vac, P0) == [(vac, QQ(1))]
+    assert on_vacuum("b", 0, P0) == {VACUUM_MONO: QQ(1)}
 
 
 def test_single_modes_on_vacuum_r1():
-    vac = VACUUM_MONO
     # in the r=1 gauge the unstarred oscillators always multiply
-    assert apply_factor("a", 3, vac, P1) == [(make_monomial({(X, 3): 1}), 1)]
+    assert on_vacuum("a", 3, P1) == {make_monomial({(X, 3): 1}): 1}
     # and the starred ones always differentiate (killing the vacuum)
-    assert apply_factor("a*", -1, vac, P1) == []
-    assert apply_factor("a1*", 0, vac, P1) == []
+    assert on_vacuum("a*", -1, P1) == {}
+    assert on_vacuum("a1*", 0, P1) == {}
 
 
 def test_b1_zero_mode_matrix_action():
@@ -111,7 +136,7 @@ def test_normal_order_partition_is_stable():
     assert 1 >= fock.ANN_FROM[0]["a*"]
     assert -1 < fock.ANN_FROM[0]["a"]
     # :a_0 a*_0: (r=0) reorders to a*_0 a_0, killing the vacuum
-    assert apply_product((("a", 0), ("a*", 0)), VACUUM_MONO, P0) == []
+    assert apply_product((("a", 0), ("a*", 0)), fock._pack(VACUUM_MONO), P0) == []
     # while the plain product gives it back: contraction 1
     vac = FockState.vacuum()
     plain = single("a", 0, P0).apply(single("a*", 0, P0).apply(vac))
@@ -240,10 +265,13 @@ def test_cubic_sums_match_naive(params):
 
 def test_unboundable_sum_raises():
     st = FockState.vacuum()
-    with pytest.raises(AssertionError):
-        ModeOp((), (QuadSum("a", "b", 0, QQ(1), QQ(0)),), P1).apply(st)
-    with pytest.raises(AssertionError):
-        ModeOp((), (QuadSum("a", "a1", 0, QQ(1), QQ(0)),), P1).apply(st)
+    vac = fock._pack(VACUUM_MONO)
+    for fams in (("a", "b"), ("a", "a1")):
+        # on the miss that makes the walk, and on hits at other M
+        for M in (0, 0, 3):
+            with pytest.raises(AssertionError):
+                ModeOp((), (QuadSum(*fams, M, QQ(1), QQ(0)),), P1).apply(st)
+            assert (fams, vac) in fock._WALKS
 
 
 def test_quad_sum_frozen_example():
@@ -334,6 +362,29 @@ def test_every_realization_sum_matches_naive(params):
         _assert_sum_matches_naive(sum_op, states, params)
 
 
+@pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
+def test_walks_are_shared_across_total_modes_and_weights(params, monkeypatch):
+    walks = {}
+    monkeypatch.setattr(fock, "_WALKS", walks)
+    st = FockState({make_monomial({(X, 2): 1, (X1, 2): 1, (X, -1): 1,
+                                   (Y, -2): 1}, 1): 1})
+    mono = fock._pack(next(iter(st.terms)))
+    # c0 + c1 p = 2 - p vanishes at p = 2, where a_2 / a1_2 / b_2 act
+    weights = ((QQ(1), QQ(0)), (2, -1), (QQ(1, 2), 3), (2, -1))
+    for fams in QUAD_SHAPES + CUBIC_SHAPES:
+        walked = None
+        for M, (c0, c1) in zip((0, 2, -3, 3), weights):
+            if len(fams) == 2:
+                sum_op = QuadSum(*fams, M, c0, c1)
+            else:
+                sum_op = CubicSum(*fams, M, c0)
+            _assert_sum_matches_naive(sum_op, [st], params)
+            # the first M makes the walk, and every other one reuses it
+            if walked is None:
+                walked = walks[(fams, mono)]
+            assert walks[(fams, mono)] is walked, (fams, M)
+
+
 def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
     """ModeOp.apply_mono looks up apply_quad_sum / apply_cubic_sum in the
     module and passes them exactly (sum, monomial, params, acc)."""
@@ -349,7 +400,7 @@ def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
             lambda s, mono, params, acc: calls.append((s, mono, params)))
         assert ModeOp((), (sum_op,), P0).apply(st).is_zero()
         monkeypatch.undo()
-        assert calls == [(sum_op, next(iter(st.terms)), P0)], name
+        assert calls == [(sum_op, fock._pack(next(iter(st.terms))), P0)], name
 
 
 # ---------------------------------------------------------------------------
@@ -436,23 +487,33 @@ def test_right_hand_sides_reuse_their_generators_memo_entries(monkeypatch):
 
 
 def test_memo_holds_one_parameter_set(monkeypatch):
-    memo = {}
+    memo, walks = {}, {}
     monkeypatch.setattr(fock, "_MEMO", memo)
+    monkeypatch.setattr(fock, "_WALKS", walks)
     P, Q = RepParams(r=0, kappa0=QQ(3, 2)), RepParams(r=0, kappa0=2)
     states = [FockState.vacuum()] + seeded_states(17, 2)
     opP, opQ = tau_mode("e", 0, P), tau_mode("e", 0, Q)
     for s in states:
         opP.apply(s)
     assert {op_id for op_id, _ in memo} == {opP.op_id}
+    walks_P = list(walks.values())
+    assert walks_P
     for s in states:
         opQ.apply(s)
-    # cleared in place: the same dict, now with Q's entries only
-    assert fock._MEMO is memo
+    # cleared in place: the same dicts, now with Q's entries only
+    assert fock._MEMO is memo and fock._WALKS is walks
     assert {op_id for op_id, _ in memo} == {opQ.op_id}
+    assert walks and not {id(w) for w in walks_P} & {id(w) for w in walks.values()}
     # equal parameters in a new object keep them
-    entries = dict(memo)
+    entries, walked = dict(memo), dict(walks)
     tau_mode("e", 0, RepParams(r=0, kappa0=2)).apply(states[1])
-    assert memo == entries
+    assert memo == entries and walks == walked
+    # the two gauges never share walks, though their keys are the same
+    sum_op = QuadSum("a", "a*", 1, 1, 1)
+    for params in (P0, P1, P0):
+        before = list(walks.values())
+        _assert_sum_matches_naive(sum_op, states, params)
+        assert not {id(w) for w in before} & {id(w) for w in walks.values()}
 
 
 def test_identity_term():
