@@ -13,6 +13,7 @@ Vectors of U_alpha are scalars.Vec combinations with keys ("a", i) and
 exactly on a window of generators and basis vectors.
 """
 
+import functools
 import itertools
 
 from .liealg import witt_bracket
@@ -41,10 +42,10 @@ def density_act(gen, vec, alpha):
     return out
 
 
-def _act_by_vector(wv, vec, alpha):
+def _act_by_vector(wv, act):
     out = Vec()
     for gen, c in wv.terms.items():
-        out += density_act(gen, vec, alpha).scale(c)
+        out += act(gen).scale(c)
     return out
 
 
@@ -53,18 +54,19 @@ def density_module_check(alpha, window):
     is a module there.
 
     Checks [x, y].v == x.(y.v) - y.(x.v) for Witt generators x, y with
-    |mode| <= window and basis vectors v with |index| <= window.
+    |mode| <= window and basis vectors v with |index| <= window, acting
+    by each generator on each basis vector once.
     """
     gens = [(k, m) for k in ("d", "d1") for m in range(-window, window + 1)]
     basis = [(b, i) for b in ("a", "abar") for i in range(-window, window + 1)]
+    act_once = functools.cache(lambda gen, key: density_act(gen, Vec({key: 1}), alpha))
     bad = []
     for x, y in itertools.combinations(gens, 2):
         via_bracket = witt_bracket(x, y)
         for key in basis:
-            v = Vec({key: 1})
-            lhs = _act_by_vector(via_bracket, v, alpha)
-            rhs = density_act(x, density_act(y, v, alpha), alpha) - density_act(
-                y, density_act(x, v, alpha), alpha
+            lhs = _act_by_vector(via_bracket, lambda gen: act_once(gen, key))
+            rhs = density_act(x, act_once(y, key), alpha) - density_act(
+                y, act_once(x, key), alpha
             )
             if not (lhs - rhs).is_zero():
                 bad.append(((x, y, key), lhs - rhs))

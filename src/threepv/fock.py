@@ -18,9 +18,10 @@ with variable codes 0 = x, 1 = x1, 2 = y, 3 = y1.  Inside the module it is
 packed into one int: bit 0 holds vpart, and each variable gets an 8-bit
 exponent field at a shift interned on first sight, so multiplying by a
 variable is one addition and a derivative reads one field.  An exponent
-past 255 raises OverflowError rather than carry.  ModeOp.apply packs a
-state once and unpacks its image once, sorting each monomial's variables,
-so the order of interning never reaches the output.
+past 255 raises OverflowError rather than carry.  ModeOp.apply and
+commutator_apply (which subtracts a right-hand side in the same dict) pack
+a state once and unpack once, sorting each monomial's variables, so the
+interning order never reaches the output.
 
 Single modes act in one of two gauges r in {0, 1}:
 
@@ -381,7 +382,7 @@ def _apply_sum(fams, M, c0, c1, mono, params, acc):
                     if (mo >> s) & _LIMIT == _LIMIT:
                         raise OverflowError("exponent exceeds %d" % _LIMIT)
                     mo += 1 << s
-                # inline rather than Vec.add_term: the kernel's per-term loop
+                # Vec.add_term inlined: the kernel's per-term loop
                 v = acc.get(mo, 0) + w * c
                 if v:
                     acc[mo] = v
@@ -459,11 +460,10 @@ class ModeOp:
     apply takes and returns a FockState of tuple monomials; _apply and
     apply_mono work on packed ones.  A base operator (parts None) memoizes
     its packed monomial images in _MEMO by op_id, its key interned on first
-    application; _MEMO holds one parameter set and is cleared in place when
-    another is applied.  + and combine return a combination: parts is a
-    tuple of (coeff, base), and apply sums coeff * image over the parts,
-    reusing their entries and adding none.  Its flat terms, sums and key are
-    built when first read.
+    application.  + and combine return a combination: parts is a tuple of
+    (coeff, base), and apply sums coeff * image over the parts, reusing
+    their entries and adding none.  Its flat terms, sums and key are built
+    when first read.
     """
 
     __slots__ = ("terms", "sums", "params", "key", "op_id", "parts")
@@ -508,7 +508,7 @@ class ModeOp:
             acc = {}
             for coeff, factors in self.terms:
                 for mo, c in apply_product(factors, mono, self.params):
-                    # inline rather than Vec.add_term: a per-term loop on a miss
+                    # Vec.add_term inlined: per term of a miss
                     s = acc.get(mo, 0) + coeff * c
                     if s:
                         acc[mo] = s
@@ -526,18 +526,20 @@ class ModeOp:
     def apply(self, state):
         return _state(self._apply({_pack(mono): c for mono, c in state.terms.items()}))
 
-    def _apply(self, packed_terms):
-        """apply on a {packed monomial: coeff} dict, returning another."""
+    def _apply(self, packed_terms, out=None, scale=1):
+        """Add scale * the image of a packed dict into out (a new dict
+        by default); return out."""
         if self.params is not _MEMO_PARAMS:
             _use(self.params)
-        out = {}
+        out = {} if out is None else out
         for coeff, base in self.parts or ((1, self),):
+            coeff *= scale
             items = packed_terms.items()
             if coeff != 1:
                 items = [(mono, coeff * c) for mono, c in items]
             for mono, c in items:
                 for mo, cc in base.apply_mono(mono):
-                    # inline rather than Vec.add_term: the per-term loop of every apply
+                    # Vec.add_term inlined: per term of every apply
                     s = out.get(mo, 0) + c * cc
                     if s:
                         out[mo] = s
@@ -566,16 +568,14 @@ def combine(pairs, params):
     return op
 
 
-def commutator_apply(opA, opB, state):
-    """[opA, opB] applied to a state: A(B(s)) - B(A(s)), packed throughout."""
+def commutator_apply(opA, opB, state, rhs=None):
+    """A(B(s)) - B(A(s)) - rhs(s), rhs optional, in one packed dict: a
+    zero residual unpacks nothing."""
     s = {_pack(mono): c for mono, c in state.terms.items()}
     out = opA._apply(opB._apply(s))
-    for mo, c in opB._apply(opA._apply(s)).items():
-        v = out.get(mo, 0) - c
-        if v:
-            out[mo] = v
-        else:
-            out.pop(mo, None)
+    opB._apply(opA._apply(s), out, -1)
+    if rhs is not None:
+        rhs._apply(s, out, -1)
     return _state(out)
 
 

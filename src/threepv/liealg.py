@@ -19,6 +19,7 @@ the exact differences (all in the w1 coefficients of the mixed pairs).
 Only the Kassel route satisfies the Jacobi identity.
 """
 
+import functools
 import itertools
 
 from .kaehler import _fact, _odd_double_factorial, _pow2, pairing
@@ -322,19 +323,22 @@ def _phi_on_vector(phi, x, vec):
 
 def check_cocycle_identity(phi, window):
     """Violations of phi(x,[y,z]) + phi(y,[z,x]) + phi(z,[x,y]) = 0 over
-    the Witt basis with |modes| <= window (also checks phi antisymmetry)."""
+    the Witt basis with |modes| <= window (also checks phi antisymmetry).
+    Each bracket and each value of phi is computed once per check."""
+    bracket = functools.cache(witt_bracket)
+    phi_once = functools.cache(phi)
     gens = [(k, m) for k in ("d", "d1") for m in range(-window, window + 1)]
     bad = []
     for a in range(len(gens)):
         for b in range(a, len(gens)):
-            s = phi(gens[a], gens[b]) + phi(gens[b], gens[a])
+            s = phi_once(gens[a], gens[b]) + phi_once(gens[b], gens[a])
             if s:
                 bad.append((("antisym", gens[a], gens[b]), s))
     for x, y, z in itertools.combinations(gens, 3):
         total = (
-            _phi_on_vector(phi, x, witt_bracket(y, z))
-            + _phi_on_vector(phi, y, witt_bracket(z, x))
-            + _phi_on_vector(phi, z, witt_bracket(x, y))
+            _phi_on_vector(phi_once, x, bracket(y, z))
+            + _phi_on_vector(phi_once, y, bracket(z, x))
+            + _phi_on_vector(phi_once, z, bracket(x, y))
         )
         if total:
             bad.append((("jacobi", x, y, z), total))

@@ -420,13 +420,12 @@ def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states,
         op_b = field_mode(lhs_b, n, params)
         rhs = bracket_rhs_op(j_terms, m, n, params)
         for idx, state in enumerate(states):
-            lhs_val = commutator_apply(op_a, op_b, state)
-            ok = (lhs_val - rhs.apply(state)).is_zero()
+            ok = commutator_apply(op_a, op_b, state, rhs).is_zero()
             found = None
             if not ok:
                 for s in shifts:
                     shifted = bracket_rhs_op(j_terms, m, n, params, shift=s)
-                    if (lhs_val - shifted.apply(state)).is_zero():
+                    if commutator_apply(op_a, op_b, state, shifted).is_zero():
                         found = s
                         break
             results.append(

@@ -4,16 +4,18 @@ import pytest
 
 from threepv import fock
 from threepv.scalars import QQ
-from threepv.liealg import affine_bracket, heis_bracket
+from threepv.liealg import affine_bracket, heis_bracket, vir_bracket
 from threepv.realization import (
     AFFINE_GENERATORS,
     FIELD_BUILDERS,
+    VirParams,
     bracket_rhs_op,
     field_mode,
     pi_vir_mode,
     pi_witt_mode,
     tau_mode,
     tau_realize,
+    vir_realize,
     witt_rep_gj,
 )
 from threepv.fock import (
@@ -514,6 +516,34 @@ def test_memo_holds_one_parameter_set(monkeypatch):
         before = list(walks.values())
         _assert_sum_matches_naive(sum_op, states, params)
         assert not {id(w) for w in before} & {id(w) for w in walks.values()}
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("kappa0", [1, QQ(3, 2)], ids=["k1", "k3/2"])
+def test_commutator_residual_is_the_commutator_less_the_right_hand_side(r, kappa0):
+    params = RepParams(r=r, kappa0=kappa0)
+    vparams = VirParams.standard(kappa0)
+
+    def vir(kA, kB, m, n):
+        return (pi_vir_mode(kA, m, params, vparams), pi_vir_mode(kB, n, params, vparams),
+                vir_realize(vir_bracket((kA.lower(), m + 1), (kB.lower(), n + 1)),
+                            params, vparams))
+
+    holding = [
+        (tau_mode("e", 1, params), tau_mode("f", -2, params),
+         tau_realize(affine_bracket(("e", 1), ("f", -2)), params)),
+        (field_mode("pi_d", 1, params), field_mode("pi_d1", -1, params),
+         bracket_rhs_op(witt_rep_gj(("d", "d1"), r), 1, -1, params)),
+        vir("D", "D", 2, -1),
+    ]
+    failing = vir("D", "D1", 1, 1)  # misses its central term (criterion 08)
+    states = [FockState.vacuum()] + seeded_states(31, 3)
+    for (A, B, R), holds in [(ops, True) for ops in holding] + [(failing, False)]:
+        for s in states:
+            resid = commutator_apply(A, B, s, R)
+            assert resid == commutator_apply(A, B, s) - R.apply(s)
+            assert resid.is_zero() == holds
+        assert any(not R.apply(s).is_zero() for s in states)
 
 
 def test_identity_term():

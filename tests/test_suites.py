@@ -214,6 +214,18 @@ def test_rep_checks_residual_is_got_minus_want():
         assert c["pass"] and c["residual"] is None
 
 
+def test_only_a_failing_check_unpacks_its_residual(monkeypatch):
+    unpacked = []
+    unpack = fock._unpack
+    monkeypatch.setattr(fock, "_unpack", lambda p: unpacked.append(p) or unpack(p))
+    kw = dict(r=0, kappa0=QQ(3, 2), window=1, states="random:2:3", seed=12)
+    rep = report("witt-rep", **kw)
+    assert rep.failed == 0 and rep.passed > 0
+    assert unpacked == []
+    rep = report("virasoro-rep", **kw)
+    assert rep.failed > 0 and unpacked
+
+
 # ---------------------------------------------------------------------------
 # report schema and emission
 # ---------------------------------------------------------------------------
