@@ -37,6 +37,11 @@ Single modes act in one of two gauges r in {0, 1}:
     b1_m = -(2+2m) k0 d/dy1_{-2-m} - 4(1+2m) k0 d/dy1_{-1-m}   (m >= 0)
     b1_0 additionally acts by the matrix B1 on the auxiliary component.
 
+The tables ANN_FROM, CREATES and ANNIHILATES hold these actions once:
+apply_factor applies them, _ann_candidates inverts them on a monomial's
+variables, and contraction reads the coefficient off them; only the
+zero-mode data B0, B1 are special-cased.
+
 Infinite normal-ordered sums (QuadSum, CubicSum) act locally finitely: for
 each monomial only finitely many summands contribute, and they are found
 exactly.  Normal ordering puts every annihilator right of every creator, so
@@ -190,12 +195,14 @@ def _mono_diff(p, var):
     return (p - (1 << s), e) if e else None
 
 
-# Smallest annihilating mode of each family, per gauge r.  A mode m at or
-# above it annihilates: it acts by derivatives, by the zero-mode scalar B0 or
-# by the matrix B1.  A mode below it creates: it multiplies by the variable
-# (code, sign * m), with (code, sign) = CREATES[fam] and coefficient 1.
-# -inf: the family never creates; +inf: every mode creates (the unstarred
-# oscillators at r = 1).
+# Smallest annihilating mode of each family, per gauge r.  A mode m below it
+# creates: it multiplies by the variable (code, sign * m), with
+# (code, sign) = CREATES[fam] and coefficient 1.  A mode m at or above it
+# annihilates: it acts by the derivatives ANNIHILATES[fam], each
+# (code, s, t, coeff) meaning coeff(m, kappa0) * d/d(code, s * m + t), and
+# at m = 0 the families b and b1 also act by the zero-mode scalar B0 and
+# matrix B1.  -inf: the family never creates; +inf: every mode creates (the
+# unstarred oscillators at r = 1).
 _INF = float("inf")
 ANN_FROM = (
     {"a": 0, "a1": 0, "a*": 1, "a1*": 1, "b": 0, "b1": 0},
@@ -203,41 +210,36 @@ ANN_FROM = (
 )
 CREATES = {"a": (X, 1), "a1": (X1, 1), "a*": (X, -1), "a1*": (X1, -1),
            "b": (Y, 1), "b1": (Y1, 1)}
+ANNIHILATES = {
+    "a": ((X, 1, 0, lambda m, k0: 1),),
+    "a1": ((X1, 1, 0, lambda m, k0: 1),),
+    "a*": ((X, -1, 0, lambda m, k0: -1),),
+    "a1*": ((X1, -1, 0, lambda m, k0: -1),),
+    "b": ((Y, -1, 0, lambda m, k0: -2 * m * k0),),
+    "b1": ((Y1, -1, -2, lambda m, k0: -(2 + 2 * m) * k0),
+           (Y1, -1, -1, lambda m, k0: -4 * (1 + 2 * m) * k0)),
+}
 
 
 def apply_factor(fam, m, mono, params):
     """Single mode on a packed monomial -> list of (packed monomial, coeff)."""
-    # an unknown family falls through to the ValueError at the end
-    if m < ANN_FROM[params.r].get(fam, -_INF):
+    if fam not in ANNIHILATES:
+        raise ValueError("unknown mode family %r" % (fam,))
+    if m < ANN_FROM[params.r][fam]:
         code, sign = CREATES[fam]
         return [(_mono_mul(mono, (code, sign * m)), 1)]
-    if fam == "a" or fam == "a1":
-        hit = _mono_diff(mono, (X if fam == "a" else X1, m))
-        return [hit] if hit else []
-    if fam == "a*" or fam == "a1*":
-        hit = _mono_diff(mono, (X if fam == "a*" else X1, -m))
-        return [(hit[0], -hit[1])] if hit else []
-    if fam == "b":
-        if m == 0:
-            return [(mono, params.B0)] if params.B0 else []
-        hit = _mono_diff(mono, (Y, -m))
-        return [(hit[0], -2 * m * params.kappa0 * hit[1])] if hit else []
-    if fam == "b1":
-        out = []
-        hit = _mono_diff(mono, (Y1, -2 - m))
-        if hit:
-            out.append((hit[0], -(2 + 2 * m) * params.kappa0 * hit[1]))
-        hit = _mono_diff(mono, (Y1, -1 - m))
-        if hit:
-            out.append((hit[0], -4 * (1 + 2 * m) * params.kappa0 * hit[1]))
-        if m == 0:
-            vp = mono & 1
-            for col in (0, 1):
-                c = params.B1[vp][col]
-                if c:
-                    out.append((mono - vp + col, c))
-        return out
-    raise ValueError("unknown mode family %r" % (fam,))
+    out = []
+    for code, s, t, coeff in ANNIHILATES[fam]:
+        hit = _mono_diff(mono, (code, s * m + t))
+        c = hit and coeff(m, params.kappa0)
+        if c:
+            out.append((hit[0], c * hit[1]))
+    if m == 0 and fam == "b" and params.B0:
+        out.append((mono, params.B0))
+    elif m == 0 and fam == "b1":
+        vp = mono & 1
+        out += [(mono - vp + col, c) for col, c in enumerate(params.B1[vp]) if c]
+    return out
 
 
 def apply_product(factors, mono, params):
@@ -272,24 +274,16 @@ CubicSum = namedtuple("CubicSum", "famA famB famC M c")
 
 
 def _ann_candidates(fam, mono, params):
-    """Modes on the annihilation side that can act nonzero on the monomial."""
-    r = params.r
-    if fam == "a" or fam == "a1":
-        if r == 1:
-            return ()
-        present = _fields(mono & _CODE_FIELDS[X if fam == "a" else X1])
-        return {idx for (_c, idx), _e in present if idx >= 0}
-    if fam == "a*" or fam == "a1*":
-        present = _fields(mono & _CODE_FIELDS[X if fam == "a*" else X1])
-        return {-idx for (_c, idx), _e in present if r == 1 or idx < 0}
-    if fam == "b":
-        return {0} | {-idx for (_c, idx), _e in _fields(mono & _CODE_FIELDS[Y])}
-    if fam == "b1":
-        out = {0}
-        for (_c, idx), _e in _fields(mono & _CODE_FIELDS[Y1]):
-            out.update(m for m in (-2 - idx, -1 - idx) if m > 0)
-        return out
-    raise ValueError("unknown mode family %r" % (fam,))
+    """Modes on the annihilation side that can act nonzero on the monomial:
+    ANNIHILATES inverted on its variables, plus the zero mode of b and b1."""
+    low = ANN_FROM[params.r][fam]
+    out = {0} if fam in ("b", "b1") else set()
+    for code, s, t, _coeff in ANNIHILATES[fam]:
+        for (_c, idx), _e in _fields(mono & _CODE_FIELDS[code]):
+            m = s * (idx - t)
+            if m >= low:
+                out.add(m)
+    return out
 
 
 def _creation_modes(rest, highs):
@@ -323,7 +317,7 @@ def _walk(fams, mono, params):
     for i in range(len(fams) - 1, -1, -1):
         fam = fams[i]
         low = ann_from[fam]
-        cands = _ann_candidates(fam, mono, params) if low < _INF else ()
+        cands = _ann_candidates(fam, mono, params)
         nxt = []
         for terms, total, creators, highs, top, _ in branches:
             if low > -_INF:
@@ -584,36 +578,15 @@ def commutator_apply(opA, opB, state, rhs=None):
 # ---------------------------------------------------------------------------
 
 def contraction(famA, famB, m, n, params):
-    """Scalar with A_m B_n = :A_m B_n: + contraction * Id on every state."""
-    r = params.r
-    k0 = params.kappa0
-    pair = (famA, famB)
-    if pair in (("a", "a*"), ("a1", "a1*")):
-        if m + n != 0:
-            return 0
-        if r == 0:
-            return 1 if m >= 0 else 0
+    """Scalar with A_m B_n = :A_m B_n: + contraction * Id on every state:
+    when A_m annihilates and B_n creates, the coefficient in A_m of the
+    derivative by the variable B_n creates, and 0 otherwise."""
+    ann_from = ANN_FROM[params.r]
+    if m < ann_from[famA] or n >= ann_from[famB]:
         return 0
-    if pair in (("a*", "a"), ("a1*", "a1")):
-        if m + n != 0:
-            return 0
-        if r == 0:
-            return -1 if m >= 1 else 0
-        return -1
-    if pair == ("b", "b"):
-        if m + n == 0 and m > 0:
-            return -2 * m * k0
-        return 0
-    if pair == ("b1", "b1"):
-        if m < 0:
-            return 0
-        out = 0
-        if m + n == -2:
-            out += -(2 * m + 2) * k0
-        if m + n == -1:
-            out += -(8 * m + 4) * k0
-        return out
-    return 0
+    code, sign = CREATES[famB]
+    return sum(coeff(m, params.kappa0) for c, s, t, coeff in ANNIHILATES[famA]
+               if (c, s * m + t) == (code, sign * n))
 
 
 def _commutator_value(famA, famB, m, n, params):

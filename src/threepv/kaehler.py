@@ -24,7 +24,7 @@ The closed form for them is lambda_{l-1} = (-1)^l 2^l (2l-1)!! / (l+1)!.
 """
 
 from .ring import RRingElem
-from .scalars import QQ, Vec, qq, rat
+from .scalars import QQ, Vec, qq
 
 
 class OneForm:
@@ -126,14 +126,14 @@ def reduce_mod_dR(form):
     for j, c in ustem.terms.items():
         while j > -1:
             # (j+2) t^j u dt == -(4j+2) t^(j-1) u dt
-            c = c * rat(-(4 * j + 2), j + 2)
+            c = c * QQ(-(4 * j + 2), j + 2)
             j -= 1
         while j < -1:
             if j == -3:
                 c = 0
                 break
             # (j+3) t^(j+1) u dt == -(4j+6) t^j u dt, read upward
-            c = c * rat(-(j + 3), 4 * j + 6)
+            c = c * QQ(-(j + 3), 4 * j + 6)
             j += 1
         q1 += c
 
@@ -154,12 +154,12 @@ def _odd_double_factorial(n):
     if n == -1:
         return 1
     j = (-n - 1) // 2
-    return rat(1 if j % 2 == 0 else -1) / _odd_double_factorial(2 * j - 1)
+    return QQ(1 if j % 2 == 0 else -1) / _odd_double_factorial(2 * j - 1)
 
 
 def _pow2(k):
     """2^k as an exact rational, for k of either sign."""
-    return rat(2) ** k if k >= 0 else rat(1) / (rat(2) ** (-k))
+    return QQ(2) ** k if k >= 0 else QQ(1) / (QQ(2) ** (-k))
 
 
 def _fact(n):

@@ -22,23 +22,17 @@ Only the Kassel route satisfies the Jacobi identity.
 import functools
 import itertools
 
-from .kaehler import _fact, _odd_double_factorial, _pow2, pairing
+from .kaehler import _fact, _odd_double_factorial, _pow2, lambda_coeff, pairing
 from .ring import RRingElem
-from .scalars import QQ, Vec, rat
+from .scalars import QQ, Vec
 
 CENTRAL_FAMILIES = frozenset(["w0", "w1", "one0", "one1", "c1", "c2"])
 
 
 def mu_closed_form(m, n):
-    """mu_{m,n} = m (-1)^(m+n+1) 2^(m+n) (2(m+n)-1)!! / (m+n+1)!.
-
-    Zero whenever m + n <= -2 (the inverse factorial vanishes there).
-    """
-    s = m + n
-    if s <= -2:
-        return 0
-    sign = -1 if (s + 1) % 2 else 1
-    return QQ(m) * sign * _pow2(s) * _odd_double_factorial(2 * s - 1) / _fact(s + 1)
+    """mu_{m,n} = m (-1)^(m+n+1) 2^(m+n) (2(m+n)-1)!! / (m+n+1)!
+    = -m lambda_{m+n-1}, zero whenever m + n <= -2."""
+    return -m * lambda_coeff(m + n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +188,7 @@ def affine_bracket(i, j):
         out.add_term(("h", m + n + 2), 1)
         out.add_term(("h", m + n + 1), 4)
         if m + n == -2:
-            out.add_term(("w0", 0), rat(n - m, 2))
+            out.add_term(("w0", 0), QQ(n - m, 2))
         if m + n == -1:
             out.add_term(("w0", 0), 2 * (n - m))
     elif pair == ("h", "e"):
@@ -278,35 +272,25 @@ def check_antisymmetry(bracket, gens):
     return bad
 
 
-def _bracket_with_vector(bracket, cache, x, vec):
+def _bracket_with_vector(bracket, x, vec):
     out = Vec()
     for w, c in vec.terms.items():
         if w[0] in CENTRAL_FAMILIES:
             continue
-        key = (x, w)
-        piece = cache.get(key)
-        if piece is None:
-            piece = bracket(x, w)
-            cache[key] = piece
-        for key2, c2 in piece.terms.items():
+        for key2, c2 in bracket(x, w).terms.items():
             out.add_term(key2, c * c2)
     return out
 
 
 def check_jacobi(bracket, gens):
     """All unordered triples violating Jacobi; empty list means it holds.
-
-    Pair brackets are cached, so the cost is dominated by the triple loop.
-    """
-    cache = {}
-    for a in gens:
-        for b in gens:
-            cache[(a, b)] = bracket(a, b)
+    Each pair bracket is computed once per check."""
+    bracket = functools.cache(bracket)
     bad = []
     for x, y, z in itertools.combinations(gens, 3):
-        total = _bracket_with_vector(bracket, cache, x, cache[(y, z)])
-        total += _bracket_with_vector(bracket, cache, y, cache[(z, x)])
-        total += _bracket_with_vector(bracket, cache, z, cache[(x, y)])
+        total = _bracket_with_vector(bracket, x, bracket(y, z))
+        total += _bracket_with_vector(bracket, y, bracket(z, x))
+        total += _bracket_with_vector(bracket, z, bracket(x, y))
         if not total.is_zero():
             bad.append(((x, y, z), total))
     return bad

@@ -211,17 +211,12 @@ class VirParams:
     gammaP * ((:b^2:)_{m+2} + 4 (:b^2:)_{m+1}).
     """
 
-    __slots__ = ("nu", "zeta", "gamma1", "mu", "gamma2", "gammaP", "key")
+    __slots__ = ("nu", "gamma1", "gammaP")
 
-    def __init__(self, nu, zeta=0, gamma1=0, mu=0, gamma2=0, gammaP=0):
+    def __init__(self, nu, gamma1=0, gammaP=0):
         self.nu = qq(nu)
-        self.zeta = qq(zeta)
         self.gamma1 = qq(gamma1)
-        self.mu = qq(mu)
-        self.gamma2 = qq(gamma2)
         self.gammaP = qq(gammaP)
-        self.key = (self.nu, self.zeta, self.gamma1, self.mu, self.gamma2,
-                    self.gammaP)
 
     @staticmethod
     def standard(kappa0):
@@ -234,12 +229,11 @@ class VirParams:
         if not k0:
             raise ValueError("kappa0 must be nonzero")
         quarter = QQ(1) / (4 * k0)
-        return VirParams(nu=QQ(1) / (2 * k0), zeta=0, gamma1=-quarter,
-                         mu=0, gamma2=0, gammaP=-quarter)
+        return VirParams(nu=QQ(1) / (2 * k0), gamma1=-quarter, gammaP=-quarter)
 
     def __repr__(self):
-        return ("VirParams(nu=%s, zeta=%s, gamma1=%s, mu=%s, gamma2=%s, "
-                "gammaP=%s)" % self.key)
+        return "VirParams(nu=%s, gamma1=%s, gammaP=%s)" % (
+            self.nu, self.gamma1, self.gammaP)
 
 
 def central_charge(r):
@@ -257,26 +251,18 @@ def pi_vir_mode(kind, m, params, vparams=None):
     if vparams is None:
         vparams = VirParams.standard(params.kappa0)
     if kind == "D":
-        terms = []
         sums = list(_witt_sums("d", m + 1))
         if vparams.gammaP:
             sums.append(QuadSum("b", "b", m + 2, vparams.gammaP, 0))
             sums.append(QuadSum("b", "b", m + 1, 4 * vparams.gammaP, 0))
         if vparams.gamma1:
             sums.append(QuadSum("b1", "b1", m, vparams.gamma1, 0))
-        if vparams.mu:
-            terms.append((-(m + 1) * vparams.mu, (("b", m),)))
-        if vparams.gamma2:
-            terms.append((vparams.gamma2, (("b", m + 1),)))
-        return ModeOp(terms, sums, params)
+        return ModeOp((), sums, params)
     if kind == "D1":
-        terms = []
         sums = list(_witt_sums("d1", m + 1))
         if vparams.nu:
             sums.append(QuadSum("b", "b1", m, vparams.nu, 0))
-        if vparams.zeta:
-            terms.append((-(m + 1) * vparams.zeta, (("b1", m),)))
-        return ModeOp(terms, sums, params)
+        return ModeOp((), sums, params)
     raise ValueError("unknown extended family %r" % (kind,))
 
 

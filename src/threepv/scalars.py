@@ -19,10 +19,8 @@ canonical under qq.
 
 try:
     from gmpy2 import mpq as QQ
-    _BACKEND = "gmpy2"
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as QQ
-    _BACKEND = "fractions"
 
 
 def qq(x):
@@ -102,15 +100,10 @@ class Vec:
                           for k in sorted(self.terms))
 
 
-def rat(p, q=1):
-    """Build the exact rational p/q."""
-    return QQ(p, q)
-
-
 def parse_rat(s):
     """Parse 'p' or 'p/q' into an exact rational.
 
-    >>> parse_rat('-3/2') == rat(-3, 2)
+    >>> parse_rat('-3/2') == QQ(-3, 2)
     True
     """
     s = s.strip()

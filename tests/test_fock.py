@@ -1,5 +1,8 @@
 """Fock-space engine: mode actions, normal ordering, exact sum enumeration."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from threepv import fock
@@ -144,6 +147,34 @@ def test_normal_order_partition_is_stable():
     plain = single("a", 0, P0).apply(single("a*", 0, P0).apply(vac))
     assert plain.terms == {VACUUM_MONO: QQ(1)}
     assert contraction("a", "a*", 0, 0, P0) == 1
+
+
+@pytest.mark.parametrize("B0, B1", [(1, ((1, 2), (3, 1))), (0, ((0, 0), (0, 0))),
+                                    (2, ((0, 0), (5, 0)))],
+                         ids=["default", "zero", "one-sided"])
+@pytest.mark.parametrize("r", [0, 1])
+def test_annihilation_candidates_are_the_acting_modes(r, B0, B1):
+    """Every annihilating mode with a nonempty image on a monomial is one of
+    its _ann_candidates, and every candidate but the zero mode has one."""
+    params = RepParams(r=r, B0=B0, B1=B1)
+    pool = [(code, j) for code in (X, X1) for j in range(-3, 4)]
+    pool += [(code, j) for code in (Y, Y1) for j in range(-3, 0)]
+    monos = [fock._pack(make_monomial(Counter(vs), vpart))
+             for k in range(3) for vs in itertools.combinations_with_replacement(pool, k)
+             for vpart in (0, 1)]
+    for fam in ("a", "a1", "a*", "a1*", "b", "b1"):
+        low = fock.ANN_FROM[r][fam]
+        for mono in monos:
+            cands = set(fock._ann_candidates(fam, mono, params))
+            acting = {m for m in range(-6, 7)
+                      if m >= low and fock.apply_factor(fam, m, mono, params)}
+            assert acting <= cands, (fam, fock._unpack(mono))
+            assert cands - {0} <= acting, (fam, fock._unpack(mono))
+
+
+def test_unknown_mode_family_is_refused():
+    with pytest.raises(ValueError):
+        fock.apply_factor("c", 0, fock._pack(VACUUM_MONO), P0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from threepv.kaehler import (
     reduce_mod_dR,
 )
 from threepv.ring import RRingElem
-from threepv.scalars import QQ, rat
+from threepv.scalars import QQ
 
 J = 14  # window half-width for the oracle
 
@@ -230,7 +230,7 @@ def test_lambda_frozen_values():
         -5: 0,
         -4: 0,
         -3: 0,
-        -2: rat(1, 2),
+        -2: QQ(1, 2),
         -1: 1,
         0: -1,
         1: 2,

@@ -20,7 +20,7 @@ from threepv.liealg import (
     witt_bracket,
 )
 from threepv.ring import witt_bracket_geometric
-from threepv.scalars import QQ, Vec, rat
+from threepv.scalars import QQ, Vec
 
 
 def witt_gens(window):

@@ -1,9 +1,10 @@
 """Every top-level name and method in src/threepv is reached from the
 program itself.
 
-A function, class or constant counts as reached when another top-level
-statement of src/threepv, or a perfbench script, loads it by name (as a
-name or as an attribute).  A non-dunder method counts as reached when code
+A function, class or constant, bound at top level or inside a top-level
+if or try block, counts as reached when another top-level statement of
+src/threepv, or a perfbench script, loads it by name (as a name or as an
+attribute).  A non-dunder method counts as reached when code
 outside its own body loads its name as an attribute.  Tests do not count:
 code that only its own tests reach is either wired into the program or
 deleted.
@@ -24,6 +25,10 @@ ALLOWED = {
 
 
 def _defined(stmt):
+    if isinstance(stmt, (ast.If, ast.Try)):
+        inner = stmt.body + stmt.orelse + getattr(stmt, "finalbody", [])
+        inner += [s for h in getattr(stmt, "handlers", []) for s in h.body]
+        return set().union(*map(_defined, inner))
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return {stmt.name}
     targets = stmt.targets if isinstance(stmt, ast.Assign) else []

@@ -82,10 +82,7 @@ def test_rejects_bad_arguments():
 def test_vir_params_standard():
     vp = VirParams.standard(2)
     assert vp.nu == QQ(1, 4)
-    assert vp.zeta == 0
     assert vp.gamma1 == QQ(-1, 8)
-    assert vp.mu == 0
-    assert vp.gamma2 == 0
     assert vp.gammaP == QQ(-1, 8)
 
     assert central_charge(0) == QQ(-1, 2)
@@ -95,11 +92,7 @@ def test_vir_params_standard():
         d0 = 1 if r == 0 else 0
         for kappa0 in (1, 2, 5, QQ(3, 7)):
             vp = VirParams.standard(kappa0)
-            combo = -(
-                QQ(d0, 3)
-                + QQ(2, 3) * vp.nu ** 2 * QQ(kappa0) ** 2
-                - 2 * vp.zeta ** 2 * QQ(kappa0)
-            )
+            combo = -(QQ(d0, 3) + QQ(2, 3) * vp.nu ** 2 * QQ(kappa0) ** 2)
             assert combo == central_charge(r)
 
 
