@@ -55,13 +55,19 @@ take up the rest of the total mode, each within its half-line.  A sum
 with an unbounded creating slot beside another creating slot has no finite
 range and raises AssertionError.  The annihilation stage depends only on the
 families and the monomial, so _WALKS keeps it per (families, monomial) and
-every total mode and weight of those families reuses it.
+every total mode and weight of those families reuses it.  The creation stage
+does not depend on the monomial: a creation plan, kept per (creating slots,
+mode left) in a record that _PLANS shares among walks, lists each way to
+fill the mode as the last slot's mode, one packed delta adding every
+created variable, and a guard of the fields it touches.  A term clear of the
+guard takes the delta in one addition; one with a touched exponent at 128
+or more is multiplied variable by variable, checked against the limit.
 
 ModeOp memoizes monomial images in _MEMO for one parameter set at a time:
-an application under other parameters clears it, _OP_IDS and _WALKS in
-place, so repeated runs of one configuration stay warm and any other frees
-the last one's entries.  Linear combinations (+, combine) apply through
-their parts' memo entries.
+an application under other parameters clears it, _OP_IDS, _WALKS and
+_PLANS in place, so repeated runs of one configuration stay warm and any
+other frees the last one's entries.  Linear combinations (+, combine)
+apply through their parts' memo entries.
 """
 
 import itertools
@@ -286,26 +292,43 @@ def _ann_candidates(fam, mono, params):
     return out
 
 
-def _creation_modes(rest, highs):
-    """Mode tuples summing to rest, each at most its slot's bound in highs."""
-    if len(highs) == 1:
-        return [(rest,)] if rest <= highs[0] else []
-    least = rest - sum(highs[1:])
-    return [(m,) + tail for m in range(least, highs[0] + 1)
-            for tail in _creation_modes(rest - m, highs[1:])]
+def _plan(creators, highs, rest):
+    """The creation plan of the creating slots (creators, highs) at total
+    mode rest, at most the sum of highs: one (mode of the last slot, delta,
+    guard) per mode tuple summing to rest, each mode at most its slot's
+    bound in highs.  delta adds one to the exponent of each variable the
+    tuple creates, and guard holds bit 7 of each field it touches: a
+    monomial clear of guard takes delta without reaching the field limit,
+    since at most three slots create."""
+    if len(highs) > 1 and _INF in highs:
+        raise AssertionError("cannot bound creation range")
+    plan = [(None, 0, 0, rest)]
+    for i, ((code, sign), high) in enumerate(zip(creators, highs)):
+        below = sum(highs[i + 1:])
+        nxt = []
+        for _, delta, guard, left in plan:
+            # the last slot takes what the others leave, never above its bound
+            modes = range(left - below, high + 1) if i < len(highs) - 1 else (left,)
+            for m in modes:
+                s = _SHIFT.get((code, sign * m)) or _shift((code, sign * m))
+                nxt.append((m, delta + (1 << s), guard | 128 << s, left - m))
+        plan = nxt
+    return [entry[:3] for entry in plan if not entry[3]]
 
 
-# (fams, packed monomial) -> the annihilation branches of _walk, for the
-# parameter set of _MEMO; cleared with it.
+# (fams, packed monomial) -> the branches of _walk, for the parameter set of
+# _MEMO; (creators, highs) -> the record (creators, highs, {rest: plan}) that
+# branches share, parameter-free but cleared with the walks that reach it.
 _WALKS = {}
+_PLANS = {}
 
 
 def _walk(fams, mono, params):
     """The annihilation stage of every sum over fams on mono, whatever its
     total mode and weight: a list of branches
 
-        (partial image, annihilated mode total, creating slots' (code, sign),
-         their highest modes, the sum of those, mode of slot 0 or None)
+        (partial image, annihilated mode total, creating slots' record,
+         the sum of their highest modes, mode of slot 0 or None)
 
     The slots are walked right to left, as apply_product applies them,
     ending with slot 0.  A slot either annihilates with a mode read off
@@ -332,7 +355,8 @@ def _walk(fams, mono, params):
         if not nxt:
             return []
         branches = nxt
-    return branches
+    return [(terms, total, _PLANS.setdefault((creators, highs), (creators, highs, {})),
+             top, p) for terms, total, creators, highs, top, p in branches]
 
 
 def _apply_sum(fams, M, c0, c1, mono, params, acc):
@@ -342,40 +366,33 @@ def _apply_sum(fams, M, c0, c1, mono, params, acc):
     Each term is creators(annihilators(mono)).  The annihilation branches
     come from _walk, once per (fams, mono); the creating slots of each then
     fill the rest of M within their half-lines, slot 0 being the last of
-    them when it creates.
+    them when it creates, by the plan _plan makes once per (slots, rest).
     """
     if params is not _MEMO_PARAMS:  # say, a call from outside ModeOp._apply
         _use(params)
     branches = _WALKS.get((fams, mono))
     if branches is None:
         branches = _WALKS[(fams, mono)] = _walk(fams, mono, params)
-    for terms, total, creators, highs, top, p in branches:
+    for terms, total, slots, top, p in branches:
         rest = M - total
         if rest > top:
             continue
         if p is not None and not c0 + c1 * p:
             continue
-        if len(highs) > 1:
-            if _INF in highs:
-                raise AssertionError("cannot bound creation range")
-            modes_list = _creation_modes(rest, highs)
-        elif highs:
-            modes_list = [(rest,)]
-        elif rest:
-            continue
-        else:
-            modes_list = [()]
-        for modes in modes_list:
-            w = c0 + c1 * (modes[-1] if p is None else p)
+        plan = slots[2].get(rest)
+        if plan is None:
+            plan = slots[2][rest] = _plan(slots[0], slots[1], rest)
+        for last, delta, guard in plan:
+            w = c0 + c1 * (last if p is None else p)
             if not w:
                 continue
-            units = [_SHIFT.get((code, sign * m)) or _shift((code, sign * m))
-                     for (code, sign), m in zip(creators, modes)]
             for mo, c in terms:
-                for s in units:
-                    if (mo >> s) & _LIMIT == _LIMIT:
-                        raise OverflowError("exponent exceeds %d" % _LIMIT)
-                    mo += 1 << s
+                if mo & guard:  # an exponent at 128 or more: add unit by unit
+                    for var, k in _fields(delta):
+                        for _ in range(k):
+                            mo = _mono_mul(mo, var)
+                else:
+                    mo += delta
                 # Vec.add_term inlined: the kernel's per-term loop
                 v = acc.get(mo, 0) + w * c
                 if v:
@@ -430,17 +447,18 @@ _MEMO = {}
 # its id across a clear can never hit another operator's entries.
 _OP_IDS = {}
 _NEXT_OP_ID = itertools.count()
-_MEMO_PARAMS = None     # the RepParams whose entries _MEMO and _WALKS hold
+_MEMO_PARAMS = None     # the RepParams of the entries in _MEMO, _WALKS, _PLANS
 
 
 def _use(params):
-    """Make params the parameter set of _MEMO and _WALKS, clearing both (and
-    _OP_IDS) in place unless it equals the one they hold."""
+    """Make params the parameter set of _MEMO, _WALKS and _PLANS, clearing
+    them (and _OP_IDS) in place unless it equals the one they hold."""
     global _MEMO_PARAMS
     if _MEMO_PARAMS is None or params.key != _MEMO_PARAMS.key:
         _MEMO.clear()
         _OP_IDS.clear()
         _WALKS.clear()
+        _PLANS.clear()
     _MEMO_PARAMS = params
 
 
@@ -468,6 +486,10 @@ class ModeOp:
         terms = ((qq(c), fs) for c, fs in terms)
         self.terms = tuple((c, tuple(fs)) for c, fs in terms if c)
         self.sums = tuple(sums)
+        fams = {f for _c, fs in self.terms for f, _m in fs}
+        fams.update(f for s in self.sums for f in s[:2 if isinstance(s, QuadSum) else 3])
+        if not fams <= ANNIHILATES.keys():
+            raise ValueError("unknown mode family %r" % min(fams - ANNIHILATES.keys()))
         self.params = params
         self.key = (self.terms, self.sums, params.key)
         self.op_id = None

@@ -4,6 +4,7 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from threepv import fock
 from threepv.scalars import QQ
@@ -175,6 +176,12 @@ def test_annihilation_candidates_are_the_acting_modes(r, B0, B1):
 def test_unknown_mode_family_is_refused():
     with pytest.raises(ValueError):
         fock.apply_factor("c", 0, fock._pack(VACUUM_MONO), P0)
+    # when an operator is built, in a product or in a sum, not when applied
+    for terms, sums in ((((1, (("a", 1), ("c", 0))),), ()),
+                        ((), (QuadSum("c", "a", 0, 1, 0),)),
+                        ((), (CubicSum("a", "a*", "c", 0, 1),))):
+        with pytest.raises(ValueError, match="unknown mode family 'c'"):
+            ModeOp(terms, sums, P0)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +314,28 @@ def test_unboundable_sum_raises():
             assert (fams, vac) in fock._WALKS
 
 
+def test_creation_plans_cross_bit_7_and_stop_at_the_field_limit():
+    # every term of sum_{i+j+k=-3} :a_i a_j a_k: at r=0 on a monomial in
+    # x_{-1} alone is x_{-1}^3 times it: delta adds 3 to one field
+    cs = CubicSum("a", "a", "a", -3, 1)
+    for e in (126, 127, 252):
+        st = FockState({make_monomial({(X, -1): e}): 1})
+        got = ModeOp((), (cs,), P0).apply(st)
+        assert got == naive_sum_apply(cs, st, P0, 4), e
+        assert got.terms == {make_monomial({(X, -1): e + 3}): 1}, e
+    with pytest.raises(OverflowError):
+        ModeOp((), (cs,), P0).apply(FockState({make_monomial({(X, -1): 253}): 1}))
+    # two creators on different fields, one of them at 127: terms
+    # (p, q) = (-1, -2) and (-2, -1) of sum_{p+q=-3} (3 + p) :a_p a1_q:
+    qs = QuadSum("a", "a1", -3, 3, 1)
+    st = FockState({make_monomial({(X, -1): 127, (X1, -1): 1}): 1})
+    got = ModeOp((), (qs,), P0).apply(st)
+    assert got == naive_sum_apply(qs, st, P0, 4)
+    assert got.terms == {
+        make_monomial({(X, -1): 128, (X1, -1): 1, (X1, -2): 1}): 2,
+        make_monomial({(X, -1): 127, (X, -2): 1, (X1, -1): 2}): 1}
+
+
 def test_quad_sum_frozen_example():
     # sum_{p+q=0} 2 :a_p a*_q: at r=0 acts diagonally on monomials:
     # x_j with j >= 0 counts +1 per power (term p = j, x_j d/dx_j), while
@@ -371,6 +400,27 @@ def test_sums_at_rational_kappa0(r):
                                       states, params)
     for fams in CUBIC_SHAPES:
         _assert_sum_matches_naive(CubicSum(*fams, -1, QQ(-5, 2)), states, params)
+
+
+_VARS = ([(X, j) for j in range(-3, 4)] + [(X1, j) for j in range(-3, 4)]
+         + [(Y, j) for j in range(-3, 0)] + [(Y1, j) for j in range(-3, 0)])
+_monos = hs.builds(make_monomial,
+                   hs.dictionaries(hs.sampled_from(_VARS), hs.integers(1, 2), max_size=3),
+                   hs.integers(0, 1))
+_coeffs = hs.one_of(hs.integers(-3, 3),
+                    hs.builds(QQ, hs.integers(-3, 3), hs.integers(1, 3)))
+
+
+@given(hs.sampled_from(QUAD_SHAPES + CUBIC_SHAPES), hs.integers(-4, 4),
+       _coeffs, _coeffs, hs.sampled_from(PARAMS),
+       hs.dictionaries(_monos, hs.integers(-3, 3).filter(bool), min_size=1, max_size=2))
+@settings(max_examples=120, deadline=None)
+def test_sums_match_naive_on_drawn_shapes(fams, M, c0, c1, params, terms):
+    if len(fams) == 2:
+        sum_op = QuadSum(*fams, M, c0, c1)
+    else:
+        sum_op = CubicSum(*fams, M, c0)
+    _assert_sum_matches_naive(sum_op, [FockState(terms)], params)
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
@@ -520,27 +570,33 @@ def test_right_hand_sides_reuse_their_generators_memo_entries(monkeypatch):
 
 
 def test_memo_holds_one_parameter_set(monkeypatch):
-    memo, walks = {}, {}
+    memo, walks, plans = {}, {}, {}
     monkeypatch.setattr(fock, "_MEMO", memo)
     monkeypatch.setattr(fock, "_WALKS", walks)
+    monkeypatch.setattr(fock, "_PLANS", plans)
     P, Q = RepParams(r=0, kappa0=QQ(3, 2)), RepParams(r=0, kappa0=2)
     states = [FockState.vacuum()] + seeded_states(17, 2)
     opP, opQ = tau_mode("e", 0, P), tau_mode("e", 0, Q)
     for s in states:
         opP.apply(s)
     assert {op_id for op_id, _ in memo} == {opP.op_id}
-    walks_P = list(walks.values())
-    assert walks_P
+    walks_P, plans_P = list(walks.values()), list(plans.values())
+    assert walks_P and any(slots[2] for slots in plans_P)
     for s in states:
         opQ.apply(s)
     # cleared in place: the same dicts, now with Q's entries only
-    assert fock._MEMO is memo and fock._WALKS is walks
+    assert fock._MEMO is memo and fock._WALKS is walks and fock._PLANS is plans
     assert {op_id for op_id, _ in memo} == {opQ.op_id}
     assert walks and not {id(w) for w in walks_P} & {id(w) for w in walks.values()}
+    assert plans and not {id(p) for p in plans_P} & {id(p) for p in plans.values()}
+    # the walks reach plans through _PLANS alone
+    reached = {id(branch[2]) for w in walks.values() for branch in w}
+    assert reached <= {id(p) for p in plans.values()}
     # equal parameters in a new object keep them
-    entries, walked = dict(memo), dict(walks)
+    entries, walked, planned = dict(memo), dict(walks), dict(plans)
     tau_mode("e", 0, RepParams(r=0, kappa0=2)).apply(states[1])
-    assert memo == entries and walks == walked
+    assert memo == entries and walks == walked and plans == planned
+    assert all(plans[k] is planned[k] for k in plans)
     # the two gauges never share walks, though their keys are the same
     sum_op = QuadSum("a", "a*", 1, 1, 1)
     for params in (P0, P1, P0):

@@ -24,4 +24,5 @@ def test_report_bytes_match_the_golden_corpus(case, capsys):
     status = main(case["argv"] + ["--format", "json"])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == case["sha256"]
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
     assert status == case["exit"]

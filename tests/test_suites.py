@@ -251,6 +251,21 @@ def test_empty_report_counts():
     assert data["passed"] == 0 and data["failed"] == 0
 
 
+def test_json_emitter_matches_the_standard_library():
+    # every golden config is compared in tests/test_golden.py
+    odd = "x_{-1} \"q\" \\ \u00e9\u2603 },\n      {"  # the break between checks, escaped
+    checks = [{"lhs": odd, "rhs": "r", "state": "0", "pass": False, "residual": odd},
+              {"lhs": "l", "rhs": "r", "state": "-", "pass": True, "residual": None}]
+    params = {"r": 0, "kappa0": "3/2", "B1": [["1", "2"], ["3", "1"]], "seed": None}
+    for rep in (CheckReport("mu-compare", {}, []),
+                CheckReport("witt-rep", params, checks),
+                CheckReport("witt-rep", params, checks * 150),  # past one batch
+                report("virasoro-rep", r=0, kappa0=1, window=1)):
+        fields = {k: getattr(rep, k)
+                  for k in ("suite", "params", "checks", "passed", "failed")}
+        assert emit_report(rep, "json") == json.dumps(fields, indent=2) + "\n"
+
+
 def test_text_format_lines():
     rep = report("kaehler-basis", window=1)
     text = emit_report(rep, "text")
