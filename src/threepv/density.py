@@ -17,7 +17,7 @@ import functools
 import itertools
 
 from .liealg import witt_bracket
-from .scalars import Vec
+from .scalars import QQ, Vec, qq
 
 
 def density_act(gen, vec, alpha):
@@ -42,32 +42,37 @@ def density_act(gen, vec, alpha):
     return out
 
 
-def _act_by_vector(wv, act):
-    out = Vec()
-    for gen, c in wv.terms.items():
-        out += act(gen).scale(c)
-    return out
-
-
 def density_module_check(alpha, window):
     """All module-axiom violations on the window; empty list means U_alpha
     is a module there.
 
     Checks [x, y].v == x.(y.v) - y.(x.v) for Witt generators x, y with
-    |mode| <= window and basis vectors v with |index| <= window, acting
-    by each generator on each basis vector once.
+    |mode| <= window and basis vectors v with |index| <= window.  With q
+    the denominator of alpha, q (g . key) has integer coefficients; it is
+    computed once per (generator, basis key) and kept as item tuples.
+    Each (x, y, v) sums q^2 ([x, y].v - x.(y.v) + y.(x.v)) into one int
+    dict, and only a nonzero sum is divided by q^2 into a Vec residual.
     """
+    q = qq(alpha).denominator
     gens = [(k, m) for k in ("d", "d1") for m in range(-window, window + 1)]
     basis = [(b, i) for b in ("a", "abar") for i in range(-window, window + 1)]
-    act_once = functools.cache(lambda gen, key: density_act(gen, Vec({key: 1}), alpha))
+    act = functools.cache(lambda gen, key: tuple(
+        density_act(gen, Vec({key: q}), alpha).terms.items()))
     bad = []
     for x, y in itertools.combinations(gens, 2):
-        via_bracket = witt_bracket(x, y)
+        via_bracket = [(gen, q * c) for gen, c in witt_bracket(x, y).terms.items()]
         for key in basis:
-            lhs = _act_by_vector(via_bracket, lambda gen: act_once(gen, key))
-            rhs = density_act(x, act_once(y, key), alpha) - density_act(
-                y, act_once(x, key), alpha
-            )
-            if not (lhs - rhs).is_zero():
-                bad.append(((x, y, key), lhs - rhs))
+            acc = {}
+            for gen, c in via_bracket:
+                for k, v in act(gen, key):
+                    acc[k] = acc.get(k, 0) + c * v
+            for k1, c in act(y, key):
+                for k, v in act(x, k1):
+                    acc[k] = acc.get(k, 0) - c * v
+            for k1, c in act(x, key):
+                for k, v in act(y, k1):
+                    acc[k] = acc.get(k, 0) + c * v
+            if any(acc.values()):
+                bad.append(((x, y, key),
+                            Vec({k: QQ(v, q * q) for k, v in acc.items()})))
     return bad

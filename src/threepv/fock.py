@@ -603,6 +603,9 @@ def contraction(famA, famB, m, n, params):
     """Scalar with A_m B_n = :A_m B_n: + contraction * Id on every state:
     when A_m annihilates and B_n creates, the coefficient in A_m of the
     derivative by the variable B_n creates, and 0 otherwise."""
+    for fam in (famA, famB):
+        if fam not in ANNIHILATES:
+            raise ValueError("unknown mode family %r" % (fam,))
     ann_from = ANN_FROM[params.r]
     if m < ann_from[famA] or n >= ann_from[famB]:
         return 0

@@ -272,27 +272,32 @@ def check_antisymmetry(bracket, gens):
     return bad
 
 
-def _bracket_with_vector(bracket, x, vec):
-    out = Vec()
-    for w, c in vec.terms.items():
-        if w[0] in CENTRAL_FAMILIES:
-            continue
-        for key2, c2 in bracket(x, w).terms.items():
-            out.add_term(key2, c * c2)
-    return out
-
-
 def check_jacobi(bracket, gens):
     """All unordered triples violating Jacobi; empty list means it holds.
-    Each pair bracket is computed once per check."""
-    bracket = functools.cache(bracket)
+
+    Each bracket is computed once per check and kept as item tuples:
+    ad[i][w] holds [gens[i], w], filled up front for every ordered pair of
+    gens and on first use for a mode an inner bracket reaches outside them,
+    and inner[i][j] is ad[i][gens[j]] without its central families.  A
+    triple sums its three nested brackets into one dict, and only a
+    nonzero sum is turned into a Vec residual.
+    """
+    ad = [{w: tuple(bracket(x, w).terms.items()) for w in gens} for x in gens]
+    inner = [[tuple((w, c) for w, c in row[y] if w[0] not in CENTRAL_FAMILIES)
+              for y in gens] for row in ad]
     bad = []
-    for x, y, z in itertools.combinations(gens, 3):
-        total = _bracket_with_vector(bracket, x, bracket(y, z))
-        total += _bracket_with_vector(bracket, y, bracket(z, x))
-        total += _bracket_with_vector(bracket, z, bracket(x, y))
-        if not total.is_zero():
-            bad.append(((x, y, z), total))
+    for i, j, k in itertools.combinations(range(len(gens)), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            row = ad[a]
+            for w, cw in inner[b][c]:
+                items = row.get(w)
+                if items is None:
+                    items = row[w] = tuple(bracket(gens[a], w).terms.items())
+                for key, v in items:
+                    acc[key] = acc.get(key, 0) + cw * v
+        if any(acc.values()):
+            bad.append(((gens[i], gens[j], gens[k]), Vec(acc)))
     return bad
 
 

@@ -86,6 +86,14 @@ def parse_b1(text):
     return ((a, b), (c, d))
 
 
+def _integer(name, x):
+    """x as an int; a value that int() would truncate is refused."""
+    value = int(x)
+    if value != x:
+        raise ValueError("%s must be an integer, got %r" % (name, x))
+    return value
+
+
 class SuiteConfig:
     """Validated parameters for one suite run."""
 
@@ -101,7 +109,7 @@ class SuiteConfig:
         kappa0 = QQ(kappa0)
         if not kappa0:
             raise ValueError("kappa0 must be nonzero")
-        window = int(window)
+        window = _integer("window", window)
         if window < 1:
             raise ValueError("window must be >= 1, got %r" % (window,))
         parse_states_spec(states)
@@ -114,7 +122,7 @@ class SuiteConfig:
         self.B1 = tuple(tuple(QQ(x) for x in row) for row in B1)
         self.window = window
         self.states = states
-        self.seed = int(seed)
+        self.seed = _integer("seed", seed)
         self.format = format
 
     def rep_params(self):

@@ -182,6 +182,10 @@ def test_unknown_mode_family_is_refused():
                         ((), (CubicSum("a", "a*", "c", 0, 1),))):
         with pytest.raises(ValueError, match="unknown mode family 'c'"):
             ModeOp(terms, sums, P0)
+    # in either position of a contraction
+    for famA, famB in (("c", "a*"), ("a", "c")):
+        with pytest.raises(ValueError, match="unknown mode family 'c'"):
+            fock.contraction(famA, famB, 1, -1, P0)
 
 
 # ---------------------------------------------------------------------------

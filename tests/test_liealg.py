@@ -6,6 +6,7 @@ import pytest
 
 from threepv.kaehler import lambda_coeff, mu_oracle
 from threepv.liealg import (
+    CENTRAL_FAMILIES,
     affine_bracket,
     affine_bracket_kassel,
     check_antisymmetry,
@@ -243,3 +244,33 @@ def test_vir_jacobi_window_3():
     gens = witt_gens(3) + [("c1", 0), ("c2", 0)]
     assert check_antisymmetry(vir_bracket, gens) == []
     assert check_jacobi(vir_bracket, gens) == []
+
+
+# --- the Jacobi check against the per-step Vec loop -------------------------
+
+def _reference_jacobi(bracket, gens):
+    """The triple loop check_jacobi replaces: one Vec per nested bracket."""
+    def ad(x, vec):
+        out = Vec()
+        for w, c in vec.terms.items():
+            if w[0] not in CENTRAL_FAMILIES:
+                out += bracket(x, w).scale(c)
+        return out
+
+    bad = []
+    for x, y, z in itertools.combinations(gens, 3):
+        total = ad(x, bracket(y, z)) + ad(y, bracket(z, x)) + ad(z, bracket(x, y))
+        if not total.is_zero():
+            bad.append(((x, y, z), total))
+    return bad
+
+
+def test_jacobi_residuals_match_the_reference_loop():
+    gens = affine_gens(2)
+    got = check_jacobi(affine_bracket, gens)
+    want = _reference_jacobi(affine_bracket, gens)
+    assert len(want) == 313
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert [repr(r) for _, r in got] == [repr(r) for _, r in want]
+    assert [r.terms for _, r in got] == [r.terms for _, r in want]
+

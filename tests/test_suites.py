@@ -44,6 +44,15 @@ def test_config_rejects_bad_values():
         SuiteConfig("ring-witt", format="yaml")
 
 
+def test_config_refuses_a_non_integral_window_or_seed():
+    for kw in ({"window": 2.7}, {"window": QQ(5, 2)}, {"seed": 1.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SuiteConfig("ring-witt", **kw)
+    cfg = SuiteConfig("ring-witt", window=QQ(2), seed=3.0)
+    assert (cfg.window, cfg.seed) == (2, 3)
+    assert type(cfg.window) is int and type(cfg.seed) is int
+
+
 def test_states_spec_parsing():
     assert parse_states_spec("vacuum") == ("vacuum", 0, 0)
     assert parse_states_spec("random:20:3") == ("random", 20, 3)
