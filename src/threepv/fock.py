@@ -83,9 +83,13 @@ VACUUM_MONO = ((), 0)
 
 
 class RepParams:
-    """Gauge r, central value kappa0, and the zero-mode data B0, B1."""
+    """Gauge r, central value kappa0, and the zero-mode data B0, B1.
 
-    __slots__ = ("r", "kappa0", "B0", "B1", "key")
+    ops holds the operators the realization builders made under this
+    object, so each is built once per parameter set object.
+    """
+
+    __slots__ = ("r", "kappa0", "B0", "B1", "key", "ops")
 
     def __init__(self, r=0, kappa0=1, B0=1, B1=((1, 2), (3, 1))):
         if r not in (0, 1):
@@ -102,6 +106,7 @@ class RepParams:
         if self.B1[0][0] != self.B1[1][1]:
             raise ValueError("B1 must have equal diagonal entries")
         self.key = (self.r, self.kappa0, self.B0, self.B1)
+        self.ops = {}
 
     def __repr__(self):
         return "RepParams(r=%d, kappa0=%s, B0=%s, B1=%r)" % (

@@ -11,7 +11,7 @@ The un-superscripted families pair with t^m, the "1" families with t^m u.
 Two independent routes produce the affine structure constants:
 
     affine_bracket        the closed bracket table, verbatim
-    affine_bracket_kassel sl2 tensor R with central term (x,y) class(f dg),
+    kassel_bracket()      sl2 tensor R with central term (x,y) class(f dg),
                           central values computed by the Kaehler reduction
 
 and the two do NOT agree everywhere; mu_compare / kassel-vs-table report
@@ -225,36 +225,46 @@ _SL2_FORM = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2}
 def _split_affine_gen(g):
     fam, m = g
     letter = fam[0]
-    uu = 1 if fam.endswith("1") else 0
     if letter not in ("e", "f", "h"):
         raise ValueError("not an affine generator: %r" % (g,))
-    return letter, RRingElem.monomial(m, uu)
+    return letter, m, 1 if fam.endswith("1") else 0
 
 
-def affine_bracket_kassel(i, j):
-    """[x (x) f, y (x) g] = [x,y] (x) fg + (x,y) class(f dg).
+def kassel_bracket():
+    """A fresh Kassel bracket, [x (x) f, y (x) g] = [x,y] (x) fg + (x,y) class(f dg).
 
     The central term is computed by the Kaehler reduction engine, so this
-    route is independent of the closed table and of mu_closed_form.
+    route is independent of the closed table and of mu_closed_form.  The
+    returned function keeps, per monomial pair (m, uu, n, vv), the items of
+    t^m u^uu * t^n u^vv and class(f dg) as (q0, q1), computed on first use;
+    a call then reads the sl2 tables and builds one Vec.  Build one per run:
+    the kept data goes with the function.
     """
-    (ki, _), (kj, _) = i, j
-    if ki in CENTRAL_FAMILIES or kj in CENTRAL_FAMILIES:
-        return Vec()
-    x, fx = _split_affine_gen(i)
-    y, fy = _split_affine_gen(j)
+    parts = {}
 
-    out = Vec()
-    prod = fx * fy
-    for (z, c) in _SL2_BRACKET.get((x, y), ()):
-        for (k, uu), cc in prod.terms.items():
-            out.add_term((z + ("1" if uu else ""), k), c * cc)
+    def affine_bracket_kassel(i, j):
+        if i[0] in CENTRAL_FAMILIES or j[0] in CENTRAL_FAMILIES:
+            return Vec()
+        x, m, uu = _split_affine_gen(i)
+        y, n, vv = _split_affine_gen(j)
+        part = parts.get((m, uu, n, vv))
+        if part is None:
+            f, g = RRingElem.monomial(m, uu), RRingElem.monomial(n, vv)
+            cls = pairing(f, g)
+            part = parts[(m, uu, n, vv)] = (
+                tuple((f * g).terms.items()), cls.q0, cls.q1)
+        prod, q0, q1 = part
+        out = {}
+        for z, c in _SL2_BRACKET.get((x, y), ()):
+            for (k, w), cc in prod:
+                out[(z + "1" if w else z, k)] = c * cc
+        fv = _SL2_FORM.get((x, y))
+        if fv:
+            out[("w0", 0)] = fv * q0
+            out[("w1", 0)] = fv * q1
+        return Vec(out)
 
-    fv = _SL2_FORM.get((x, y))
-    if fv:
-        cls = pairing(fx, fy)
-        out.add_term(("w0", 0), fv * cls.q0)
-        out.add_term(("w1", 0), fv * cls.q1)
-    return out
+    return affine_bracket_kassel
 
 
 # ---------------------------------------------------------------------------

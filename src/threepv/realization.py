@@ -30,6 +30,8 @@ reports the integer mode shift that would repair any failure, so a
 convention drift surfaces as a loud diagnostic instead of a silent mismatch.
 """
 
+import functools
+
 from .scalars import QQ, binom, qq
 from .fock import CubicSum, ModeOp, QuadSum, combine, commutator_apply
 
@@ -43,6 +45,21 @@ def chi0(params):
     return params.kappa0 + (4 if params.r == 0 else 0)
 
 
+def _built_once(build):
+    """build, with the operator it returns for (*args, params) kept in
+    params.ops, so each is built once per parameter set object."""
+    @functools.wraps(build)
+    def builder(*args):
+        ops = args[-1].ops
+        key = (build,) + args[:-1]
+        op = ops.get(key)
+        if op is None:
+            op = ops[key] = build(*args)
+        return op
+    return builder
+
+
+@_built_once
 def _unit(params):
     # every multiple of the identity goes through this one base
     return ModeOp(((1, ()),), (), params)
@@ -52,6 +69,7 @@ def _unit(params):
 # tau: the affine generators
 # ---------------------------------------------------------------------------
 
+@_built_once
 def tau_mode(gen, m, params):
     """Mode m of the realized affine generator.
 
@@ -152,6 +170,7 @@ def _witt_sums(kind, m):
     raise ValueError("unknown derivation family %r" % (kind,))
 
 
+@_built_once
 def pi_witt_mode(kind, m, params):
     """Mode m of the realized derivation family d or d1 (authoritative sums)."""
     return ModeOp((), _witt_sums(kind, m), params)
@@ -250,18 +269,23 @@ def pi_vir_mode(kind, m, params, vparams=None):
     derivation family D or D1."""
     if vparams is None:
         vparams = VirParams.standard(params.kappa0)
+    return _vir_mode(kind, m, vparams.nu, vparams.gamma1, vparams.gammaP, params)
+
+
+@_built_once
+def _vir_mode(kind, m, nu, gamma1, gammaP, params):
     if kind == "D":
         sums = list(_witt_sums("d", m + 1))
-        if vparams.gammaP:
-            sums.append(QuadSum("b", "b", m + 2, vparams.gammaP, 0))
-            sums.append(QuadSum("b", "b", m + 1, 4 * vparams.gammaP, 0))
-        if vparams.gamma1:
-            sums.append(QuadSum("b1", "b1", m, vparams.gamma1, 0))
+        if gammaP:
+            sums.append(QuadSum("b", "b", m + 2, gammaP, 0))
+            sums.append(QuadSum("b", "b", m + 1, 4 * gammaP, 0))
+        if gamma1:
+            sums.append(QuadSum("b1", "b1", m, gamma1, 0))
         return ModeOp((), sums, params)
     if kind == "D1":
         sums = list(_witt_sums("d1", m + 1))
-        if vparams.nu:
-            sums.append(QuadSum("b", "b1", m, vparams.nu, 0))
+        if nu:
+            sums.append(QuadSum("b", "b1", m, nu, 0))
         return ModeOp((), sums, params)
     raise ValueError("unknown extended family %r" % (kind,))
 
@@ -335,6 +359,7 @@ FIELD_BUILDERS = {
 }
 
 
+@_built_once
 def field_mode(name, k, params):
     """Mode k (weight-one indexing) of a registered field."""
     try:

@@ -15,18 +15,18 @@ import itertools
 import json
 import random
 
-from .scalars import QQ, parse_rat, rat_str
+from .scalars import QQ, parse_rat, qq, rat_str
 from .ring import RRingElem, witt_bracket_geometric
 from .kaehler import CohomClass, OneForm, differential, reduce_mod_dR
 from .kaehler import lambda_coeff, mu_oracle
 from .liealg import (
     affine_bracket,
-    affine_bracket_kassel,
     check_antisymmetry,
     check_cocycle_identity,
     check_jacobi,
     coboundary_window_test,
     heis_bracket,
+    kassel_bracket,
     mu_closed_form,
     phi1,
     phi2,
@@ -106,7 +106,7 @@ class SuiteConfig:
             raise ValueError("unknown suite: %s" % (suite,))
         if r not in (0, 1):
             raise ValueError("r must be 0 or 1, got %r" % (r,))
-        kappa0 = QQ(kappa0)
+        kappa0 = qq(kappa0)
         if not kappa0:
             raise ValueError("kappa0 must be nonzero")
         window = _integer("window", window)
@@ -118,8 +118,8 @@ class SuiteConfig:
         self.suite = suite
         self.r = int(r)
         self.kappa0 = kappa0
-        self.B0 = QQ(B0)
-        self.B1 = tuple(tuple(QQ(x) for x in row) for row in B1)
+        self.B0 = qq(B0)
+        self.B1 = tuple(tuple(qq(x) for x in row) for row in B1)
         self.window = window
         self.states = states
         self.seed = _integer("seed", seed)
@@ -303,14 +303,15 @@ def _fam_multiset(fams):
 
 def _suite_affine_jacobi(cfg):
     gens = [(g, m) for g in AFFINE_GENERATORS for m in _modes(cfg.window)]
-    bad_anti = check_antisymmetry(affine_bracket_kassel, gens)
+    kassel = kassel_bracket()
+    bad_anti = check_antisymmetry(kassel, gens)
     yield _check(
         "antisymmetry of the oracle-backed bracket, |modes| <= %d" % cfg.window,
         "0", "-", not bad_anti,
         None if not bad_anti else "%d violations; first %r" % (
             len(bad_anti), bad_anti[0][0]))
     bad_by_fams = {}
-    for (x, y, z), res in check_jacobi(affine_bracket_kassel, gens):
+    for (x, y, z), res in check_jacobi(kassel, gens):
         key = _fam_multiset((x[0], y[0], z[0]))
         bad_by_fams.setdefault(key, []).append(((x, y, z), res))
     for fams in sorted(set(itertools.combinations_with_replacement(
@@ -329,9 +330,10 @@ def _suite_affine_jacobi(cfg):
 
 def _suite_kassel_vs_table(cfg):
     gens = [(g, m) for g in AFFINE_GENERATORS for m in _modes(cfg.window)]
+    kassel = kassel_bracket()
     for i in gens:
         for j in gens:
-            diff = affine_bracket(i, j) - affine_bracket_kassel(i, j)
+            diff = affine_bracket(i, j) - kassel(i, j)
             name = "[%s_%d, %s_%d]" % (i[0], i[1], j[0], j[1])
             yield _check("closed table %s" % name,
                          "pairing construction %s" % name,

@@ -1,26 +1,30 @@
 """Bracket tables, cocycles, and the two routes to the affine algebra."""
 
+import gc
+import inspect
 import itertools
+import weakref
 
 import pytest
 
-from threepv.kaehler import lambda_coeff, mu_oracle
+from threepv import liealg, suites
+from threepv.kaehler import lambda_coeff, mu_oracle, pairing
 from threepv.liealg import (
     CENTRAL_FAMILIES,
     affine_bracket,
-    affine_bracket_kassel,
     check_antisymmetry,
     check_cocycle_identity,
     check_jacobi,
     coboundary_window_test,
     heis_bracket,
+    kassel_bracket,
     mu_closed_form,
     phi1,
     phi2,
     vir_bracket,
     witt_bracket,
 )
-from threepv.ring import witt_bracket_geometric
+from threepv.ring import RRingElem, witt_bracket_geometric
 from threepv.scalars import QQ, Vec
 
 
@@ -162,7 +166,7 @@ def test_affine_table_antisymmetry():
 
 
 def test_affine_kassel_antisymmetry():
-    assert check_antisymmetry(affine_bracket_kassel, affine_gens(3)) == []
+    assert check_antisymmetry(kassel_bracket(), affine_gens(3)) == []
 
 
 def test_affine_table_fails_jacobi_with_witness():
@@ -180,7 +184,7 @@ def test_affine_table_fails_jacobi_with_witness():
 
 
 def test_affine_kassel_satisfies_jacobi_window_2():
-    assert check_jacobi(affine_bracket_kassel, affine_gens(2)) == []
+    assert check_jacobi(kassel_bracket(), affine_gens(2)) == []
 
 
 def test_affine_table_jacobi_violations_exist():
@@ -198,13 +202,12 @@ def test_affine_routes_differ_only_in_w1_of_mixed_pairs():
         ("e1", "f"), ("f", "e1"),
     }
     fams = ("e", "e1", "f", "f1", "h", "h1")
+    kassel = kassel_bracket()
     for ki in fams:
         for kj in fams:
             for m in range(-3, 4):
                 for n in range(-3, 4):
-                    diff = affine_bracket((ki, m), (kj, n)) - affine_bracket_kassel(
-                        (ki, m), (kj, n)
-                    )
+                    diff = affine_bracket((ki, m), (kj, n)) - kassel((ki, m), (kj, n))
                     if diff.is_zero():
                         continue
                     assert (ki, kj) in mixed, ((ki, m), (kj, n), diff)
@@ -212,18 +215,87 @@ def test_affine_routes_differ_only_in_w1_of_mixed_pairs():
 
 
 def test_affine_kassel_frozen_centrals():
-    got = affine_bracket_kassel(("h", 1), ("h1", 1))
+    kassel = kassel_bracket()
+    got = kassel(("h", 1), ("h1", 1))
     assert got.terms == {("w1", 0): QQ(-4)}  # 2 * mu(1,1) = -4
     got = affine_bracket(("h", 1), ("h1", 1))
     assert got.terms == {("w1", 0): QQ(4)}  # table: -2 mu(1,1) = +4
 
-    got = affine_bracket_kassel(("e", 1), ("f", -1))
+    got = kassel(("e", 1), ("f", -1))
     assert got.terms == {("h", 0): QQ(1), ("w0", 0): QQ(-1)}
     assert affine_bracket(("e", 1), ("f", -1)).terms == got.terms
 
-    got = affine_bracket_kassel(("e1", 1), ("f1", -3))
+    got = kassel(("e1", 1), ("f1", -3))
     assert got.terms == {("h", 0): QQ(1), ("h", -1): QQ(4), ("w0", 0): QQ(-2)}
     assert affine_bracket(("e1", 1), ("f1", -3)).terms == got.terms
+
+
+def _reference_kassel(i, j):
+    """The Kassel bracket as it was before kassel_bracket kept its monomial
+    data: two ring elements, one product and one reduction per call."""
+    (ki, m), (kj, n) = i, j
+    if ki in CENTRAL_FAMILIES or kj in CENTRAL_FAMILIES:
+        return Vec()
+    x, fx = ki[0], RRingElem.monomial(m, 1 if ki.endswith("1") else 0)
+    y, fy = kj[0], RRingElem.monomial(n, 1 if kj.endswith("1") else 0)
+    out = Vec()
+    prod = fx * fy
+    for (z, c) in liealg._SL2_BRACKET.get((x, y), ()):
+        for (k, uu), cc in prod.terms.items():
+            out.add_term((z + ("1" if uu else ""), k), c * cc)
+    fv = liealg._SL2_FORM.get((x, y))
+    if fv:
+        cls = pairing(fx, fy)
+        out.add_term(("w0", 0), fv * cls.q0)
+        out.add_term(("w1", 0), fv * cls.q1)
+    return out
+
+
+def test_run_scoped_kassel_matches_the_reference():
+    gens = affine_gens(6) + [("w0", 0), ("w1", 0)]
+    kassel = kassel_bracket()
+    pairs = list(itertools.product(gens, repeat=2))
+    # the second pass reads every monomial pair from the kept data
+    for i, j in pairs + pairs[::-1]:
+        got, want = kassel(i, j), _reference_kassel(i, j)
+        assert got.terms == want.terms, (i, j)
+        assert repr(got) == repr(want), (i, j)
+        assert {type(c) for c in got.terms.values()} <= {int, QQ}
+
+
+def test_kassel_reduces_each_monomial_pair_once(monkeypatch):
+    seen = {}
+
+    def counted(f, g):
+        key = (tuple(f.terms.items()), tuple(g.terms.items()))
+        seen[key] = seen.get(key, 0) + 1
+        return pairing(f, g)
+
+    monkeypatch.setattr(liealg, "pairing", counted)
+    rep = suites.run_suite(suites.SuiteConfig("affine-jacobi", window=3))
+    assert rep.failed == 0
+    assert seen and max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("suite", ["affine-jacobi", "kassel-vs-table"])
+def test_no_kept_kassel_data_outlives_the_run(suite, monkeypatch):
+    made, kept = [], []
+
+    def factory():
+        bracket = kassel_bracket()
+        made.append(weakref.ref(bracket))
+        kept.extend(c.cell_contents for c in bracket.__closure__
+                    if isinstance(c.cell_contents, dict))
+        return bracket
+
+    monkeypatch.setattr(suites, "kassel_bracket", factory)
+    suites.run_suite(suites.SuiteConfig(suite, window=2))
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
+    # the run kept monomial data, and nothing but this test holds it now
+    assert kept and any(kept)
+    for d in kept:
+        assert all(r is kept or inspect.isframe(r) for r in gc.get_referrers(d))
 
 
 # --- virasoro -----------------------------------------------------------------

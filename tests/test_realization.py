@@ -96,6 +96,37 @@ def test_vir_params_standard():
             assert combo == central_charge(r)
 
 
+def test_builders_return_one_operator_per_params_object():
+    params, other = RepParams(r=0, kappa0=QQ(3, 2)), RepParams(r=0, kappa0=QQ(3, 2))
+    builds = (
+        lambda p: tau_mode("e1", 2, p),
+        lambda p: pi_witt_mode("d", -1, p),
+        lambda p: field_mode("no_beta1_sq", 1, p),
+        lambda p: pi_vir_mode("D1", 0, p, VirParams(nu=1, gamma1=2, gammaP=3)),
+    )
+    for build in builds:
+        op = build(params)
+        assert build(params) is op
+        # an equal parameter set in another object builds its own operator
+        assert build(other) is not op
+        assert build(other).key == op.key
+    assert tau_mode("e1", 1, params) is not tau_mode("e1", 2, params)
+    assert tau_mode("e1", 2, params) is not tau_mode("f1", 2, params)
+
+
+def test_default_and_standard_vir_params_share_one_operator():
+    params = RepParams(r=1, kappa0=2)
+    before = len(params.ops)
+    op = pi_vir_mode("D", 1, params)
+    assert len(params.ops) == before + 1
+    # keyed on the values of vparams, not on its identity (all kept alive)
+    equal = [VirParams.standard(2), VirParams.standard(QQ(2)),
+             VirParams(QQ(1, 4), QQ(-1, 8), QQ(-1, 8))]
+    assert all(pi_vir_mode("D", 1, params, vp) is op for vp in equal)
+    assert len(params.ops) == before + 1
+    assert pi_vir_mode("D", 1, params, VirParams(nu=1)) is not op
+
+
 def test_chi0():
     assert chi0(P0) == 5
     assert chi0(P1) == 1

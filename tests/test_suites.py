@@ -53,6 +53,17 @@ def test_config_refuses_a_non_integral_window_or_seed():
     assert type(cfg.window) is int and type(cfg.seed) is int
 
 
+def test_config_refuses_float_scalars():
+    for kw in ({"kappa0": 0.1}, {"B0": 0.3}, {"B1": ((0.5, 1), (1, 0.5))}):
+        with pytest.raises(TypeError, match="float"):
+            SuiteConfig("ring-witt", **kw)
+    cfg = SuiteConfig("ring-witt", kappa0="3/2", B0=QQ(-1, 3),
+                      B1=(("1/2", 2), (QQ(3), "1/2")))
+    assert (cfg.kappa0, cfg.B0) == (QQ(3, 2), QQ(-1, 3))
+    assert cfg.B1 == ((QQ(1, 2), 2), (3, QQ(1, 2)))
+    assert cfg.params_dict()["B1"] == [["1/2", "2"], ["3", "1/2"]]
+
+
 def test_states_spec_parsing():
     assert parse_states_spec("vacuum") == ("vacuum", 0, 0)
     assert parse_states_spec("random:20:3") == ("random", 20, 3)
