@@ -7,8 +7,9 @@ Usage:
 
 A config file is a flat key=value listing of the same options ('#' starts a
 comment).  Command line flags win over config file entries.  The exit status
-is 0 when every check passes, 1 when any check fails, 2 on bad usage and 3
-on an internal error, so that an error never reads as a failed check.
+is 0 when every check passes, 1 when any check fails, 2 on bad usage (a
+state whose exponents pass the limit of 255 included) and 3 on an internal
+error, so that an error never reads as a failed check.
 """
 
 import argparse
@@ -99,7 +100,7 @@ def main(argv=None):
         cfg = SuiteConfig(**coerce_options(raw))
         report = run_suite(cfg)
         text = emit_report(report, cfg.format)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

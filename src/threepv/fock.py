@@ -63,13 +63,16 @@ created variable, and a guard of the fields it touches.  A term clear of the
 guard takes the delta in one addition; one with a touched exponent at 128
 or more is multiplied variable by variable, checked against the limit.
 
-ModeOp memoizes monomial images in _MEMO for one parameter set at a time:
-an application under other parameters clears it, _OP_IDS, _WALKS and
-_PLANS in place, so repeated runs of one configuration stay warm and any
-other frees the last one's entries.  Linear combinations (+, combine)
-apply through their parts' memo entries.
+ModeOp memoizes monomial images in _MEMO by the id each operator takes when
+built.  The caches hold one parameter set at a time: _use(params) clears
+_MEMO, _WALKS, _PLANS and _OPS, the operators built_once builders made,
+in place unless params equals the set they hold, so a repeated
+configuration gets its operators and their images back and any other frees
+the last one's entries.  Linear combinations (combine) apply through their
+parts' memo entries; the empty one, the zero operator, applies nothing.
 """
 
+import functools
 import itertools
 import random
 from collections import namedtuple
@@ -82,14 +85,20 @@ X, X1, Y, Y1 = 0, 1, 2, 3
 VACUUM_MONO = ((), 0)
 
 
+def b1_matrix(B1):
+    """The zero-mode matrix B1 as a 2x2 tuple of exact rationals; its
+    diagonal entries must be equal."""
+    (a, b), (c, d) = B1
+    B1 = ((qq(a), qq(b)), (qq(c), qq(d)))
+    if B1[0][0] != B1[1][1]:
+        raise ValueError("B1 must have equal diagonal entries")
+    return B1
+
+
 class RepParams:
-    """Gauge r, central value kappa0, and the zero-mode data B0, B1.
+    """Gauge r, central value kappa0, and the zero-mode data B0, B1."""
 
-    ops holds the operators the realization builders made under this
-    object, so each is built once per parameter set object.
-    """
-
-    __slots__ = ("r", "kappa0", "B0", "B1", "key", "ops")
+    __slots__ = ("r", "kappa0", "B0", "B1", "key")
 
     def __init__(self, r=0, kappa0=1, B0=1, B1=((1, 2), (3, 1))):
         if r not in (0, 1):
@@ -99,14 +108,8 @@ class RepParams:
         if not self.kappa0:
             raise ValueError("kappa0 must be nonzero")
         self.B0 = qq(B0)
-        self.B1 = (
-            (qq(B1[0][0]), qq(B1[0][1])),
-            (qq(B1[1][0]), qq(B1[1][1])),
-        )
-        if self.B1[0][0] != self.B1[1][1]:
-            raise ValueError("B1 must have equal diagonal entries")
+        self.B1 = b1_matrix(B1)
         self.key = (self.r, self.kappa0, self.B0, self.B1)
-        self.ops = {}
 
     def __repr__(self):
         return "RepParams(r=%d, kappa0=%s, B0=%s, B1=%r)" % (
@@ -446,25 +449,37 @@ def naive_sum_apply(sum_op, state, params, box):
 # composite operators
 # ---------------------------------------------------------------------------
 
-_MEMO = {}
-# Operator keys interned to small ints, so a memo lookup hashes (int, mono)
-# instead of the nested key.  Ids are never reused, so an operator that kept
-# its id across a clear can never hit another operator's entries.
-_OP_IDS = {}
+_MEMO = {}              # (op_id, packed monomial) -> image
+_OPS = {}               # (build, args) -> the operator built_once kept
 _NEXT_OP_ID = itertools.count()
-_MEMO_PARAMS = None     # the RepParams of the entries in _MEMO, _WALKS, _PLANS
+_MEMO_PARAMS = None     # the RepParams of every cache, as _use keeps it
 
 
 def _use(params):
-    """Make params the parameter set of _MEMO, _WALKS and _PLANS, clearing
-    them (and _OP_IDS) in place unless it equals the one they hold."""
+    """Make params the parameter set of _MEMO, _OPS, _WALKS and _PLANS,
+    clearing them in place unless it equals the one they hold."""
     global _MEMO_PARAMS
     if _MEMO_PARAMS is None or params.key != _MEMO_PARAMS.key:
         _MEMO.clear()
-        _OP_IDS.clear()
+        _OPS.clear()
         _WALKS.clear()
         _PLANS.clear()
     _MEMO_PARAMS = params
+
+
+def built_once(build):
+    """build, with the operator it returns for (*args, params) kept in _OPS,
+    so each is built once per parameter set."""
+    @functools.wraps(build)
+    def builder(*args):
+        if args[-1] is not _MEMO_PARAMS:
+            _use(args[-1])
+        key = (build,) + args[:-1]
+        op = _OPS.get(key)
+        if op is None:
+            op = _OPS[key] = build(*args)
+        return op
+    return builder
 
 
 class ModeOp:
@@ -476,18 +491,17 @@ class ModeOp:
 
     apply takes and returns a FockState of tuple monomials; _apply and
     apply_mono work on packed ones.  A base operator (parts None) memoizes
-    its packed monomial images in _MEMO by op_id, its key interned on first
-    application.  + and combine return a combination: parts is a tuple of
+    its packed monomial images in _MEMO by the op_id it takes when built;
+    equal operators share entries only by being one object, as built_once
+    makes them.  combine returns a combination: parts is a tuple of
     (coeff, base), and apply sums coeff * image over the parts, reusing
-    their entries and adding none.  Its flat terms, sums and key are built
-    when first read.
+    their entries and adding none; parts () is the zero operator.  Its flat
+    terms and sums are built when first read.
     """
 
-    __slots__ = ("terms", "sums", "params", "key", "op_id", "parts")
+    __slots__ = ("terms", "sums", "params", "op_id", "parts")
 
-    def __init__(self, terms=(), sums=(), params=None):
-        if params is None:
-            raise ValueError("params required")
+    def __init__(self, terms, sums, params):
         terms = ((qq(c), fs) for c, fs in terms)
         self.terms = tuple((c, tuple(fs)) for c, fs in terms if c)
         self.sums = tuple(sums)
@@ -496,13 +510,12 @@ class ModeOp:
         if not fams <= ANNIHILATES.keys():
             raise ValueError("unknown mode family %r" % min(fams - ANNIHILATES.keys()))
         self.params = params
-        self.key = (self.terms, self.sums, params.key)
-        self.op_id = None
+        self.op_id = next(_NEXT_OP_ID)
         self.parts = None
 
     def __getattr__(self, name):
         # only a combination leaves these unset, until they are first read
-        if name not in ("terms", "sums", "key"):
+        if name not in ("terms", "sums"):
             raise AttributeError(name)
         self.terms = tuple((qq(c * cc), fs) for c, base in self.parts
                            for cc, fs in base.terms)
@@ -510,21 +523,13 @@ class ModeOp:
             QuadSum(*s[:3], qq(c * s.c0), qq(c * s.c1))
             if isinstance(s, QuadSum) else CubicSum(*s[:4], qq(c * s.c))
             for c, base in self.parts for s in base.sums)
-        self.key = (self.terms, self.sums, self.params.key)
         return getattr(self, name)
-
-    def __add__(self, other):
-        if self.params is not other.params and self.params.key != other.params.key:
-            raise ValueError("parameter mismatch")
-        return combine(((1, self), (1, other)), self.params)
 
     def apply_mono(self, mono):
         """The image of a packed monomial, ((packed monomial, coeff), ...),
         through _MEMO."""
-        op_id = self.op_id
-        if op_id is None:
-            op_id = self.op_id = _OP_IDS.setdefault(self.key, next(_NEXT_OP_ID))
-        cached = _MEMO.get((op_id, mono))
+        key = (self.op_id, mono)
+        cached = _MEMO.get(key)
         if cached is None:
             acc = {}
             for coeff, factors in self.terms:
@@ -541,7 +546,7 @@ class ModeOp:
                 else:
                     apply_cubic_sum(sum_op, mono, self.params, acc)
             cached = tuple(acc.items())
-            _MEMO[(op_id, mono)] = cached
+            _MEMO[key] = cached
         return cached
 
     def apply(self, state):
@@ -553,7 +558,7 @@ class ModeOp:
         if self.params is not _MEMO_PARAMS:
             _use(self.params)
         out = {} if out is None else out
-        for coeff, base in self.parts or ((1, self),):
+        for coeff, base in ((1, self),) if self.parts is None else self.parts:
             coeff *= scale
             items = packed_terms.items()
             if coeff != 1:
@@ -571,21 +576,20 @@ class ModeOp:
 
 def combine(pairs, params):
     """The operator sum of c * op over (c, op) in pairs, as a combination of
-    the ops' base operators merged by content, with zero coefficients and
-    zero bases dropped.  A single base with coefficient 1 is returned as is.
+    the ops' base operators, each once, with zero coefficients and zero
+    bases dropped.  A single base with coefficient 1 is returned as is,
+    and no base at all gives the zero operator, parts ().
     """
     merged = {}
     for c, op in pairs:
-        for cc, base in op.parts or ((1, op),):
-            merged.setdefault((base.terms, base.sums), [0, base])[0] += c * cc
+        for cc, base in ((1, op),) if op.parts is None else op.parts:
+            merged.setdefault(base.op_id, [0, base])[0] += c * cc
     parts = tuple((qq(c), base) for c, base in merged.values()
                   if c and (base.terms or base.sums))
-    if not parts:
-        return ModeOp((), (), params)
     if len(parts) == 1 and parts[0][0] == 1:
         return parts[0][1]
     op = ModeOp.__new__(ModeOp)
-    op.params, op.op_id, op.parts = params, None, parts
+    op.params, op.parts = params, parts
     return op
 
 

@@ -30,10 +30,8 @@ reports the integer mode shift that would repair any failure, so a
 convention drift surfaces as a loud diagnostic instead of a silent mismatch.
 """
 
-import functools
-
 from .scalars import QQ, binom, qq
-from .fock import CubicSum, ModeOp, QuadSum, combine, commutator_apply
+from .fock import CubicSum, ModeOp, QuadSum, built_once, combine, commutator_apply
 
 AFFINE_GENERATORS = ("e", "f", "h", "e1", "f1", "h1")
 WITT_REP_PAIRS = (("d", "d"), ("d1", "d1"), ("d", "d1"))
@@ -45,21 +43,7 @@ def chi0(params):
     return params.kappa0 + (4 if params.r == 0 else 0)
 
 
-def _built_once(build):
-    """build, with the operator it returns for (*args, params) kept in
-    params.ops, so each is built once per parameter set object."""
-    @functools.wraps(build)
-    def builder(*args):
-        ops = args[-1].ops
-        key = (build,) + args[:-1]
-        op = ops.get(key)
-        if op is None:
-            op = ops[key] = build(*args)
-        return op
-    return builder
-
-
-@_built_once
+@built_once
 def _unit(params):
     # every multiple of the identity goes through this one base
     return ModeOp(((1, ()),), (), params)
@@ -69,7 +53,7 @@ def _unit(params):
 # tau: the affine generators
 # ---------------------------------------------------------------------------
 
-@_built_once
+@built_once
 def tau_mode(gen, m, params):
     """Mode m of the realized affine generator.
 
@@ -170,7 +154,7 @@ def _witt_sums(kind, m):
     raise ValueError("unknown derivation family %r" % (kind,))
 
 
-@_built_once
+@built_once
 def pi_witt_mode(kind, m, params):
     """Mode m of the realized derivation family d or d1 (authoritative sums)."""
     return ModeOp((), _witt_sums(kind, m), params)
@@ -272,7 +256,7 @@ def pi_vir_mode(kind, m, params, vparams=None):
     return _vir_mode(kind, m, vparams.nu, vparams.gamma1, vparams.gammaP, params)
 
 
-@_built_once
+@built_once
 def _vir_mode(kind, m, nu, gamma1, gammaP, params):
     if kind == "D":
         sums = list(_witt_sums("d", m + 1))
@@ -319,7 +303,7 @@ def vir_realize(vec, params, vparams=None, c1_value=None, c2_value=0):
 # ---------------------------------------------------------------------------
 
 def _field_one(k, params):
-    return _unit(params) if k == -1 else ModeOp((), (), params)
+    return _unit(params) if k == -1 else combine((), params)
 
 
 def _field_single(fam):
@@ -359,7 +343,7 @@ FIELD_BUILDERS = {
 }
 
 
-@_built_once
+@built_once
 def field_mode(name, k, params):
     """Mode k (weight-one indexing) of a registered field."""
     try:

@@ -34,7 +34,8 @@ from .liealg import (
     witt_bracket,
 )
 from .density import density_module_check
-from .fock import FockState, ModeOp, RepParams, commutator_apply, seeded_states
+from .fock import (FockState, RepParams, b1_matrix, combine, commutator_apply,
+                   seeded_states)
 from .realization import (
     AFFINE_GENERATORS,
     VirParams,
@@ -119,7 +120,7 @@ class SuiteConfig:
         self.r = int(r)
         self.kappa0 = kappa0
         self.B0 = qq(B0)
-        self.B1 = tuple(tuple(qq(x) for x in row) for row in B1)
+        self.B1 = b1_matrix(B1)
         self.window = window
         self.states = states
         self.seed = _integer("seed", seed)
@@ -379,9 +380,13 @@ def _suite_coboundary_window(cfg):
                 "nonzero", "-", bool(total), "certificate pairs to zero")
 
 
+_HEIS_FIELDS = {"b": "beta", "b1": "beta1"}
+
+
 def _suite_heisenberg_rep(cfg):
     params = cfg.rep_params()
     states = build_states(cfg)
+    unit = field_mode("1", -1, params)
     for famA in ("b", "b1"):
         for famB in ("b", "b1"):
             for m, n in _mode_pairs(cfg.window):
@@ -391,9 +396,9 @@ def _suite_heisenberg_rep(cfg):
                 yield from _rep_checks(
                     "realized [%s_%d, %s_%d]" % (famA, m, famB, n),
                     "%s * id (one0 -> kappa0, one1 -> 0)" % rat_str(expected),
-                    (ModeOp(((1, ((famA, m),)),), (), params),
-                     ModeOp(((1, ((famB, n),)),), (), params),
-                     ModeOp(((expected, ()),), (), params)),
+                    (field_mode(_HEIS_FIELDS[famA], m, params),
+                     field_mode(_HEIS_FIELDS[famB], n, params),
+                     combine(((expected, unit),), params)),
                     states)
 
 
@@ -464,7 +469,7 @@ def _suite_virasoro_rep(cfg):
             % (kA, m, kB, n),
             "%s * |0>" % rat_str(value),
             (pi_vir_mode(kA, m, zero, vparams), pi_vir_mode(kB, n, zero, vparams),
-             ModeOp(((value, ()),), (), zero)),
+             combine(((value, field_mode("1", -1, zero)),), zero)),
             [("vacuum", FockState.vacuum())])
 
 

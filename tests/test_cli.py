@@ -55,6 +55,22 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_an_exponent_past_the_limit_is_a_usage_error(capsys):
+    # the states spec is user input: degree 20000 packs an exponent past 255
+    code, out, err = run_cli(capsys, "heisenberg-rep", "--window", "1",
+                             "--states", "random:1:20000", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceeds 255" in err
+
+
+def test_b1_with_unequal_diagonal_is_refused_by_every_suite(capsys):
+    for suite in ("ring-witt", "mu-compare", "heisenberg-rep"):
+        code, out, err = run_cli(capsys, suite, "--B1", "1,2,3,4", "--window", "1")
+        assert code == 2, suite
+        assert out == "" and "equal diagonal" in err
+
+
 def test_text_is_default_format(capsys):
     code, out, _ = run_cli(capsys, "kaehler-basis", "--window", "1")
     assert code == 0

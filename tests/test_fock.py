@@ -495,7 +495,8 @@ def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_mode_op_addition_and_scaling():
-    op = single("a", -1, P0) + combine(((3, single("a*", 0, P0)),), P0)
+    three = combine(((3, single("a*", 0, P0)),), P0)
+    op = combine(((1, single("a", -1, P0)), (1, three)), P0)
     vac = FockState.vacuum()
     out = op.apply(vac)
     assert out.terms == {
@@ -518,16 +519,15 @@ def test_memoization_is_consistent(monkeypatch):
     monkeypatch.setattr(fock, "_MEMO", {})
     third = op.apply(st)  # recomputed
     assert first == third
-    # operators with identical content share their memo key
-    op2 = ModeOp(
-        ((1, (("a", -1), ("a", 0))),),
-        (QuadSum("a", "a*", 0, QQ(1), QQ(1)),),
-        P0,
-    )
-    assert op2.key == op.key
-    # but different parameters split it
+    # an equal operator built apart has an id and entries of its own, with
+    # the same images; the builders keep one object per operator instead
+    op2 = ModeOp(op.terms, op.sums, P0)
+    assert op2.op_id != op.op_id
+    assert op2.apply(st) == first
+    assert len(fock._MEMO) == 2 * len(st.terms)
+    # ids are never reused, so no operator can hit another's entries
     op3 = ModeOp(op.terms, op.sums, RepParams(r=0, kappa0=2))
-    assert op3.key != op.key
+    assert op3.op_id not in (op.op_id, op2.op_id)
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -539,11 +539,12 @@ def test_combinations_apply_as_their_flat_operator(r, kappa0):
     unit = ModeOp(((1, ()),), (), params)
     combos = [
         combine(((2, A), (-3, B), (5, unit)), params),
-        combine(((QQ(1, 2), A), (QQ(-1, 2), B + A), (QQ(1, 2), B)), params),
-        combine(((3, A + B), (-3, A)), params),
+        combine(((QQ(1, 2), A), (QQ(-1, 2), combine(((1, B), (1, A)), params)),
+                 (QQ(1, 2), B)), params),
+        combine(((3, combine(((1, A), (1, B)), params)), (-3, A)), params),
     ]
-    # parts merge by base and drop zero coefficients
-    assert [op.parts for op in combos[1:]] == [None, ((3, B),)]
+    # parts merge by base and drop zero coefficients; none left is the zero
+    assert [op.parts for op in combos[1:]] == [(), ((3, B),)]
     assert combos[1].terms == combos[1].sums == ()
     states = [FockState.vacuum()] + seeded_states(909, 3)
     for op in combos:
@@ -574,31 +575,36 @@ def test_right_hand_sides_reuse_their_generators_memo_entries(monkeypatch):
 
 
 def test_memo_holds_one_parameter_set(monkeypatch):
-    memo, walks, plans = {}, {}, {}
+    memo, ops, walks, plans = {}, {}, {}, {}
     monkeypatch.setattr(fock, "_MEMO", memo)
+    monkeypatch.setattr(fock, "_OPS", ops)
     monkeypatch.setattr(fock, "_WALKS", walks)
     monkeypatch.setattr(fock, "_PLANS", plans)
     P, Q = RepParams(r=0, kappa0=QQ(3, 2)), RepParams(r=0, kappa0=2)
     states = [FockState.vacuum()] + seeded_states(17, 2)
-    opP, opQ = tau_mode("e", 0, P), tau_mode("e", 0, Q)
+    opP = tau_mode("e", 0, P)
     for s in states:
         opP.apply(s)
     assert {op_id for op_id, _ in memo} == {opP.op_id}
+    assert list(ops.values()) == [opP]
     walks_P, plans_P = list(walks.values()), list(plans.values())
     assert walks_P and any(slots[2] for slots in plans_P)
+    opQ = tau_mode("e", 0, Q)
     for s in states:
         opQ.apply(s)
     # cleared in place: the same dicts, now with Q's entries only
     assert fock._MEMO is memo and fock._WALKS is walks and fock._PLANS is plans
+    assert fock._OPS is ops and list(ops.values()) == [opQ]
     assert {op_id for op_id, _ in memo} == {opQ.op_id}
     assert walks and not {id(w) for w in walks_P} & {id(w) for w in walks.values()}
     assert plans and not {id(p) for p in plans_P} & {id(p) for p in plans.values()}
     # the walks reach plans through _PLANS alone
     reached = {id(branch[2]) for w in walks.values() for branch in w}
     assert reached <= {id(p) for p in plans.values()}
-    # equal parameters in a new object keep them
+    # equal parameters in a new object keep them, and get Q's operator back
     entries, walked, planned = dict(memo), dict(walks), dict(plans)
-    tau_mode("e", 0, RepParams(r=0, kappa0=2)).apply(states[1])
+    assert tau_mode("e", 0, RepParams(r=0, kappa0=2)) is opQ
+    opQ.apply(states[1])
     assert memo == entries and walks == walked and plans == planned
     assert all(plans[k] is planned[k] for k in plans)
     # the two gauges never share walks, though their keys are the same
@@ -607,6 +613,38 @@ def test_memo_holds_one_parameter_set(monkeypatch):
         before = list(walks.values())
         _assert_sum_matches_naive(sum_op, states, params)
         assert not {id(w) for w in before} & {id(w) for w in walks.values()}
+
+
+def test_a_zero_right_hand_side_adds_no_memo_entry(monkeypatch):
+    params = RepParams(r=0, kappa0=QQ(3, 2))
+    zero = tau_realize(affine_bracket(("e", 1), ("e", 2)), params)
+    assert zero.parts == () and zero.terms == zero.sums == ()
+    assert field_mode("1", 0, params).parts == ()
+    A, B = tau_mode("e", 1, params), tau_mode("e", 2, params)
+    states = [FockState.vacuum()] + seeded_states(5, 2)
+    monkeypatch.setattr(fock, "_MEMO", {})
+    for s in states:
+        assert zero.apply(s).is_zero()
+    assert fock._MEMO == {}
+    for s in states:
+        assert commutator_apply(A, B, s, zero) == commutator_apply(A, B, s)
+
+
+def test_use_of_another_parameter_set_empties_every_cache():
+    """A guard for new caches: every module-level dict of fock lives for one
+    parameter set, but for the constant family tables and the packing's
+    process-lifetime intern table _SHIFT."""
+    params = RepParams(r=0, kappa0=QQ(3, 2))
+    for s in [FockState.vacuum()] + seeded_states(5, 2):
+        tau_realize(affine_bracket(("e1", 1), ("f1", -3)), params).apply(s)
+    exempt = {"CREATES", "ANNIHILATES", "_SHIFT"}
+    caches = {name: value for name, value in vars(fock).items()
+              if isinstance(value, dict) and not name.startswith("__")
+              and name not in exempt}
+    assert all(caches[name] for name in ("_MEMO", "_OPS", "_WALKS", "_PLANS"))
+    fock._use(RepParams(r=1, kappa0=2))
+    assert not any(caches.values())
+    assert all(vars(fock)[name] is value for name, value in caches.items())
 
 
 @pytest.mark.parametrize("r", [0, 1])

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from threepv import fock
 from threepv.scalars import QQ, Vec
 from threepv.fock import (
     FockState,
@@ -96,7 +97,7 @@ def test_vir_params_standard():
             assert combo == central_charge(r)
 
 
-def test_builders_return_one_operator_per_params_object():
+def test_builders_return_one_operator_per_parameter_set():
     params, other = RepParams(r=0, kappa0=QQ(3, 2)), RepParams(r=0, kappa0=QQ(3, 2))
     builds = (
         lambda p: tau_mode("e1", 2, p),
@@ -107,24 +108,27 @@ def test_builders_return_one_operator_per_params_object():
     for build in builds:
         op = build(params)
         assert build(params) is op
-        # an equal parameter set in another object builds its own operator
-        assert build(other) is not op
-        assert build(other).key == op.key
+        # an equal parameter set in another object gets the same operator
+        assert build(other) is op
     assert tau_mode("e1", 1, params) is not tau_mode("e1", 2, params)
     assert tau_mode("e1", 2, params) is not tau_mode("f1", 2, params)
+    # another parameter set frees them: back at the first, each is rebuilt
+    op = tau_mode("e1", 2, params)
+    assert tau_mode("e1", 2, RepParams(r=1, kappa0=QQ(3, 2))) is not op
+    assert tau_mode("e1", 2, params) is not op
 
 
 def test_default_and_standard_vir_params_share_one_operator():
     params = RepParams(r=1, kappa0=2)
-    before = len(params.ops)
     op = pi_vir_mode("D", 1, params)
-    assert len(params.ops) == before + 1
+    kept = len(fock._OPS)
     # keyed on the values of vparams, not on its identity (all kept alive)
     equal = [VirParams.standard(2), VirParams.standard(QQ(2)),
              VirParams(QQ(1, 4), QQ(-1, 8), QQ(-1, 8))]
     assert all(pi_vir_mode("D", 1, params, vp) is op for vp in equal)
-    assert len(params.ops) == before + 1
+    assert len(fock._OPS) == kept
     assert pi_vir_mode("D", 1, params, VirParams(nu=1)) is not op
+    assert len(fock._OPS) == kept + 1
 
 
 def test_chi0():

@@ -64,6 +64,16 @@ def test_config_refuses_float_scalars():
     assert cfg.params_dict()["B1"] == [["1/2", "2"], ["3", "1/2"]]
 
 
+def test_config_refuses_b1_with_unequal_diagonal_for_every_suite():
+    for suite in SUITE_NAMES:
+        with pytest.raises(ValueError, match="equal diagonal"):
+            SuiteConfig(suite, B1=((1, 2), (3, 4)))
+    # the rule RepParams keeps
+    with pytest.raises(ValueError, match="equal diagonal"):
+        RepParams(B1=((1, 2), (3, 4)))
+    assert SuiteConfig("ring-witt", B1=[[2, 0], [5, 2]]).B1 == ((2, 0), (5, 2))
+
+
 def test_states_spec_parsing():
     assert parse_states_spec("vacuum") == ("vacuum", 0, 0)
     assert parse_states_spec("random:20:3") == ("random", 20, 3)
@@ -331,7 +341,7 @@ def _fresh_fock_tables(monkeypatch):
     """An empty intern table for packed monomials, with empty caches, all
     put back as they were after the test."""
     for name, value in (("_SHIFT", {}), ("_FIELD_VAR", []), ("_CODE_FIELDS", [0] * 4),
-                        ("_MEMO", {}), ("_WALKS", {}), ("_OP_IDS", {}),
+                        ("_MEMO", {}), ("_WALKS", {}), ("_OPS", {}),
                         ("_MEMO_PARAMS", None)):
         monkeypatch.setattr(fock, name, value)
 
@@ -353,14 +363,23 @@ def test_reports_do_not_depend_on_the_packing_order(suite, monkeypatch):
 
 
 def test_a_repeated_config_enumerates_no_sum(monkeypatch):
-    # criterion 12's config: its re-runs find every image in the memo
-    kw = dict(r=0, kappa0=QQ(3, 2), window=2, states="random:8:3", seed=12)
-    first = emit_report(report("witt-rep", **kw), "json")
-    calls = []
-    for name in ("apply_quad_sum", "apply_cubic_sum"):
-        monkeypatch.setattr(fock, name, lambda *args: calls.append(args))
-    assert emit_report(report("witt-rep", **kw), "json") == first
-    assert calls == []
+    # criterion 12's config and three more: a re-run gets its operators back
+    # and finds every image in the memo
+    small = dict(r=0, kappa0=QQ(3, 2), window=1, states="random:2:3", seed=12)
+    configs = [("witt-rep", dict(small, window=2, states="random:8:3")),
+               ("heisenberg-rep", small), ("pairs-subset", small),
+               ("affine-rep", small)]
+    init = ModeOp.__init__
+    for suite, kw in configs:
+        first = emit_report(report(suite, **kw), "json")
+        calls, builds = [], []
+        for name in ("apply_quad_sum", "apply_cubic_sum"):
+            monkeypatch.setattr(fock, name, lambda *args: calls.append(args))
+        monkeypatch.setattr(ModeOp, "__init__",
+                            lambda op, *args: builds.append(init(op, *args)))
+        assert emit_report(report(suite, **kw), "json") == first
+        assert calls == [] and builds == [], suite
+        monkeypatch.undo()
 
 
 def test_all_suite_names_runnable():
