@@ -71,11 +71,15 @@ def build_parser():
     parser.add_argument("--r", type=int, choices=(0, 1),
                         help="oscillator gauge (0 or 1)")
     parser.add_argument("--kappa0", metavar="P/Q",
-                        help="level parameter as an exact rational")
+                        help="level parameter as an exact rational "
+                             "(a negative one as --kappa0=-P/Q)")
     parser.add_argument("--B0", metavar="P/Q",
-                        help="vacuum scalar of the weight-one current")
+                        help="vacuum scalar of the weight-one current "
+                             "(a negative one as --B0=-P/Q)")
     parser.add_argument("--B1", metavar="A,B,C,D",
-                        help="2x2 vacuum matrix of the second current, row-major")
+                        help="2x2 vacuum matrix of the second current, "
+                             "row-major (starting with a minus sign as "
+                             "--B1=-A,B,C,D)")
     parser.add_argument("--window", type=int, metavar="N",
                         help="mode window: indices run over [-N, N]")
     parser.add_argument("--states", metavar="SPEC",

@@ -68,8 +68,9 @@ built.  The caches hold one parameter set at a time: _use(params) clears
 _MEMO, _WALKS, _PLANS and _OPS, the operators built_once builders made,
 in place unless params equals the set they hold, so a repeated
 configuration gets its operators and their images back and any other frees
-the last one's entries.  Linear combinations (combine) apply through their
-parts' memo entries; the empty one, the zero operator, applies nothing.
+the last one's entries.  Linear combinations (combine) are their parts
+alone and apply through the parts' memo entries, under the parts' parameter
+set; the empty one, the zero operator, applies nothing.
 """
 
 import functools
@@ -85,30 +86,25 @@ X, X1, Y, Y1 = 0, 1, 2, 3
 VACUUM_MONO = ((), 0)
 
 
-def b1_matrix(B1):
-    """The zero-mode matrix B1 as a 2x2 tuple of exact rationals; its
-    diagonal entries must be equal."""
-    (a, b), (c, d) = B1
-    B1 = ((qq(a), qq(b)), (qq(c), qq(d)))
-    if B1[0][0] != B1[1][1]:
-        raise ValueError("B1 must have equal diagonal entries")
-    return B1
-
-
 class RepParams:
-    """Gauge r, central value kappa0, and the zero-mode data B0, B1."""
+    """Gauge r, central value kappa0, and the zero-mode data B0, B1: the one
+    rule for their values.  r is 0 or 1, kappa0 is nonzero, and B1 is a 2x2
+    matrix of exact rationals with equal diagonal entries."""
 
     __slots__ = ("r", "kappa0", "B0", "B1", "key")
 
     def __init__(self, r=0, kappa0=1, B0=1, B1=((1, 2), (3, 1))):
         if r not in (0, 1):
-            raise ValueError("r must be 0 or 1")
-        self.r = r
+            raise ValueError("r must be 0 or 1, got %r" % (r,))
+        self.r = int(r)
         self.kappa0 = qq(kappa0)
         if not self.kappa0:
             raise ValueError("kappa0 must be nonzero")
         self.B0 = qq(B0)
-        self.B1 = b1_matrix(B1)
+        (a, b), (c, d) = B1
+        self.B1 = ((qq(a), qq(b)), (qq(c), qq(d)))
+        if self.B1[0][0] != self.B1[1][1]:
+            raise ValueError("B1 must have equal diagonal entries")
         self.key = (self.r, self.kappa0, self.B0, self.B1)
 
     def __repr__(self):
@@ -457,14 +453,15 @@ _MEMO_PARAMS = None     # the RepParams of every cache, as _use keeps it
 
 def _use(params):
     """Make params the parameter set of _MEMO, _OPS, _WALKS and _PLANS,
-    clearing them in place unless it equals the one they hold."""
+    clearing them in place unless it equals the one they hold; an equal set
+    leaves them the object they already hold."""
     global _MEMO_PARAMS
     if _MEMO_PARAMS is None or params.key != _MEMO_PARAMS.key:
         _MEMO.clear()
         _OPS.clear()
         _WALKS.clear()
         _PLANS.clear()
-    _MEMO_PARAMS = params
+        _MEMO_PARAMS = params
 
 
 def built_once(build):
@@ -493,10 +490,10 @@ class ModeOp:
     apply_mono work on packed ones.  A base operator (parts None) memoizes
     its packed monomial images in _MEMO by the op_id it takes when built;
     equal operators share entries only by being one object, as built_once
-    makes them.  combine returns a combination: parts is a tuple of
-    (coeff, base), and apply sums coeff * image over the parts, reusing
-    their entries and adding none; parts () is the zero operator.  Its flat
-    terms and sums are built when first read.
+    makes them.  combine returns a combination, which has parts only: a
+    tuple of (coeff, base), and apply sums coeff * image over the parts,
+    each under its base's parameter set, reusing their entries and adding
+    none; parts () is the zero operator.
     """
 
     __slots__ = ("terms", "sums", "params", "op_id", "parts")
@@ -512,18 +509,6 @@ class ModeOp:
         self.params = params
         self.op_id = next(_NEXT_OP_ID)
         self.parts = None
-
-    def __getattr__(self, name):
-        # only a combination leaves these unset, until they are first read
-        if name not in ("terms", "sums"):
-            raise AttributeError(name)
-        self.terms = tuple((qq(c * cc), fs) for c, base in self.parts
-                           for cc, fs in base.terms)
-        self.sums = tuple(
-            QuadSum(*s[:3], qq(c * s.c0), qq(c * s.c1))
-            if isinstance(s, QuadSum) else CubicSum(*s[:4], qq(c * s.c))
-            for c, base in self.parts for s in base.sums)
-        return getattr(self, name)
 
     def apply_mono(self, mono):
         """The image of a packed monomial, ((packed monomial, coeff), ...),
@@ -555,10 +540,10 @@ class ModeOp:
     def _apply(self, packed_terms, out=None, scale=1):
         """Add scale * the image of a packed dict into out (a new dict
         by default); return out."""
-        if self.params is not _MEMO_PARAMS:
-            _use(self.params)
         out = {} if out is None else out
         for coeff, base in ((1, self),) if self.parts is None else self.parts:
+            if base.params is not _MEMO_PARAMS:
+                _use(base.params)
             coeff *= scale
             items = packed_terms.items()
             if coeff != 1:
@@ -574,7 +559,7 @@ class ModeOp:
         return out
 
 
-def combine(pairs, params):
+def combine(pairs):
     """The operator sum of c * op over (c, op) in pairs, as a combination of
     the ops' base operators, each once, with zero coefficients and zero
     bases dropped.  A single base with coefficient 1 is returned as is,
@@ -589,7 +574,7 @@ def combine(pairs, params):
     if len(parts) == 1 and parts[0][0] == 1:
         return parts[0][1]
     op = ModeOp.__new__(ModeOp)
-    op.params, op.parts = params, parts
+    op.parts = parts
     return op
 
 

@@ -36,20 +36,11 @@ class OneForm:
         self.ft = ft if ft is not None else RRingElem()
         self.fu = fu if fu is not None else RRingElem()
 
-    def is_zero(self):
-        return self.ft.is_zero() and self.fu.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, OneForm) and self.ft == other.ft and self.fu == other.fu
-
     def __add__(self, other):
         return OneForm(self.ft + other.ft, self.fu + other.fu)
 
     def __sub__(self, other):
         return OneForm(self.ft - other.ft, self.fu - other.fu)
-
-    def scale(self, c):
-        return OneForm(self.ft.scale(c), self.fu.scale(c))
 
     def rmul(self, r):
         """Left module action r * (f dt + g du)."""
@@ -79,9 +70,6 @@ class CohomClass:
 
     def __sub__(self, other):
         return CohomClass(self.q0 - other.q0, self.q1 - other.q1)
-
-    def scale(self, c):
-        return CohomClass(self.q0 * c, self.q1 * c)
 
     def __repr__(self):
         return "%s*w0 + %s*w1" % (self.q0, self.q1)

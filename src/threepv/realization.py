@@ -130,7 +130,7 @@ def tau_realize(vec, params):
             pairs.append((coeff * chi0(params), _unit(params)))
         elif fam != "w1":
             pairs.append((coeff, tau_mode(fam, mode, params)))
-    return combine(pairs, params)
+    return combine(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def vir_realize(vec, params, vparams=None, c1_value=None, c2_value=0):
             pairs.append((-coeff, pi_vir_mode("D1", mode - 1, params, vparams)))
         else:
             raise ValueError("unexpected family %r" % (fam,))
-    return combine(pairs, params)
+    return combine(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ def vir_realize(vec, params, vparams=None, c1_value=None, c2_value=0):
 # ---------------------------------------------------------------------------
 
 def _field_one(k, params):
-    return _unit(params) if k == -1 else combine((), params)
+    return _unit(params) if k == -1 else combine(())
 
 
 def _field_single(fam):
@@ -380,7 +380,7 @@ def gj_mode_op(terms, k, params):
             pairs.append((coeff, field_mode(name, k + p, params)))
         else:
             pairs.append((-coeff * (k + p), field_mode(name, k + p - 1, params)))
-    return combine(pairs, params)
+    return combine(pairs)
 
 
 def bracket_rhs_op(j_terms, m, n, params, shift=0):
@@ -396,7 +396,7 @@ def bracket_rhs_op(j_terms, m, n, params, shift=0):
         bj = binom(m, j)
         if bj:
             pairs.append((bj, gj_mode_op(terms, m + n - j + shift, params)))
-    return combine(pairs, params)
+    return combine(pairs)
 
 
 def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states,

@@ -109,6 +109,8 @@ def parse_rat(s):
     s = s.strip()
     if "/" in s:
         p, q = s.split("/", 1)
+        if not int(q):
+            raise ValueError("zero denominator in %r" % (s,))
         return QQ(int(p), int(q))
     return QQ(int(s))
 

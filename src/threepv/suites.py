@@ -15,7 +15,7 @@ import itertools
 import json
 import random
 
-from .scalars import QQ, parse_rat, qq, rat_str
+from .scalars import QQ, parse_rat, rat_str
 from .ring import RRingElem, witt_bracket_geometric
 from .kaehler import CohomClass, OneForm, differential, reduce_mod_dR
 from .kaehler import lambda_coeff, mu_oracle
@@ -34,8 +34,7 @@ from .liealg import (
     witt_bracket,
 )
 from .density import density_module_check
-from .fock import (FockState, RepParams, b1_matrix, combine, commutator_apply,
-                   seeded_states)
+from .fock import FockState, RepParams, combine, commutator_apply, seeded_states
 from .realization import (
     AFFINE_GENERATORS,
     VirParams,
@@ -96,7 +95,8 @@ def _integer(name, x):
 
 
 class SuiteConfig:
-    """Validated parameters for one suite run."""
+    """Validated parameters for one suite run; RepParams checks r, kappa0,
+    B0 and B1."""
 
     __slots__ = ("suite", "r", "kappa0", "B0", "B1", "window", "states",
                  "seed", "format")
@@ -105,11 +105,7 @@ class SuiteConfig:
                  window=3, states="vacuum", seed=0, format="text"):
         if suite not in SUITE_NAMES:
             raise ValueError("unknown suite: %s" % (suite,))
-        if r not in (0, 1):
-            raise ValueError("r must be 0 or 1, got %r" % (r,))
-        kappa0 = qq(kappa0)
-        if not kappa0:
-            raise ValueError("kappa0 must be nonzero")
+        rep = RepParams(r, kappa0, B0, B1)
         window = _integer("window", window)
         if window < 1:
             raise ValueError("window must be >= 1, got %r" % (window,))
@@ -117,10 +113,7 @@ class SuiteConfig:
         if format not in FORMATS:
             raise ValueError("format must be one of %s, got %r" % (FORMATS, format))
         self.suite = suite
-        self.r = int(r)
-        self.kappa0 = kappa0
-        self.B0 = qq(B0)
-        self.B1 = b1_matrix(B1)
+        self.r, self.kappa0, self.B0, self.B1 = rep.r, rep.kappa0, rep.B0, rep.B1
         self.window = window
         self.states = states
         self.seed = _integer("seed", seed)
@@ -398,7 +391,7 @@ def _suite_heisenberg_rep(cfg):
                     "%s * id (one0 -> kappa0, one1 -> 0)" % rat_str(expected),
                     (field_mode(_HEIS_FIELDS[famA], m, params),
                      field_mode(_HEIS_FIELDS[famB], n, params),
-                     combine(((expected, unit),), params)),
+                     combine(((expected, unit),))),
                     states)
 
 
@@ -469,7 +462,7 @@ def _suite_virasoro_rep(cfg):
             % (kA, m, kB, n),
             "%s * |0>" % rat_str(value),
             (pi_vir_mode(kA, m, zero, vparams), pi_vir_mode(kB, n, zero, vparams),
-             combine(((value, field_mode("1", -1, zero)),), zero)),
+             combine(((value, field_mode("1", -1, zero)),))),
             [("vacuum", FockState.vacuum())])
 
 

@@ -71,6 +71,17 @@ def test_b1_with_unequal_diagonal_is_refused_by_every_suite(capsys):
         assert out == "" and "equal diagonal" in err
 
 
+def test_a_zero_denominator_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappa0=2/0\n")
+    for flags, text in ((("--kappa0", "1/0"), "1/0"), (("--B0", "3/0"), "3/0"),
+                        (("--B1", "1,2/0,3,1"), "2/0"),
+                        (("--config", str(cfg)), "2/0")):
+        code, out, err = run_cli(capsys, "ring-witt", "--window", "1", *flags)
+        assert code == 2, flags
+        assert out == "" and err.startswith("error:") and text in err, flags
+
+
 def test_text_is_default_format(capsys):
     code, out, _ = run_cli(capsys, "kaehler-basis", "--window", "1")
     assert code == 0

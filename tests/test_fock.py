@@ -436,7 +436,10 @@ def test_every_realization_sum_matches_naive(params):
         ops += [pi_witt_mode(k, m, params) for k in ("d", "d1")]
         ops += [pi_vir_mode(k, m, params) for k in ("D", "D1")]
         ops += [field_mode(name, m, params) for name in FIELD_BUILDERS]
-    sums = {s for op in ops for s in op.sums}
+    # a combination's sums are its bases' sums, each scaled by a coefficient
+    sums = {s for op in ops
+            for _c, base in (((1, op),) if op.parts is None else op.parts)
+            for s in base.sums}
     assert any(isinstance(s, CubicSum) for s in sums)
     states = [
         FockState.vacuum(),
@@ -495,8 +498,8 @@ def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_mode_op_addition_and_scaling():
-    three = combine(((3, single("a*", 0, P0)),), P0)
-    op = combine(((1, single("a", -1, P0)), (1, three)), P0)
+    three = combine(((3, single("a*", 0, P0)),))
+    op = combine(((1, single("a", -1, P0)), (1, three)))
     vac = FockState.vacuum()
     out = op.apply(vac)
     assert out.terms == {
@@ -538,18 +541,50 @@ def test_combinations_apply_as_their_flat_operator(r, kappa0):
     B = pi_vir_mode("D", 0, params)
     unit = ModeOp(((1, ()),), (), params)
     combos = [
-        combine(((2, A), (-3, B), (5, unit)), params),
-        combine(((QQ(1, 2), A), (QQ(-1, 2), combine(((1, B), (1, A)), params)),
-                 (QQ(1, 2), B)), params),
-        combine(((3, combine(((1, A), (1, B)), params)), (-3, A)), params),
+        combine(((2, A), (-3, B), (5, unit))),
+        combine(((QQ(1, 2), A), (QQ(-1, 2), combine(((1, B), (1, A)))),
+                 (QQ(1, 2), B))),
+        combine(((3, combine(((1, A), (1, B)))), (-3, A))),
     ]
     # parts merge by base and drop zero coefficients; none left is the zero
     assert [op.parts for op in combos[1:]] == [(), ((3, B),)]
-    assert combos[1].terms == combos[1].sums == ()
+    # a combination is its parts alone
+    for name in ("params", "terms", "sums"):
+        for op in combos:
+            with pytest.raises(AttributeError):
+                getattr(op, name)
     states = [FockState.vacuum()] + seeded_states(909, 3)
     for op in combos:
         for s in states:
-            assert op.apply(s) == ModeOp(op.terms, op.sums, params).apply(s)
+            assert op.apply(s) == _apply_by_parts(op, s, params)
+
+
+def _apply_by_parts(op, s, params):
+    """The sum of c * (a fresh copy of base at params) applied to s over the
+    parts (c, base) of the combination op."""
+    out = FockState()
+    for c, base in op.parts:
+        out += ModeOp(base.terms, base.sums, params).apply(s).scale(c)
+    return out
+
+
+def test_a_combination_applies_under_its_bases_parameter_set():
+    P = RepParams(r=0, kappa0=QQ(5, 3), B0=-2)
+    Q = RepParams(r=1, kappa0=QQ(2, 7), B0=3)
+    # with sums, and with mode products alone, which never reach _apply_sum
+    combos = [tau_realize(affine_bracket(("e1", 1), ("f1", -3)), P),
+              combine(((2, field_mode("beta", 1, P)),
+                       (QQ(1, 2), field_mode("1", -1, P))))]
+    assert all(len(op.parts) > 1 for op in combos)
+    states = [FockState.vacuum()] + seeded_states(5, 2)
+    for op in combos:
+        tau_mode("e", 0, Q).apply(states[1])
+        assert fock._MEMO_PARAMS is Q
+        got = [op.apply(s) for s in states]
+        # the caches moved back to P's set, and hold the parts' images alone
+        assert fock._MEMO_PARAMS.key == P.key
+        assert {op_id for op_id, _ in fock._MEMO} <= {b.op_id for _c, b in op.parts}
+        assert got == [_apply_by_parts(op, s, P) for s in states]
 
 
 def test_right_hand_sides_reuse_their_generators_memo_entries(monkeypatch):
@@ -570,8 +605,7 @@ def test_right_hand_sides_reuse_their_generators_memo_entries(monkeypatch):
     got = [rhs.apply(s) for rhs in rhss for s in states]
     assert calls == [] and len(fock._MEMO) == entries
     monkeypatch.undo()
-    assert got == [ModeOp(rhs.terms, rhs.sums, params).apply(s)
-                   for rhs in rhss for s in states]
+    assert got == [_apply_by_parts(rhs, s, params) for rhs in rhss for s in states]
 
 
 def test_memo_holds_one_parameter_set(monkeypatch):
@@ -618,7 +652,7 @@ def test_memo_holds_one_parameter_set(monkeypatch):
 def test_a_zero_right_hand_side_adds_no_memo_entry(monkeypatch):
     params = RepParams(r=0, kappa0=QQ(3, 2))
     zero = tau_realize(affine_bracket(("e", 1), ("e", 2)), params)
-    assert zero.parts == () and zero.terms == zero.sums == ()
+    assert zero.parts == ()
     assert field_mode("1", 0, params).parts == ()
     A, B = tau_mode("e", 1, params), tau_mode("e", 2, params)
     states = [FockState.vacuum()] + seeded_states(5, 2)

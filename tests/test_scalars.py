@@ -59,8 +59,12 @@ def test_integer_parameters_keep_every_coefficient_int(r):
     for pair in WITT_REP_PAIRS:
         for m in range(-2, 3):
             rhs = bracket_rhs_op(witt_rep_gj(pair, r), m, 1 - m, params)
-            weights = {type(w) for q in rhs.sums for w in (q.c0, q.c1)}
-            assert weights | {type(c) for c, _ in rhs.terms} <= {int}
+            parts = ((1, rhs),) if rhs.parts is None else rhs.parts
+            coeffs = {type(c) for c, _ in parts}
+            coeffs |= {type(c) for _, base in parts for c, _ in base.terms}
+            coeffs |= {type(w) for _, base in parts for q in base.sums
+                       for w in (q.c0, q.c1)}
+            assert coeffs <= {int}
             for s in states:
                 assert _coeff_types(rhs.apply(s)) <= {int}
 

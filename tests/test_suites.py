@@ -74,6 +74,20 @@ def test_config_refuses_b1_with_unequal_diagonal_for_every_suite():
     assert SuiteConfig("ring-witt", B1=[[2, 0], [5, 2]]).B1 == ((2, 0), (5, 2))
 
 
+def _refusal(make, **kw):
+    with pytest.raises((TypeError, ValueError)) as info:
+        make(**kw)
+    return type(info.value), str(info.value)
+
+
+def test_config_refuses_representation_parameters_as_rep_params_does():
+    for kw in ({"r": 2}, {"kappa0": 0}, {"kappa0": 0.5}, {"B1": ((1, 2), (3, 4))}):
+        assert (_refusal(SuiteConfig, suite="ring-witt", **kw)
+                == _refusal(RepParams, **kw)), kw
+    assert _refusal(RepParams, r=2) == (ValueError, "r must be 0 or 1, got 2")
+    assert type(SuiteConfig("ring-witt", r=QQ(1)).r) is int
+
+
 def test_states_spec_parsing():
     assert parse_states_spec("vacuum") == ("vacuum", 0, 0)
     assert parse_states_spec("random:20:3") == ("random", 20, 3)
@@ -372,6 +386,7 @@ def test_a_repeated_config_enumerates_no_sum(monkeypatch):
     init = ModeOp.__init__
     for suite, kw in configs:
         first = emit_report(report(suite, **kw), "json")
+        held = fock._MEMO_PARAMS
         calls, builds = [], []
         for name in ("apply_quad_sum", "apply_cubic_sum"):
             monkeypatch.setattr(fock, name, lambda *args: calls.append(args))
@@ -379,6 +394,8 @@ def test_a_repeated_config_enumerates_no_sum(monkeypatch):
                             lambda op, *args: builds.append(init(op, *args)))
         assert emit_report(report(suite, **kw), "json") == first
         assert calls == [] and builds == [], suite
+        # an equal parameter set keeps the object the caches hold
+        assert fock._MEMO_PARAMS is held, suite
         monkeypatch.undo()
 
 
