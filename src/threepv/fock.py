@@ -54,8 +54,12 @@ the later slots share; or it is left to create.  The creating slots then
 take up the rest of the total mode, each within its half-line.  A sum
 with an unbounded creating slot beside another creating slot has no finite
 range and raises AssertionError.  The annihilation stage depends only on the
-families and the monomial, so _WALKS keeps it per (families, monomial) and
-every total mode and weight of those families reuses it.  The creation stage
+families and the part of the monomial they read (the fields of the codes
+they create or annihilate through, and the auxiliary component for b1's
+zero mode, by masks that _shift keeps current), so _WALKS keeps it per
+(families, read part): every total mode and weight, and every monomial
+differing only in unread variables, reuses it, each term taking the unread
+part back in the addition that creates.  The creation stage
 does not depend on the monomial: a creation plan, kept per (creating slots,
 mode left) in a record that _PLANS shares among walks, lists each way to
 fill the mode as the last slot's mode, one packed delta adding every
@@ -146,7 +150,11 @@ _BITS = 8
 _LIMIT = (1 << _BITS) - 1
 _SHIFT = {}                 # (code, idx) -> shift of its field
 _FIELD_VAR = []             # field number -> (code, idx)
-_CODE_FIELDS = [0] * 4      # code -> mask of its variables' fields
+# read set -> mask of the fields it reads: a read set has bit c for each
+# variable code c, so _READ_FIELDS[1 << c] masks the fields of code c, and
+# bit _AUX for the auxiliary component, read as bit 0
+_AUX = 1 << 4
+_READ_FIELDS = [1 if i & _AUX else 0 for i in range(2 * _AUX)]
 
 
 def _shift(var):
@@ -154,7 +162,10 @@ def _shift(var):
     if s is None:
         s = _SHIFT[var] = 1 + _BITS * len(_FIELD_VAR)
         _FIELD_VAR.append(var)
-        _CODE_FIELDS[var[0]] |= _LIMIT << s
+        field = _LIMIT << s
+        for i in range(len(_READ_FIELDS)):
+            if i >> var[0] & 1:
+                _READ_FIELDS[i] |= field
     return s
 
 
@@ -258,6 +269,9 @@ def apply_product(factors, mono, params):
     Creation factors move left (original order kept within each group), so
     application order is: annihilators right-to-left first, then creators.
     """
+    if len(factors) == 1:
+        (fam, m), = factors
+        return apply_factor(fam, m, mono, params)
     ann_from = ANN_FROM[params.r]
     ordered = [f for f in factors if f[1] < ann_from[f[0]]]
     ordered += [f for f in factors if f[1] >= ann_from[f[0]]]
@@ -289,7 +303,7 @@ def _ann_candidates(fam, mono, params):
     low = ANN_FROM[params.r][fam]
     out = {0} if fam in ("b", "b1") else set()
     for code, s, t, _coeff in ANNIHILATES[fam]:
-        for (_c, idx), _e in _fields(mono & _CODE_FIELDS[code]):
+        for (_c, idx), _e in _fields(mono & _READ_FIELDS[1 << code]):
             m = s * (idx - t)
             if m >= low:
                 out.add(m)
@@ -320,16 +334,31 @@ def _plan(creators, highs, rest):
     return [entry[:3] for entry in plan if not entry[3]]
 
 
-# (fams, packed monomial) -> the branches of _walk, for the parameter set of
-# _MEMO; (creators, highs) -> the record (creators, highs, {rest: plan}) that
-# branches share, parameter-free but cleared with the walks that reach it.
+def _read_set(fams):
+    """The read set of fams: the codes they create or annihilate through,
+    and the auxiliary component when one of them is b1, whose zero mode
+    acts on it."""
+    i = _AUX if "b1" in fams else 0
+    for fam in fams:
+        i |= 1 << CREATES[fam][0]
+        for code, _s, _t, _coeff in ANNIHILATES[fam]:
+            i |= 1 << code
+    return i
+
+
+# fams -> their read set; (fams, read part of a packed monomial) -> the
+# branches of _walk, for the parameter set of _MEMO; (creators, highs) -> the
+# record (creators, highs, {rest: plan}) that branches share, parameter-free
+# but cleared with the walks that reach it.
+_READ_SETS = {}
 _WALKS = {}
 _PLANS = {}
 
 
 def _walk(fams, mono, params):
     """The annihilation stage of every sum over fams on mono, whatever its
-    total mode and weight: a list of branches
+    total mode and weight, where mono is the part of a monomial that fams
+    read: a list of branches
 
         (partial image, annihilated mode total, creating slots' record,
          the sum of their highest modes, mode of slot 0 or None)
@@ -368,15 +397,22 @@ def _apply_sum(fams, M, c0, c1, mono, params, acc):
     (c0 + c1 m_0) :prod_i fam_i(m_i): applied to mono into the dict acc.
 
     Each term is creators(annihilators(mono)).  The annihilation branches
-    come from _walk, once per (fams, mono); the creating slots of each then
-    fill the rest of M within their half-lines, slot 0 being the last of
-    them when it creates, by the plan _plan makes once per (slots, rest).
+    come from _walk, once per fams and the part rel of mono they read; the
+    creating slots of each then fill the rest of M within their half-lines,
+    slot 0 being the last of them when it creates, by the plan _plan makes
+    once per (slots, rest), and each term takes back the unread part
+    mono - rel, in which no walk or plan reads or writes a bit.
     """
     if params is not _MEMO_PARAMS:  # say, a call from outside ModeOp._apply
         _use(params)
-    branches = _WALKS.get((fams, mono))
+    read = _READ_SETS.get(fams)
+    if read is None:
+        read = _READ_SETS[fams] = _read_set(fams)
+    rel = mono & _READ_FIELDS[read]
+    off = mono - rel
+    branches = _WALKS.get((fams, rel))
     if branches is None:
-        branches = _WALKS[(fams, mono)] = _walk(fams, mono, params)
+        branches = _WALKS[(fams, rel)] = _walk(fams, rel, params)
     for terms, total, slots, top, p in branches:
         rest = M - total
         if rest > top:
@@ -390,13 +426,15 @@ def _apply_sum(fams, M, c0, c1, mono, params, acc):
             w = c0 + c1 * (last if p is None else p)
             if not w:
                 continue
+            step = delta + off
             for mo, c in terms:
                 if mo & guard:  # an exponent at 128 or more: add unit by unit
                     for var, k in _fields(delta):
                         for _ in range(k):
                             mo = _mono_mul(mo, var)
+                    mo += off
                 else:
-                    mo += delta
+                    mo += step
                 # Vec.add_term inlined: the kernel's per-term loop
                 v = acc.get(mo, 0) + w * c
                 if v:
@@ -453,12 +491,13 @@ _MEMO_PARAMS = None     # the RepParams of every cache, as _use keeps it
 
 def _use(params):
     """Make params the parameter set of _MEMO, _OPS, _WALKS and _PLANS,
-    clearing them in place unless it equals the one they hold; an equal set
-    leaves them the object they already hold."""
+    clearing them and _READ_SETS in place unless it equals the one they
+    hold; an equal set leaves them the object they already hold."""
     global _MEMO_PARAMS
     if _MEMO_PARAMS is None or params.key != _MEMO_PARAMS.key:
         _MEMO.clear()
         _OPS.clear()
+        _READ_SETS.clear()
         _WALKS.clear()
         _PLANS.clear()
         _MEMO_PARAMS = params
@@ -466,7 +505,8 @@ def _use(params):
 
 def built_once(build):
     """build, with the operator it returns for (*args, params) kept in _OPS,
-    so each is built once per parameter set."""
+    so each is built once per parameter set, and built with the set object
+    the caches hold, so that applying it never calls _use."""
     @functools.wraps(build)
     def builder(*args):
         if args[-1] is not _MEMO_PARAMS:
@@ -474,7 +514,7 @@ def built_once(build):
         key = (build,) + args[:-1]
         op = _OPS.get(key)
         if op is None:
-            op = _OPS[key] = build(*args)
+            op = _OPS[key] = build(*args[:-1], _MEMO_PARAMS)
         return op
     return builder
 

@@ -470,9 +470,83 @@ def test_walks_are_shared_across_total_modes_and_weights(params, monkeypatch):
                 sum_op = CubicSum(*fams, M, c0)
             _assert_sum_matches_naive(sum_op, [st], params)
             # the first M makes the walk, and every other one reuses it
+            key = (fams, mono & fock._READ_FIELDS[fock._read_set(fams)])
             if walked is None:
-                walked = walks[(fams, mono)]
-            assert walks[(fams, mono)] is walked, (fams, M)
+                walked = walks[key]
+            assert walks[key] is walked, (fams, M)
+
+
+def _walks_of(fams, monos, params):
+    """The walks that sums over fams make on the monomials monos, each
+    {var: exponent} with a vpart, after checking every sum against
+    naive_sum_apply."""
+    states = [FockState({make_monomial(powers, vpart): 1}) for powers, vpart in monos]
+    for M in (-2, 0, 3):
+        sum_op = QuadSum(*fams, M, 2, -1) if len(fams) == 2 else CubicSum(*fams, M, 3)
+        _assert_sum_matches_naive(sum_op, states, params)
+    return [walk for key, walk in fock._WALKS.items() if key[0] == fams]
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
+def test_a_walk_is_shared_by_monomials_differing_only_in_what_it_does_not_read(
+        params, monkeypatch):
+    monkeypatch.setattr(fock, "_WALKS", {})
+    osc = {(X, 2): 1, (X, -1): 1, (X1, 1): 1}
+    # oscillator families read neither y, y1 nor the auxiliary component, and
+    # b reads y alone: its zero mode acts on the auxiliary one by a scalar
+    for fams, extras in [
+            (("a", "a*"), [({}, 0), ({(Y, -2): 1}, 0), ({(Y1, -1): 2}, 1)]),
+            (("a", "a*", "a1*"), [({}, 1), ({(Y, -1): 1, (Y1, -3): 1}, 0)]),
+            (("b", "a*"), [({(Y, -2): 1}, 0), ({(Y, -2): 1, (Y1, -1): 1}, 0),
+                           ({(Y, -2): 1, (Y1, -2): 2}, 1)])]:
+        monos = [({**osc, **extra}, vpart) for extra, vpart in extras]
+        assert len(_walks_of(fams, monos, params)) == 1, fams
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
+def test_monomials_differing_in_what_a_walk_reads_do_not_share_it(params, monkeypatch):
+    monkeypatch.setattr(fock, "_WALKS", {})
+    # b1's zero mode acts on the auxiliary component, and b reads y
+    for fams, monos in [
+            (("b1", "b1"), [({(Y1, -1): 1}, 0), ({(Y1, -1): 1}, 1)]),
+            (("b", "b1"), [({(Y1, -2): 1, (X, 1): 1}, vpart) for vpart in (0, 1)]),
+            (("b", "a*"), [({(X, -1): 1}, 0), ({(X, -1): 1, (Y, -2): 1}, 0)])]:
+        assert len(_walks_of(fams, monos, params)) == 2, fams
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
+def test_a_variable_interned_after_a_walk_is_read_by_later_walks(params, monkeypatch):
+    """The read masks follow the intern table: a variable of a code that
+    families read, first seen after their first walk, is read by them."""
+    monkeypatch.setattr(fock, "_WALKS", {})
+    for fams, code, sign in ((("a", "a*"), X, 1), (("a", "a*"), X, -1),
+                             (("b", "b"), Y, -1), (("a1", "a1*", "a1*"), X1, 1)):
+        _walks_of(fams, [({(code, -sign): 1, (Y1, -1): 1}, 1)], params)
+        # an index past every interned one of its code
+        idx = sign * (1 + max(abs(i) for c, i in fock._SHIFT if c == code))
+        assert (code, idx) not in fock._SHIFT
+        _walks_of(fams, [({(code, idx): 1, (code, -sign): 1, (Y1, -1): 1}, 1)], params)
+        assert (code, idx) in fock._SHIFT
+
+
+def test_the_unit_by_unit_creation_keeps_the_unread_variables():
+    # as in test_creation_plans_cross_bit_7_and_stop_at_the_field_limit, on
+    # monomials that also carry y, y1 and vpart 1, which (a, a, a) and
+    # (a, a1) do not read
+    cs = CubicSum("a", "a", "a", -3, 1)
+    unread = {(Y, -1): 1, (Y1, -2): 3}
+    for e in (127, 128, 200):
+        st = FockState({make_monomial({**unread, (X, -1): e}, 1): 1})
+        got = ModeOp((), (cs,), P0).apply(st)
+        assert got == naive_sum_apply(cs, st, P0, 4), e
+        assert got.terms == {make_monomial({**unread, (X, -1): e + 3}, 1): 1}, e
+    qs = QuadSum("a", "a1", -3, 3, 1)
+    st = FockState({make_monomial({**unread, (X, -1): 130, (X1, -1): 1}, 1): 1})
+    got = ModeOp((), (qs,), P0).apply(st)
+    assert got == naive_sum_apply(qs, st, P0, 4)
+    assert got.terms == {
+        make_monomial({**unread, (X, -1): 131, (X1, -1): 1, (X1, -2): 1}, 1): 2,
+        make_monomial({**unread, (X, -1): 130, (X, -2): 1, (X1, -1): 2}, 1): 1}
 
 
 def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):

@@ -1,6 +1,8 @@
 """Suite-level behavior: frozen outcomes, report schema, determinism."""
 
+import copy
 import json
+import sys
 
 import pytest
 
@@ -351,13 +353,33 @@ def test_reports_do_not_depend_on_the_configs_run_before(monkeypatch):
     assert emit_report(report("witt-rep", **witt), "json") == cold
 
 
+# fock's packing tables, and the caches that hold packed monomials, each
+# with a function that makes it empty; a read mask keeps only bit 0, the
+# auxiliary component, below every field
+_FRESH_TABLES = {
+    "_SHIFT": dict, "_FIELD_VAR": list,
+    "_READ_FIELDS": lambda: [mask & 1 for mask in fock._READ_FIELDS],
+    "_MEMO": dict, "_WALKS": dict, "_PLANS": dict, "_OPS": dict,
+}
+
+
 def _fresh_fock_tables(monkeypatch):
     """An empty intern table for packed monomials, with empty caches, all
     put back as they were after the test."""
-    for name, value in (("_SHIFT", {}), ("_FIELD_VAR", []), ("_CODE_FIELDS", [0] * 4),
-                        ("_MEMO", {}), ("_WALKS", {}), ("_OPS", {}),
-                        ("_MEMO_PARAMS", None)):
-        monkeypatch.setattr(fock, name, value)
+    for name, fresh in _FRESH_TABLES.items():
+        monkeypatch.setattr(fock, name, fresh())
+    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
+
+
+def test_fresh_fock_tables_reset_every_table_interning_writes(monkeypatch):
+    _fresh_fock_tables(monkeypatch)
+    assert set(fock._READ_FIELDS) == {0, 1}
+    tables = {name: copy.deepcopy(value) for name, value in vars(fock).items()
+              if isinstance(value, (dict, list)) and not name.startswith("__")}
+    fock._shift((fock.Y1, -1000))
+    written = {name for name, value in tables.items() if vars(fock)[name] != value}
+    assert {"_SHIFT", "_FIELD_VAR", "_READ_FIELDS"} <= written
+    assert written <= _FRESH_TABLES.keys()
 
 
 @pytest.mark.parametrize("suite", ["witt-rep", "virasoro-rep"])
@@ -397,6 +419,23 @@ def test_a_repeated_config_enumerates_no_sum(monkeypatch):
         # an equal parameter set keeps the object the caches hold
         assert fock._MEMO_PARAMS is held, suite
         monkeypatch.undo()
+
+
+def test_a_kept_operator_holds_the_parameter_set_the_caches_hold(monkeypatch):
+    # the second run builds its window-2 modes while the caches hold the
+    # first run's equal parameter set; applying them compares no keys
+    kw = dict(r=0, kappa0=QQ(3, 2), states="random:3:3", seed=12)
+    _fresh_fock_tables(monkeypatch)
+    report("witt-rep", window=1, **kw)
+    use, callers = fock._use, []
+
+    def counted(params):
+        callers.append(sys._getframe(1).f_code.co_name)
+        use(params)
+
+    monkeypatch.setattr(fock, "_use", counted)
+    report("witt-rep", window=2, **kw)
+    assert callers and not {"_apply", "_apply_sum"} & set(callers), set(callers)
 
 
 def test_all_suite_names_runnable():
