@@ -25,8 +25,6 @@ from .suites import (
     run_suite,
 )
 
-_CONFIG_KEYS = SuiteConfig.__slots__
-
 
 def load_config_file(path):
     """Read a flat key=value config file into a raw string dict."""
@@ -59,6 +57,11 @@ def coerce_options(raw):
         else:
             out[key] = value
     return out
+
+
+# the options of build_parser that a config file may set: all but --config
+_CONFIG_KEYS = ("suite", "r", "kappa0", "B0", "B1", "window", "states", "seed",
+                "format")
 
 
 def build_parser():

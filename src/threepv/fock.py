@@ -67,18 +67,17 @@ created variable, and a guard of the fields it touches.  A term clear of the
 guard takes the delta in one addition; one with a touched exponent at 128
 or more is multiplied variable by variable, checked against the limit.
 
-ModeOp memoizes monomial images in _MEMO by the id each operator takes when
-built.  The caches hold one parameter set at a time: _use(params) clears
-_MEMO, _WALKS, _PLANS and _OPS, the operators built_once builders made,
-in place unless params equals the set they hold, so a repeated
-configuration gets its operators and their images back and any other frees
-the last one's entries.  Linear combinations (combine) are their parts
-alone and apply through the parts' memo entries, under the parts' parameter
-set; the empty one, the zero operator, applies nothing.
+ModeOp memoizes monomial images in _MEMO, each operator its own key.  The
+caches hold one parameter set at a time: _use(params) clears _MEMO,
+_WALKS, _PLANS and _OPS, the operators built_once builders made, in place
+unless params equals the set they hold, so a repeated configuration gets
+its operators and their images back and any other frees the last one's
+entries.  Linear combinations (combine) are their parts alone and apply
+through the parts' memo entries, under the parts' parameter set; the empty
+one, the zero operator, applies nothing.
 """
 
 import functools
-import itertools
 import random
 from collections import namedtuple
 
@@ -483,9 +482,8 @@ def naive_sum_apply(sum_op, state, params, box):
 # composite operators
 # ---------------------------------------------------------------------------
 
-_MEMO = {}              # (op_id, packed monomial) -> image
+_MEMO = {}              # (operator, packed monomial) -> image
 _OPS = {}               # (build, args) -> the operator built_once kept
-_NEXT_OP_ID = itertools.count()
 _MEMO_PARAMS = None     # the RepParams of every cache, as _use keeps it
 
 
@@ -527,16 +525,16 @@ class ModeOp:
     sums:  tuple of QuadSum / CubicSum
 
     apply takes and returns a FockState of tuple monomials; _apply and
-    apply_mono work on packed ones.  A base operator (parts None) memoizes
-    its packed monomial images in _MEMO by the op_id it takes when built;
-    equal operators share entries only by being one object, as built_once
-    makes them.  combine returns a combination, which has parts only: a
-    tuple of (coeff, base), and apply sums coeff * image over the parts,
-    each under its base's parameter set, reusing their entries and adding
-    none; parts () is the zero operator.
+    apply_mono work on packed ones.  A base operator (parts None) is its own
+    key for its packed monomial images in _MEMO, so ModeOp must keep
+    identity equality: equal operators share entries only by being one
+    object, as built_once makes them.  combine returns a combination, which
+    has parts only: a tuple of (coeff, base), and apply sums coeff * image
+    over the parts, each under its base's parameter set, reusing their
+    entries and adding none; parts () is the zero operator.
     """
 
-    __slots__ = ("terms", "sums", "params", "op_id", "parts")
+    __slots__ = ("terms", "sums", "params", "parts")
 
     def __init__(self, terms, sums, params):
         terms = ((qq(c), fs) for c, fs in terms)
@@ -547,13 +545,12 @@ class ModeOp:
         if not fams <= ANNIHILATES.keys():
             raise ValueError("unknown mode family %r" % min(fams - ANNIHILATES.keys()))
         self.params = params
-        self.op_id = next(_NEXT_OP_ID)
         self.parts = None
 
     def apply_mono(self, mono):
         """The image of a packed monomial, ((packed monomial, coeff), ...),
         through _MEMO."""
-        key = (self.op_id, mono)
+        key = (self, mono)
         cached = _MEMO.get(key)
         if cached is None:
             acc = {}
@@ -608,8 +605,8 @@ def combine(pairs):
     merged = {}
     for c, op in pairs:
         for cc, base in ((1, op),) if op.parts is None else op.parts:
-            merged.setdefault(base.op_id, [0, base])[0] += c * cc
-    parts = tuple((qq(c), base) for c, base in merged.values()
+            merged[base] = merged.get(base, 0) + c * cc
+    parts = tuple((qq(c), base) for base, c in merged.items()
                   if c and (base.terms or base.sums))
     if len(parts) == 1 and parts[0][0] == 1:
         return parts[0][1]

@@ -274,26 +274,22 @@ def _vir_mode(kind, m, nu, gamma1, gammaP, params):
     raise ValueError("unknown extended family %r" % (kind,))
 
 
-def vir_realize(vec, params, vparams=None, c1_value=None, c2_value=0):
+def vir_realize(vec, params, vparams=None):
     """Realize a combination of abstract d / d1 modes and central classes.
 
     The abstract weight-one basis embeds by the index shift D_m = -(d_{m+1}),
-    so d_K maps to -D_{K-1} and d1_K to -D1_{K-1}; c1 acts by c1_value
-    (default central_charge(r)) times the identity and c2 by c2_value.
+    so d_K maps to -D_{K-1} and d1_K to -D1_{K-1}; c1 acts by
+    central_charge(r) times the identity and c2 by zero.
     """
-    if c1_value is None:
-        c1_value = central_charge(params.r)
     pairs = []
     for (fam, mode), coeff in sorted(vec.terms.items()):
         if fam == "c1":
-            pairs.append((coeff * c1_value, _unit(params)))
-        elif fam == "c2":
-            pairs.append((coeff * c2_value, _unit(params)))
+            pairs.append((coeff * central_charge(params.r), _unit(params)))
         elif fam == "d":
             pairs.append((-coeff, pi_vir_mode("D", mode - 1, params, vparams)))
         elif fam == "d1":
             pairs.append((-coeff, pi_vir_mode("D1", mode - 1, params, vparams)))
-        else:
+        elif fam != "c2":
             raise ValueError("unexpected family %r" % (fam,))
     return combine(pairs)
 
@@ -399,15 +395,18 @@ def bracket_rhs_op(j_terms, m, n, params, shift=0):
     return combine(pairs)
 
 
-def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states,
-                     shifts=(-2, -1, 1, 2)):
+# the uniform mode shifts convention_audit tries on a failed identity
+AUDIT_SHIFTS = (-2, -1, 1, 2)
+
+
+def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states):
     """Small-window bracket check reporting the observed mode shift.
 
     For each (m, n) pair and state, compares [A_m, B_n] applied to the state
     with the translated right-hand side; on mismatch, retries the right-hand
-    side under every uniform mode shift K -> K + s and records which shift
-    (if any) repairs the identity.  Returns a list of dicts with keys
-    m, n, state, pass, shift.
+    side under each uniform mode shift K -> K + s, s in AUDIT_SHIFTS, and
+    records which shift (if any) repairs the identity.  Returns a list of
+    dicts with keys m, n, state, pass, shift.
     """
     results = []
     for m, n in mn_pairs:
@@ -418,7 +417,7 @@ def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states,
             ok = commutator_apply(op_a, op_b, state, rhs).is_zero()
             found = None
             if not ok:
-                for s in shifts:
+                for s in AUDIT_SHIFTS:
                     shifted = bracket_rhs_op(j_terms, m, n, params, shift=s)
                     if commutator_apply(op_a, op_b, state, shifted).is_zero():
                         found = s

@@ -35,8 +35,8 @@ class RRingElem(Vec):
         return RRingElem({(tpow, upow): coeff})
 
     @staticmethod
-    def t_pow(k, coeff=1):
-        return RRingElem.monomial(k, 0, coeff)
+    def t_pow(k):
+        return RRingElem.monomial(k, 0)
 
     def __mul__(self, other):
         out = RRingElem()

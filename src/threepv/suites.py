@@ -37,6 +37,7 @@ from .density import density_module_check
 from .fock import FockState, RepParams, combine, commutator_apply, seeded_states
 from .realization import (
     AFFINE_GENERATORS,
+    AUDIT_SHIFTS,
     VirParams,
     WITT_REP_PAIRS,
     PAIRS_ITEMS,
@@ -95,17 +96,17 @@ def _integer(name, x):
 
 
 class SuiteConfig:
-    """Validated parameters for one suite run; RepParams checks r, kappa0,
-    B0 and B1."""
+    """Validated parameters for one suite run; params is the run's one
+    RepParams, built from r, kappa0, B0 and B1 (rep) by its rules and
+    defaults."""
 
-    __slots__ = ("suite", "r", "kappa0", "B0", "B1", "window", "states",
-                 "seed", "format")
+    __slots__ = ("suite", "params", "window", "states", "seed", "format")
 
-    def __init__(self, suite, r=0, kappa0=1, B0=1, B1=((1, 2), (3, 1)),
-                 window=3, states="vacuum", seed=0, format="text"):
+    def __init__(self, suite, window=3, states="vacuum", seed=0, format="text",
+                 **rep):
         if suite not in SUITE_NAMES:
             raise ValueError("unknown suite: %s" % (suite,))
-        rep = RepParams(r, kappa0, B0, B1)
+        self.params = RepParams(**rep)
         window = _integer("window", window)
         if window < 1:
             raise ValueError("window must be >= 1, got %r" % (window,))
@@ -113,22 +114,19 @@ class SuiteConfig:
         if format not in FORMATS:
             raise ValueError("format must be one of %s, got %r" % (FORMATS, format))
         self.suite = suite
-        self.r, self.kappa0, self.B0, self.B1 = rep.r, rep.kappa0, rep.B0, rep.B1
         self.window = window
         self.states = states
         self.seed = _integer("seed", seed)
         self.format = format
 
-    def rep_params(self):
-        return RepParams(r=self.r, kappa0=self.kappa0, B0=self.B0, B1=self.B1)
-
     def params_dict(self):
         """Config echo for the report, with rationals as 'p/q' strings."""
+        p = self.params
         return {
-            "r": self.r,
-            "kappa0": rat_str(self.kappa0),
-            "B0": rat_str(self.B0),
-            "B1": [[rat_str(x) for x in row] for row in self.B1],
+            "r": p.r,
+            "kappa0": rat_str(p.kappa0),
+            "B0": rat_str(p.B0),
+            "B1": [[rat_str(x) for x in row] for row in p.B1],
             "window": self.window,
             "states": self.states,
             "seed": self.seed,
@@ -291,10 +289,6 @@ def _suite_mu_compare(cfg):
             "-", closed, oracle)
 
 
-def _fam_multiset(fams):
-    return tuple(sorted(fams))
-
-
 def _suite_affine_jacobi(cfg):
     gens = [(g, m) for g in AFFINE_GENERATORS for m in _modes(cfg.window)]
     kassel = kassel_bracket()
@@ -306,11 +300,10 @@ def _suite_affine_jacobi(cfg):
             len(bad_anti), bad_anti[0][0]))
     bad_by_fams = {}
     for (x, y, z), res in check_jacobi(kassel, gens):
-        key = _fam_multiset((x[0], y[0], z[0]))
+        key = tuple(sorted((x[0], y[0], z[0])))
         bad_by_fams.setdefault(key, []).append(((x, y, z), res))
-    for fams in sorted(set(itertools.combinations_with_replacement(
-            sorted(AFFINE_GENERATORS), 3))):
-        hits = bad_by_fams.get(_fam_multiset(fams), [])
+    for fams in itertools.combinations_with_replacement(sorted(AFFINE_GENERATORS), 3):
+        hits = bad_by_fams.get(fams, [])
         residual = None
         if hits:
             (x, y, z), res = hits[0]
@@ -377,7 +370,7 @@ _HEIS_FIELDS = {"b": "beta", "b1": "beta1"}
 
 
 def _suite_heisenberg_rep(cfg):
-    params = cfg.rep_params()
+    params = cfg.params
     states = build_states(cfg)
     unit = field_mode("1", -1, params)
     for famA in ("b", "b1"):
@@ -396,7 +389,7 @@ def _suite_heisenberg_rep(cfg):
 
 
 def _suite_affine_rep(cfg):
-    params = cfg.rep_params()
+    params = cfg.params
     states = build_states(cfg)
     rhs = "realized bracket (w0 -> kappa0 + 4*delta_{r,0}, w1 -> 0)"
     for gA, gB in itertools.combinations_with_replacement(AFFINE_GENERATORS, 2):
@@ -409,10 +402,10 @@ def _suite_affine_rep(cfg):
 
 
 def _suite_witt_rep(cfg):
-    params = cfg.rep_params()
+    params = cfg.params
     states = build_states(cfg)
     for kA, kB in WITT_REP_PAIRS:
-        j_terms = witt_rep_gj((kA, kB), cfg.r)
+        j_terms = witt_rep_gj((kA, kB), params.r)
         for m, n in _mode_pairs(cfg.window):
             yield from _rep_checks(
                 "[pi(%s)_%d, pi(%s)_%d]" % (kA, m, kB, n),
@@ -437,10 +430,10 @@ _VIR_PROBES = (
 
 
 def _suite_virasoro_rep(cfg):
-    params = cfg.rep_params()
-    vparams = VirParams.standard(cfg.kappa0)
+    params = cfg.params
+    vparams = VirParams.standard(params.kappa0)
     states = build_states(cfg)
-    rhs = "realized bracket (c1 -> %s, c2 -> 0)" % rat_str(central_charge(cfg.r))
+    rhs = "realized bracket (c1 -> %s, c2 -> 0)" % rat_str(central_charge(params.r))
     for kA, famA in _VIR_FAMILIES:
         for kB, famB in _VIR_FAMILIES:
             if (kA, kB) == ("D1", "D"):
@@ -453,10 +446,10 @@ def _suite_virasoro_rep(cfg):
                      vir_realize(vir_bracket((famA, m + 1), (famB, n + 1)),
                                  params, vparams)),
                     states)
-    zero = RepParams(r=cfg.r, kappa0=cfg.kappa0, B0=0, B1=((0, 0), (0, 0)))
+    zero = RepParams(r=params.r, kappa0=params.kappa0, B0=0, B1=((0, 0), (0, 0)))
     fam = dict(_VIR_FAMILIES)
     for kA, kB, m, n in _VIR_PROBES:
-        value = phi1((fam[kA], m + 1), (fam[kB], n + 1)) * central_charge(cfg.r)
+        value = phi1((fam[kA], m + 1), (fam[kB], n + 1)) * central_charge(params.r)
         yield from _rep_checks(
             "pure-central [pi(%s)_%d, pi(%s)_%d] with B0 = 0, B1 = 0"
             % (kA, m, kB, n),
@@ -467,7 +460,7 @@ def _suite_virasoro_rep(cfg):
 
 
 def _suite_pairs_subset(cfg):
-    params = cfg.rep_params()
+    params = cfg.params
     states = build_states(cfg)
     for item in PAIRS_ITEMS:
         lhs_a, lhs_b, j_terms = pairs_gj(item, params)
@@ -513,7 +506,7 @@ _AUDIT_LINES = (
 
 
 def _suite_audit(cfg):
-    params = cfg.rep_params()
+    params = cfg.params
     labelled = build_states(cfg)
     labels = [label for label, _ in labelled]
     states = [s for _, s in labelled]
@@ -523,13 +516,14 @@ def _suite_audit(cfg):
             lhs_a, lhs_b, j_terms = pairs_gj(1, params)
         else:
             lhs_a, lhs_b = "pi_d1", "pi_d1"
-            j_terms = witt_rep_gj(("d1", "d1"), cfg.r)
+            j_terms = witt_rep_gj(("d1", "d1"), params.r)
         for row in convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs,
                                     states):
             residual = None
             if not row["pass"]:
                 if row["shift"] is None:
-                    residual = "no uniform mode shift in {-2,-1,1,2} repairs it"
+                    residual = "no uniform mode shift in {%s} repairs it" % (
+                        ",".join(map(str, AUDIT_SHIFTS)))
                 else:
                     residual = ("identity holds after the uniform mode shift "
                                 "K -> K + %d" % row["shift"])

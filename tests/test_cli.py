@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from threepv.cli import coerce_options, load_config_file, main
+from threepv.cli import _CONFIG_KEYS, build_parser, coerce_options, load_config_file, main
 from threepv.scalars import QQ
 from threepv.suites import parse_b1
 
@@ -113,6 +113,11 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(capsys, "mu-compare", "--config", str(cfg))
     assert code == 2
     assert "unknown option" in err
+
+
+def test_config_keys_are_the_parser_options_but_config():
+    options = vars(build_parser().parse_args(["mu-compare"]))
+    assert _CONFIG_KEYS == tuple(k for k in options if k != "config")
 
 
 def test_config_rejects_missing_file(capsys):

@@ -596,15 +596,17 @@ def test_memoization_is_consistent(monkeypatch):
     monkeypatch.setattr(fock, "_MEMO", {})
     third = op.apply(st)  # recomputed
     assert first == third
-    # an equal operator built apart has an id and entries of its own, with
-    # the same images; the builders keep one object per operator instead
+    # an equal operator built apart is another key with entries of its own,
+    # with the same images; the builders keep one object per operator instead
     op2 = ModeOp(op.terms, op.sums, P0)
-    assert op2.op_id != op.op_id
+    assert op2 != op
     assert op2.apply(st) == first
     assert len(fock._MEMO) == 2 * len(st.terms)
-    # ids are never reused, so no operator can hit another's entries
+    assert {key[0] for key in fock._MEMO} == {op, op2}
+    # a key is the operator object, which its entries keep alive, so an
+    # operator built later never reads another's entries
     op3 = ModeOp(op.terms, op.sums, RepParams(r=0, kappa0=2))
-    assert op3.op_id not in (op.op_id, op2.op_id)
+    assert op3 not in {key[0] for key in fock._MEMO}
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -657,7 +659,7 @@ def test_a_combination_applies_under_its_bases_parameter_set():
         got = [op.apply(s) for s in states]
         # the caches moved back to P's set, and hold the parts' images alone
         assert fock._MEMO_PARAMS.key == P.key
-        assert {op_id for op_id, _ in fock._MEMO} <= {b.op_id for _c, b in op.parts}
+        assert {base for base, _ in fock._MEMO} <= {b for _c, b in op.parts}
         assert got == [_apply_by_parts(op, s, P) for s in states]
 
 
@@ -693,7 +695,7 @@ def test_memo_holds_one_parameter_set(monkeypatch):
     opP = tau_mode("e", 0, P)
     for s in states:
         opP.apply(s)
-    assert {op_id for op_id, _ in memo} == {opP.op_id}
+    assert {op for op, _ in memo} == {opP}
     assert list(ops.values()) == [opP]
     walks_P, plans_P = list(walks.values()), list(plans.values())
     assert walks_P and any(slots[2] for slots in plans_P)
@@ -703,7 +705,7 @@ def test_memo_holds_one_parameter_set(monkeypatch):
     # cleared in place: the same dicts, now with Q's entries only
     assert fock._MEMO is memo and fock._WALKS is walks and fock._PLANS is plans
     assert fock._OPS is ops and list(ops.values()) == [opQ]
-    assert {op_id for op_id, _ in memo} == {opQ.op_id}
+    assert {op for op, _ in memo} == {opQ}
     assert walks and not {id(w) for w in walks_P} & {id(w) for w in walks.values()}
     assert plans and not {id(p) for p in plans_P} & {id(p) for p in plans.values()}
     # the walks reach plans through _PLANS alone

@@ -10,6 +10,11 @@ code that only its own tests reach is either wired into the program or
 deleted.  ALLOWED names the exceptions, and each must be a top-level name
 defined in src/threepv that nothing else reaches, so that no entry outlives
 its reason.
+
+The same holds for parameters: a parameter with a default counts as set
+when a call in src/threepv or a perfbench script passes it, so that no
+parameter exists only for the tests.  ALLOWED_DEFAULTS names the
+exceptions, as "function(parameter)", on the same terms.
 """
 
 import ast
@@ -22,6 +27,8 @@ ALLOWED = {
     "contraction_check": "the Wick-contraction certificates are to build on it",
     "__version__": "package metadata",
 }
+
+ALLOWED_DEFAULTS = {}
 
 
 def _defined(stmt):
@@ -78,3 +85,63 @@ def test_every_method_is_reached_outside_the_tests():
                            if isinstance(n, ast.Attribute)} - own
     unreached = sorted(defined - loaded)
     assert not unreached, "methods reached by no program code: " + ", ".join(unreached)
+
+
+def _defaults(node, cls=None):
+    """(callee name, parameter, index) for each parameter with a default of
+    each function under node.  The callee name of __init__ is its class's,
+    and index is the parameter's place among a call's positional arguments
+    (self or cls not counted), or None for a keyword-only one."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            out += _defaults(child, child)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = child.args
+            args = a.posonlyargs + a.args
+            defaulted = args[len(args) - len(a.defaults):]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            if cls is not None and not static:
+                args = args[1:]
+            name = cls.name if cls is not None and child.name == "__init__" else child.name
+            out += [(name, arg.arg, args.index(arg)) for arg in defaulted]
+            out += [(name, arg.arg, None)
+                    for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            out += _defaults(child)
+        else:
+            out += _defaults(child, cls)
+    return out
+
+
+def _callee(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _passes(call, param, index):
+    """Whether call passes param: by keyword, by enough positional
+    arguments, or through * or **."""
+    return (any(kw.arg in (param, None) for kw in call.keywords)
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or index is not None and len(call.args) > index)
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    sources = [(p, True) for p in (ROOT / "src" / "threepv").glob("*.py")]
+    sources += [(p, False) for p in (ROOT / "perfbench").glob("*.py")
+                if not p.name.startswith("test_")]
+    defaults, calls = [], {}
+    for path, in_src in sources:
+        tree = ast.parse(path.read_text())
+        if in_src:
+            defaults += _defaults(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    unset = {"%s(%s)" % (name, param) for name, param, index in defaults
+             if not any(_passes(c, param, index) for c in calls.get(name, ()))}
+    unpassed = sorted(unset - set(ALLOWED_DEFAULTS))
+    assert not unpassed, "parameters no program call passes: " + ", ".join(unpassed)
+    stale = sorted(set(ALLOWED_DEFAULTS) - unset)
+    assert not stale, "ALLOWED_DEFAULTS names a passed or undefined parameter: " + ", ".join(stale)

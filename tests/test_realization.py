@@ -12,6 +12,7 @@ from threepv.fock import (
     FockState,
     ModeOp,
     RepParams,
+    combine,
     commutator_apply,
     seeded_states,
 )
@@ -346,11 +347,20 @@ def test_vir_like_kind_brackets(r, kappa0):
                     assert lhs_val == rhs.apply(s), (kind, m, n)
 
 
+def _alternative_realization(vec, params, c2):
+    """vec realized with the alternative central assignment: c1 acts by zero
+    and c2 by c2, as the central-free realization plus (c2 part) * unit."""
+    free = Vec({k: c for k, c in vec.terms.items() if k[0] not in ("c1", "c2")})
+    unit = field_mode("1", -1, params)
+    return combine(((1, vir_realize(free, params)),
+                    (vec.terms.get(("c2", 0), 0) * c2, unit)))
+
+
 @pytest.mark.parametrize("r", [0, 1])
 def test_vir_mixed_bracket_central_mismatch(r):
     # the mixed bracket closes on the correct non-central modes but carries
     # no central term, while the abstract table demands phi1 c1; the exact
-    # discrepancy is frozen here (see /root/notes/decisions.md)
+    # discrepancy is frozen here
     params = RepParams(r=r, kappa0=1)
     states = [FockState.vacuum()] + seeded_states(111, 2, max_degree=2)
     cases = [(1, 2, QQ(336)), (0, 1, QQ(12))]
@@ -366,8 +376,8 @@ def test_vir_mixed_bracket_central_mismatch(r):
             assert resid == s.scale(gap), (m, n)
         # the alternative central assignment (zero on the first class,
         # (2 delta_{r,0}+1)/12 on the second) reproduces the measurement
-        alt = vir_realize(
-            vec, params, c1_value=0, c2_value=QQ(2 * (1 if r == 0 else 0) + 1, 12)
+        alt = _alternative_realization(
+            vec, params, QQ(2 * (1 if r == 0 else 0) + 1, 12)
         )
         for s in states:
             assert commutator_apply(op_m, op_n, s) == alt.apply(s)
@@ -384,7 +394,7 @@ def test_vir_alt_central_like_kind(r):
         vec = vir_bracket((fam, m + 1), (fam, n + 1))
         assert any(key[0] == "c1" for key in vec.terms)
         std = vir_realize(vec, params)
-        alt = vir_realize(vec, params, c1_value=0, c2_value=c2)
+        alt = _alternative_realization(vec, params, c2)
         assert std.apply(s) == alt.apply(s)
 
 

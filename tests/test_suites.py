@@ -61,8 +61,8 @@ def test_config_refuses_float_scalars():
             SuiteConfig("ring-witt", **kw)
     cfg = SuiteConfig("ring-witt", kappa0="3/2", B0=QQ(-1, 3),
                       B1=(("1/2", 2), (QQ(3), "1/2")))
-    assert (cfg.kappa0, cfg.B0) == (QQ(3, 2), QQ(-1, 3))
-    assert cfg.B1 == ((QQ(1, 2), 2), (3, QQ(1, 2)))
+    assert (cfg.params.kappa0, cfg.params.B0) == (QQ(3, 2), QQ(-1, 3))
+    assert cfg.params.B1 == ((QQ(1, 2), 2), (3, QQ(1, 2)))
     assert cfg.params_dict()["B1"] == [["1/2", "2"], ["3", "1/2"]]
 
 
@@ -73,7 +73,7 @@ def test_config_refuses_b1_with_unequal_diagonal_for_every_suite():
     # the rule RepParams keeps
     with pytest.raises(ValueError, match="equal diagonal"):
         RepParams(B1=((1, 2), (3, 4)))
-    assert SuiteConfig("ring-witt", B1=[[2, 0], [5, 2]]).B1 == ((2, 0), (5, 2))
+    assert SuiteConfig("ring-witt", B1=[[2, 0], [5, 2]]).params.B1 == ((2, 0), (5, 2))
 
 
 def _refusal(make, **kw):
@@ -87,7 +87,7 @@ def test_config_refuses_representation_parameters_as_rep_params_does():
         assert (_refusal(SuiteConfig, suite="ring-witt", **kw)
                 == _refusal(RepParams, **kw)), kw
     assert _refusal(RepParams, r=2) == (ValueError, "r must be 0 or 1, got 2")
-    assert type(SuiteConfig("ring-witt", r=QQ(1)).r) is int
+    assert type(SuiteConfig("ring-witt", r=QQ(1)).params.r) is int
 
 
 def test_states_spec_parsing():
