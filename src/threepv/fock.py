@@ -19,9 +19,9 @@ packed into one int: bit 0 holds vpart, and each variable gets an 8-bit
 exponent field at a shift interned on first sight, so multiplying by a
 variable is one addition and a derivative reads one field.  An exponent
 past 255 raises OverflowError rather than carry.  ModeOp.apply and
-commutator_apply (which subtracts a right-hand side in the same dict) pack
-a state once and unpack once, sorting each monomial's variables, so the
-interning order never reaches the output.
+commutator_apply (which subtracts right-hand sides in the same dicts) pack
+a state once and unpack each result once, sorting each monomial's
+variables, so the interning order never reaches the output.
 
 Single modes act in one of two gauges r in {0, 1}:
 
@@ -195,9 +195,10 @@ def _unpack(p):
 
 
 def _state(packed_terms):
-    """The FockState of a {packed monomial: coeff} dict."""
+    """The FockState of a {packed monomial: coeff} dict, each coefficient
+    canonical under qq."""
     st = FockState()
-    st.terms = {_unpack(p): c for p, c in packed_terms.items()}
+    st.terms = {_unpack(p): qq(c) for p, c in packed_terms.items()}
     return st
 
 
@@ -251,9 +252,9 @@ def apply_factor(fam, m, mono, params):
     out = []
     for code, s, t, coeff in ANNIHILATES[fam]:
         hit = _mono_diff(mono, (code, s * m + t))
-        c = hit and coeff(m, params.kappa0)
+        c = hit and qq(coeff(m, params.kappa0) * hit[1])
         if c:
-            out.append((hit[0], c * hit[1]))
+            out.append((hit[0], c))
     if m == 0 and fam == "b" and params.B0:
         out.append((mono, params.B0))
     elif m == 0 and fam == "b1":
@@ -615,15 +616,22 @@ def combine(pairs):
     return op
 
 
-def commutator_apply(opA, opB, state, rhs=None):
-    """A(B(s)) - B(A(s)) - rhs(s), rhs optional, in one packed dict: a
-    zero residual unpacks nothing."""
+def commutator_apply(opA, opB, state, rhs=None, rhs_ba=None):
+    """A(B(s)) - B(A(s)) - rhs(s), rhs optional, in one packed dict, built
+    once and not at all when opA is opB; given rhs_ba, also the residual of
+    the other order, the same commutator negated less rhs_ba(s), as a pair.
+    A zero residual unpacks nothing."""
     s = {_pack(mono): c for mono, c in state.terms.items()}
-    out = opA._apply(opB._apply(s))
-    opB._apply(opA._apply(s), out, -1)
+    out = {}
+    if opA is not opB:
+        opA._apply(opB._apply(s), out)
+        opB._apply(opA._apply(s), out, -1)
+    if rhs_ba is not None:
+        out_ba = {mono: -c for mono, c in out.items()}
+        rhs_ba._apply(s, out_ba, -1)
     if rhs is not None:
         rhs._apply(s, out, -1)
-    return _state(out)
+    return _state(out) if rhs_ba is None else (_state(out), _state(out_ba))
 
 
 # ---------------------------------------------------------------------------

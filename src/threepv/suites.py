@@ -7,8 +7,9 @@ algebraic checks), a pass flag, and the exact residual when it fails.
 
 Each suite body is a generator of check dicts; run_suite sorts them by
 (lhs, rhs, state), so for a fixed config and seed the JSON rendering is
-byte-identical across runs.  The representation suites share one evaluator,
-_rep_checks, which checks the residual [A, B] s - R s on each state.
+byte-identical across runs.  The representation suites share one grid
+evaluator, _rep_checks, which checks the residual [A, B] s - R s on each
+state and builds each unordered pair's commutator once for both orders.
 """
 
 import itertools
@@ -234,12 +235,32 @@ def _mode_pairs(window):
     return itertools.product(_modes(window), repeat=2)
 
 
-def _rep_checks(name, rhs, ops, states):
-    """Checks of the operator identity [A, B] == R on each labelled state."""
-    A, B, R = ops
-    for label, s in states:
-        resid = commutator_apply(A, B, s, R)
-        yield _check(name, rhs, label, resid.is_zero(), repr(resid))
+def _rep_checks(cfg, fam_pairs, mode, bracket):
+    """Checks of [A_m, B_n] s == R s on each labelled state of cfg, for each
+    family pair (A, B) in fam_pairs and modes m, n in the window, where
+    mode(A, m) is the operator A_m and bracket(A, m, B, n) is (lhs label,
+    rhs label, R) by the suite's own formula for that order.  When (B, A)
+    is checked too, each unordered pair of modes is walked once: one
+    commutator_apply call checks both orders, each against its own R.
+    """
+    states = build_states(cfg)
+    fam_pairs = tuple(fam_pairs)
+    walked = set()
+    for fA, fB in fam_pairs:
+        for m, n in _mode_pairs(cfg.window):
+            if (fB, n, fA, m) in walked:
+                continue
+            walked.add((fA, m, fB, n))
+            orders = [bracket(fA, m, fB, n)]
+            if (fB, fA) in fam_pairs and (fA, m) != (fB, n):
+                orders.append(bracket(fB, n, fA, m))
+            A, B = mode(fA, m), mode(fB, n)
+            for label, s in states:
+                resids = commutator_apply(A, B, s, *[R for _, _, R in orders])
+                if len(orders) == 1:
+                    resids = (resids,)
+                for (lhs, rhs, _), resid in zip(orders, resids):
+                    yield _check(lhs, rhs, label, resid.is_zero(), repr(resid))
 
 
 def _suite_ring_witt(cfg):
@@ -371,56 +392,48 @@ _HEIS_FIELDS = {"b": "beta", "b1": "beta1"}
 
 def _suite_heisenberg_rep(cfg):
     params = cfg.params
-    states = build_states(cfg)
     unit = field_mode("1", -1, params)
-    for famA in ("b", "b1"):
-        for famB in ("b", "b1"):
-            for m, n in _mode_pairs(cfg.window):
-                # one0 acts by kappa0, one1 by zero in this representation
-                bracket = heis_bracket((famA, m), (famB, n))
-                expected = bracket.terms.get(("one0", 0), 0) * params.kappa0
-                yield from _rep_checks(
-                    "realized [%s_%d, %s_%d]" % (famA, m, famB, n),
-                    "%s * id (one0 -> kappa0, one1 -> 0)" % rat_str(expected),
-                    (field_mode(_HEIS_FIELDS[famA], m, params),
-                     field_mode(_HEIS_FIELDS[famB], n, params),
-                     combine(((expected, unit),))),
-                    states)
+
+    def bracket(famA, m, famB, n):
+        # one0 acts by kappa0, one1 by zero in this representation
+        value = heis_bracket((famA, m), (famB, n)).terms.get(("one0", 0), 0)
+        value *= params.kappa0
+        return ("realized [%s_%d, %s_%d]" % (famA, m, famB, n),
+                "%s * id (one0 -> kappa0, one1 -> 0)" % rat_str(value),
+                combine(((value, unit),)))
+    return _rep_checks(cfg, itertools.product(_HEIS_FIELDS, repeat=2),
+                       lambda fam, m: field_mode(_HEIS_FIELDS[fam], m, params),
+                       bracket)
 
 
 def _suite_affine_rep(cfg):
     params = cfg.params
-    states = build_states(cfg)
     rhs = "realized bracket (w0 -> kappa0 + 4*delta_{r,0}, w1 -> 0)"
-    for gA, gB in itertools.combinations_with_replacement(AFFINE_GENERATORS, 2):
-        for m, n in _mode_pairs(cfg.window):
-            yield from _rep_checks(
-                "realized [%s_%d, %s_%d]" % (gA, m, gB, n), rhs,
-                (tau_mode(gA, m, params), tau_mode(gB, n, params),
-                 tau_realize(affine_bracket((gA, m), (gB, n)), params)),
-                states)
+
+    def bracket(gA, m, gB, n):
+        return ("realized [%s_%d, %s_%d]" % (gA, m, gB, n), rhs,
+                tau_realize(affine_bracket((gA, m), (gB, n)), params))
+    pairs = itertools.combinations_with_replacement(AFFINE_GENERATORS, 2)
+    return _rep_checks(cfg, pairs, lambda g, m: tau_mode(g, m, params), bracket)
 
 
 def _suite_witt_rep(cfg):
     params = cfg.params
-    states = build_states(cfg)
-    for kA, kB in WITT_REP_PAIRS:
-        j_terms = witt_rep_gj((kA, kB), params.r)
-        for m, n in _mode_pairs(cfg.window):
-            yield from _rep_checks(
-                "[pi(%s)_%d, pi(%s)_%d]" % (kA, m, kB, n),
+    j_terms = {pair: witt_rep_gj(pair, params.r) for pair in WITT_REP_PAIRS}
+
+    def bracket(kA, m, kB, n):
+        return ("[pi(%s)_%d, pi(%s)_%d]" % (kA, m, kB, n),
                 "mode expansion of the bracket fields",
-                (field_mode("pi_" + kA, m, params),
-                 field_mode("pi_" + kB, n, params),
-                 bracket_rhs_op(j_terms, m, n, params)),
-                states)
+                bracket_rhs_op(j_terms[kA, kB], m, n, params))
+    return _rep_checks(cfg, WITT_REP_PAIRS,
+                       lambda k, m: field_mode("pi_" + k, m, params), bracket)
 
 
-_VIR_FAMILIES = (("D", "d"), ("D1", "d1"))
-
-# Vacuum probes that isolate the central action: with B0 = 0 and B1 = 0 the
-# non-central part of each bracket kills the vacuum, so the commutator must
-# return exactly (cocycle value) * (realized central class) * |0>.
+# The main grid leaves out (D1, D).  Vacuum probes isolate the central
+# action: with B0 = 0 and B1 = 0 the non-central part of each bracket kills
+# the vacuum, so the commutator must return exactly (cocycle value) *
+# (realized central class) * |0>.
+_VIR_PAIRS = (("D", "D"), ("D", "D1"), ("D1", "D1"))
 _VIR_PROBES = (
     ("D1", "D1", 2, -3),
     ("D1", "D1", 1, -2),
@@ -432,45 +445,38 @@ _VIR_PROBES = (
 def _suite_virasoro_rep(cfg):
     params = cfg.params
     vparams = VirParams.standard(params.kappa0)
-    states = build_states(cfg)
     rhs = "realized bracket (c1 -> %s, c2 -> 0)" % rat_str(central_charge(params.r))
-    for kA, famA in _VIR_FAMILIES:
-        for kB, famB in _VIR_FAMILIES:
-            if (kA, kB) == ("D1", "D"):
-                continue
-            for m, n in _mode_pairs(cfg.window):
-                yield from _rep_checks(
-                    "[pi(%s)_%d, pi(%s)_%d]" % (kA, m, kB, n), rhs,
-                    (pi_vir_mode(kA, m, params, vparams),
-                     pi_vir_mode(kB, n, params, vparams),
-                     vir_realize(vir_bracket((famA, m + 1), (famB, n + 1)),
-                                 params, vparams)),
-                    states)
+
+    def bracket(kA, m, kB, n):
+        return ("[pi(%s)_%d, pi(%s)_%d]" % (kA, m, kB, n), rhs,
+                vir_realize(vir_bracket((kA.lower(), m + 1), (kB.lower(), n + 1)),
+                            params, vparams))
+    yield from _rep_checks(cfg, _VIR_PAIRS,
+                           lambda k, m: pi_vir_mode(k, m, params, vparams), bracket)
     zero = RepParams(r=params.r, kappa0=params.kappa0, B0=0, B1=((0, 0), (0, 0)))
-    fam = dict(_VIR_FAMILIES)
     for kA, kB, m, n in _VIR_PROBES:
-        value = phi1((fam[kA], m + 1), (fam[kB], n + 1)) * central_charge(params.r)
-        yield from _rep_checks(
-            "pure-central [pi(%s)_%d, pi(%s)_%d] with B0 = 0, B1 = 0"
-            % (kA, m, kB, n),
-            "%s * |0>" % rat_str(value),
-            (pi_vir_mode(kA, m, zero, vparams), pi_vir_mode(kB, n, zero, vparams),
-             combine(((value, field_mode("1", -1, zero)),))),
-            [("vacuum", FockState.vacuum())])
+        value = phi1((kA.lower(), m + 1), (kB.lower(), n + 1))
+        value *= central_charge(params.r)
+        resid = commutator_apply(
+            pi_vir_mode(kA, m, zero, vparams), pi_vir_mode(kB, n, zero, vparams),
+            FockState.vacuum(), combine(((value, field_mode("1", -1, zero)),)))
+        yield _check("pure-central [pi(%s)_%d, pi(%s)_%d] with B0 = 0, B1 = 0"
+                     % (kA, m, kB, n), "%s * |0>" % rat_str(value), "vacuum",
+                     resid.is_zero(), repr(resid))
 
 
 def _suite_pairs_subset(cfg):
     params = cfg.params
-    states = build_states(cfg)
-    for item in PAIRS_ITEMS:
-        lhs_a, lhs_b, j_terms = pairs_gj(item, params)
-        for m, n in _mode_pairs(cfg.window):
-            yield from _rep_checks(
-                "item %d: [%s_%d, %s_%d]" % (item, lhs_a, m, lhs_b, n),
+    # each item brackets one field with itself
+    gj = {item: pairs_gj(item, params) for item in PAIRS_ITEMS}
+
+    def bracket(item, m, _item, n):
+        lhs_a, lhs_b, j_terms = gj[item]
+        return ("item %d: [%s_%d, %s_%d]" % (item, lhs_a, m, lhs_b, n),
                 "mode expansion of the bracket fields",
-                (field_mode(lhs_a, m, params), field_mode(lhs_b, n, params),
-                 bracket_rhs_op(j_terms, m, n, params)),
-                states)
+                bracket_rhs_op(j_terms, m, n, params))
+    return _rep_checks(cfg, ((item, item) for item in PAIRS_ITEMS),
+                       lambda item, m: field_mode(gj[item][0], m, params), bracket)
 
 
 def _suite_density_module(cfg):

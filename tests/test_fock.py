@@ -15,6 +15,7 @@ from threepv.realization import (
     VirParams,
     bracket_rhs_op,
     field_mode,
+    pairs_gj,
     pi_vir_mode,
     pi_witt_mode,
     tau_mode,
@@ -783,6 +784,82 @@ def test_commutator_residual_is_the_commutator_less_the_right_hand_side(r, kappa
             assert resid == commutator_apply(A, B, s) - R.apply(s)
             assert resid.is_zero() == holds
         assert any(not R.apply(s).is_zero() for s in states)
+
+
+def _like_kind_brackets(params):
+    """(mode builder, formula R(m, n)) of like-kind family pairs, a current,
+    a witt field, a Virasoro family and a pairs-subset item."""
+    vparams = VirParams.standard(params.kappa0)
+    j_dd = witt_rep_gj(("d", "d"), params.r)
+    field, _, j_14 = pairs_gj(14, params)
+    return [
+        (lambda m: tau_mode("h", m, params),
+         lambda m, n: tau_realize(affine_bracket(("h", m), ("h", n)), params)),
+        (lambda m: field_mode("pi_d", m, params),
+         lambda m, n: bracket_rhs_op(j_dd, m, n, params)),
+        (lambda m: field_mode(field, m, params),
+         lambda m, n: bracket_rhs_op(j_14, m, n, params)),
+        (lambda m: pi_vir_mode("D1", m, params, vparams),
+         lambda m, n: vir_realize(vir_bracket(("d1", m + 1), ("d1", n + 1)),
+                                  params, vparams)),
+    ]
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("kappa0", [1, QQ(3, 2)], ids=["k1", "k3/2"])
+def test_paired_residuals_equal_two_single_order_calls(r, kappa0):
+    """Each formula is made wrong by one unit, so every residual is nonzero
+    and its bytes are pinned: the paired call's two residuals are those of
+    the two single-order calls, and [A, A] s - R s is exactly -R s."""
+    params = RepParams(r=r, kappa0=kappa0)
+    unit = field_mode("1", -1, params)
+    states = [FockState.vacuum()] + seeded_states(41, 2)
+    for mode, formula in _like_kind_brackets(params):
+        def wrong(m, n):
+            return combine(((1, formula(m, n)), (1, unit)))
+        for m, n in [(1, -1), (2, -3), (0, 2), (-2, -1)]:
+            A, B = mode(m), mode(n)
+            R_ab, R_ba = wrong(m, n), wrong(n, m)
+            for s in states:
+                ab, ba = commutator_apply(A, B, s, R_ab, R_ba)
+                for got, want in [(ab, commutator_apply(A, B, s, R_ab)),
+                                  (ba, commutator_apply(B, A, s, R_ba))]:
+                    assert not got.is_zero()
+                    assert got == want and repr(got) == repr(want)
+        A, R = mode(1), wrong(1, 1)
+        for s in states:
+            minus_r = R.apply(s).scale(-1)
+            got = commutator_apply(A, A, s, R)
+            assert got == minus_r and repr(got) == repr(minus_r)
+            assert commutator_apply(A, A, s, R, R) == (minus_r, minus_r)
+
+
+def _integral_coefficients_are_ints(state):
+    return all(type(c) is int for c in state.terms.values() if QQ(c).denominator == 1)
+
+
+@pytest.mark.parametrize("kappa0", [QQ(3, 2), QQ(2, 3)], ids=["k3/2", "k2/3"])
+def test_images_and_residuals_keep_integral_coefficients_as_ints(kappa0):
+    """An integral coefficient reaches a FockState as an int, whatever
+    rational kappa0 it was computed from."""
+    params = RepParams(r=0, kappa0=kappa0)
+    # b_1 and b_3 take -2 kappa0 and -6 kappa0 times an exponent off probe,
+    # an integer for one of them at each kappa0
+    probe = FockState({make_monomial({(Y, -1): 2, (Y, -3): 1}): 1})
+    states = [FockState.vacuum(), probe] + seeded_states(43, 4)
+    ops = [single("b", m, params) for m in (1, 3)]
+    ops += [single("b1", m, params) for m in (0, 1)]
+    ops += [tau_mode(g, m, params) for g in ("e", "h1") for m in (-1, 1)]
+    ops += [pi_vir_mode("D", m, params) for m in (-1, 1)]
+    for op in ops:
+        for s in states:
+            assert _integral_coefficients_are_ints(op.apply(s))
+    unit = field_mode("1", -1, params)
+    for s in states:
+        for A, B in itertools.combinations(ops, 2):
+            resids = commutator_apply(A, B, s, unit, unit)
+            assert all(map(_integral_coefficients_are_ints, resids))
+    assert any(type(c) is int for op in ops[:2] for c in op.apply(probe).terms.values())
 
 
 def test_identity_term():

@@ -1,12 +1,13 @@
 """Suite-level behavior: frozen outcomes, report schema, determinism."""
 
 import copy
+import itertools
 import json
 import sys
 
 import pytest
 
-from threepv import fock
+from threepv import fock, suites
 from threepv.fock import FockState, ModeOp, RepParams, seeded_states
 from threepv.scalars import QQ
 from threepv.suites import (
@@ -243,21 +244,77 @@ def test_virasoro_rep_like_kind_passes_mixed_fails():
 
 
 def test_rep_checks_residual_is_got_minus_want():
-    # [b_1, b_{-1}] = -2 kappa0 = -3, so against R = 0 every state s fails
-    # with residual -3 s, and against R = -3 Id every state passes
-    params = RepParams(r=0, kappa0=QQ(3, 2))
-    b_1 = ModeOp(((1, (("b", 1),)),), (), params)
-    b_m1 = ModeOp(((1, (("b", -1),)),), (), params)
-    states = [("vacuum", FockState.vacuum())] + [
-        ("s%02d" % i, s) for i, s in enumerate(seeded_states(17, 3, 3))]
-    zero = ModeOp((), (), params)
-    checks = list(_rep_checks("[b_1, b_-1]", "0", (b_1, b_m1, zero), states))
-    assert [c["state"] for c in checks] == [label for label, _ in states]
-    for c, (_, s) in zip(checks, states):
-        assert not c["pass"] and c["residual"] == repr(s.scale(-3))
-    minus_three = ModeOp(((-3, ()),), (), params)
-    for c in _rep_checks("[b_1, b_-1]", "-3", (b_1, b_m1, minus_three), states):
+    # [b_m, b_n] = -2 m kappa0 delta_{m+n,0} = -3m, so against R = 0 the
+    # check of (m, -m) fails on every state s with residual -3m s, and
+    # against R = -3m Id every check passes
+    cfg = SuiteConfig("heisenberg-rep", window=1, kappa0=QQ(3, 2),
+                      states="random:3:3", seed=17)
+    params = cfg.params
+    states = build_states(cfg)
+    ops = {m: ModeOp(((1, (("b", m),)),), (), params) for m in (-1, 0, 1)}
+
+    def value(m, n):
+        return -3 * m if m + n == 0 else 0
+
+    def against(right):
+        def bracket(_fam, m, _famB, n):
+            v = right(m, n)
+            return "[b_%d, b_%d]" % (m, n), str(v), ModeOp(((v, ()),), (), params)
+        checks = list(_rep_checks(cfg, [("b", "b")], lambda _fam, m: ops[m], bracket))
+        assert len(checks) == 9 * len(states)
+        return {(c["lhs"], c["state"]): c for c in checks}
+
+    wrong = against(lambda m, n: 0)
+    for m, n in itertools.product((-1, 0, 1), repeat=2):
+        for label, s in states:
+            c = wrong["[b_%d, b_%d]" % (m, n), label]
+            assert c["pass"] == (not value(m, n))
+            if value(m, n):
+                assert c["residual"] == repr(s.scale(value(m, n)))
+    for c in against(value).values():
         assert c["pass"] and c["residual"] is None
+
+
+@pytest.mark.parametrize("suite, built, checks",
+                         [("heisenberg-rep", 15, 36), ("affine-rep", 153, 189)])
+def test_each_unordered_commutator_is_built_once(suite, built, checks, monkeypatch):
+    """Products A(B s) and B(A s) are built once per unordered pair of modes
+    and state, and not at all for [A, A]."""
+    applied = []
+    apply = ModeOp._apply
+    monkeypatch.setattr(ModeOp, "_apply",
+                        lambda op, *a, **kw: applied.append(op) or apply(op, *a, **kw))
+    calls = []
+    commutator = suites.commutator_apply
+
+    def counting(opA, opB, state, *rhs):
+        del applied[:]
+        out = commutator(opA, opB, state, *rhs)
+        calls.append((opA is opB, applied.count(opA), applied.count(opB)))
+        return out
+    monkeypatch.setattr(suites, "commutator_apply", counting)
+    rep = report(suite, window=1, kappa0=QQ(3, 2))
+    assert len(rep.checks) == checks and rep.failed == 0
+    assert sum(not same for same, _, _ in calls) == built
+    for same, on_a, on_b in calls:
+        assert (on_a, on_b) == ((0, 0) if same else (2, 2))
+
+
+_FAMILY_PAIRS = {"heisenberg-rep": 4, "affine-rep": 21, "witt-rep": 3,
+                 "virasoro-rep": 3, "pairs-subset": 4}
+
+
+@pytest.mark.parametrize("window", [1, 2])
+@pytest.mark.parametrize("suite", sorted(_FAMILY_PAIRS))
+def test_rep_suite_check_keys_are_unique_and_complete(suite, window):
+    """run_suite's sort decides the report bytes whatever order the grid
+    yields in, as no two checks share a key."""
+    rep = report(suite, window=window, states="random:1:2", seed=23)
+    keys = {(c["lhs"], c["rhs"], c["state"]) for c in rep.checks}
+    probes = 4 if suite == "virasoro-rep" else 0
+    want = (2 * window + 1) ** 2 * _FAMILY_PAIRS[suite] * 2 + probes
+    assert len(keys) == len(rep.checks) == want
+    assert {state for _, _, state in keys} == {"vacuum", "s00"}
 
 
 def test_only_a_failing_check_unpacks_its_residual(monkeypatch):
