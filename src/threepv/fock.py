@@ -67,7 +67,12 @@ created variable, and a guard of the fields it touches.  A term clear of the
 guard takes the delta in one addition; one with a touched exponent at 128
 or more is multiplied variable by variable, checked against the limit.
 
-ModeOp memoizes monomial images in _MEMO, each operator its own key.  The
+A ModeOp keeps its term coefficients and sum weights multiplied by den,
+the lcm of their denominators, so they are ints, and _MEMO holds the
+images of den * op: the kernel and the memo multiply ints wherever kappa0,
+B0 and B1 allow, and only _apply's per-call scale and a nonzero residual
+leaving commutator_apply are divided by den.  ModeOp memoizes monomial
+images in _MEMO, each operator its own key.  The
 caches hold one parameter set at a time: _use(params) clears _MEMO,
 _WALKS, _PLANS and _OPS, the operators built_once builders made, in place
 unless params equals the set they hold, so a repeated configuration gets
@@ -78,10 +83,11 @@ one, the zero operator, applies nothing.
 """
 
 import functools
+import math
 import random
 from collections import namedtuple
 
-from .scalars import Vec, qq
+from .scalars import QQ, Vec, qq
 
 # variable codes
 X, X1, Y, Y1 = 0, 1, 2, 3
@@ -194,11 +200,19 @@ def _unpack(p):
     return (tuple(sorted(_fields(p & ~1))), p & 1)
 
 
-def _state(packed_terms):
-    """The FockState of a {packed monomial: coeff} dict, each coefficient
-    canonical under qq."""
+def _div(c, den):
+    """c / den, canonical under qq, with no rational built when den divides
+    an int c."""
+    if type(c) is int and not c % den:
+        return c // den
+    return qq(QQ(c) / den)
+
+
+def _state(packed_terms, den=1):
+    """The FockState of a {packed monomial: coeff} dict divided by den, each
+    coefficient canonical under qq."""
     st = FockState()
-    st.terms = {_unpack(p): qq(c) for p, c in packed_terms.items()}
+    st.terms = {_unpack(p): _div(c, den) for p, c in packed_terms.items()}
     return st
 
 
@@ -520,27 +534,40 @@ def built_once(build):
 
 class ModeOp:
     """A finite combination of explicit mode products and normal-ordered
-    infinite sums, at fixed parameters.
+    infinite sums, at fixed parameters, kept over one denominator.
 
     terms: tuple of (coeff, ((family, mode), ...)) -- () is the identity
     sums:  tuple of QuadSum / CubicSum
+    den:   the lcm of the denominators of the term coefficients and sum
+           weights given; terms and sums keep them multiplied by den, as ints
 
     apply takes and returns a FockState of tuple monomials; _apply and
     apply_mono work on packed ones.  A base operator (parts None) is its own
-    key for its packed monomial images in _MEMO, so ModeOp must keep
-    identity equality: equal operators share entries only by being one
-    object, as built_once makes them.  combine returns a combination, which
-    has parts only: a tuple of (coeff, base), and apply sums coeff * image
-    over the parts, each under its base's parameter set, reusing their
-    entries and adding none; parts () is the zero operator.
+    key in _MEMO for the packed monomial images of den * op, and _apply
+    folds 1 / den into its scale.  ModeOp must keep identity equality:
+    equal operators share entries only by being one object, as built_once
+    makes them.  combine returns a combination, which has parts only: a
+    tuple of (coeff, base), and den 1, each base folding its own; apply
+    sums coeff * image over the parts, each under its base's parameter set,
+    reusing their entries and adding none; parts () is the zero operator.
     """
 
-    __slots__ = ("terms", "sums", "params", "parts")
+    __slots__ = ("terms", "sums", "params", "parts", "den")
 
     def __init__(self, terms, sums, params):
-        terms = ((qq(c), fs) for c, fs in terms)
-        self.terms = tuple((c, tuple(fs)) for c, fs in terms if c)
-        self.sums = tuple(sums)
+        terms = [(qq(c), tuple(fs)) for c, fs in terms if c]
+        sums = tuple(sums)
+        # the weights follow each sum's families and its total mode, an int
+        loose = [w for s in sums for w in s[3:] if type(w) is not int]
+        loose += [c for c, _fs in terms if type(c) is not int]
+        den = self.den = math.lcm(*(w.denominator for w in loose))
+        if loose:
+            terms = [(qq(c * den), fs) for c, fs in terms]
+            sums = tuple(s._replace(c0=qq(s.c0 * den), c1=qq(s.c1 * den))
+                         if isinstance(s, QuadSum) else s._replace(c=qq(s.c * den))
+                         for s in sums)
+        self.terms = tuple(terms)
+        self.sums = sums
         fams = {f for _c, fs in self.terms for f, _m in fs}
         fams.update(f for s in self.sums for f in s[:2 if isinstance(s, QuadSum) else 3])
         if not fams <= ANNIHILATES.keys():
@@ -549,8 +576,8 @@ class ModeOp:
         self.parts = None
 
     def apply_mono(self, mono):
-        """The image of a packed monomial, ((packed monomial, coeff), ...),
-        through _MEMO."""
+        """The image of a packed monomial under den * self,
+        ((packed monomial, coeff), ...), through _MEMO."""
         key = (self, mono)
         cached = _MEMO.get(key)
         if cached is None:
@@ -573,16 +600,21 @@ class ModeOp:
         return cached
 
     def apply(self, state):
-        return _state(self._apply({_pack(mono): c for mono, c in state.terms.items()}))
+        packed = {_pack(mono): c for mono, c in state.terms.items()}
+        return _state(self._apply(packed, None, self.den), self.den)
 
     def _apply(self, packed_terms, out=None, scale=1):
         """Add scale * the image of a packed dict into out (a new dict
-        by default); return out."""
+        by default); return out.  A part's entries hold the image of
+        den * base, so scale / den joins its coefficient once per call, an
+        int when den divides an int product."""
         out = {} if out is None else out
         for coeff, base in ((1, self),) if self.parts is None else self.parts:
             if base.params is not _MEMO_PARAMS:
                 _use(base.params)
             coeff *= scale
+            if base.den != 1:
+                coeff = _div(coeff, base.den)
             items = packed_terms.items()
             if coeff != 1:
                 items = [(mono, coeff * c) for mono, c in items]
@@ -613,6 +645,7 @@ def combine(pairs):
         return parts[0][1]
     op = ModeOp.__new__(ModeOp)
     op.parts = parts
+    op.den = 1
     return op
 
 
@@ -620,18 +653,27 @@ def commutator_apply(opA, opB, state, rhs=None, rhs_ba=None):
     """A(B(s)) - B(A(s)) - rhs(s), rhs optional, in one packed dict, built
     once and not at all when opA is opB; given rhs_ba, also the residual of
     the other order, the same commutator negated less rhs_ba(s), as a pair.
-    A zero residual unpacks nothing."""
+
+    The dicts hold den_A * den_B times the residuals: the inner operators
+    apply at the scale of their own den, the outer ones at the other's, and
+    the right-hand sides at -den_A * den_B, so operators kept over
+    denominators add ints.  _state divides a nonzero residual back, and a
+    zero one unpacks and divides nothing."""
     s = {_pack(mono): c for mono, c in state.terms.items()}
+    den_a, den_b = opA.den, opB.den
     out = {}
     if opA is not opB:
-        opA._apply(opB._apply(s), out)
-        opB._apply(opA._apply(s), out, -1)
+        opA._apply(opB._apply(s, None, den_b), out, den_a)
+        opB._apply(opA._apply(s, None, den_a), out, -den_b)
+    den = den_a * den_b
     if rhs_ba is not None:
         out_ba = {mono: -c for mono, c in out.items()}
-        rhs_ba._apply(s, out_ba, -1)
+        rhs_ba._apply(s, out_ba, -den)
     if rhs is not None:
-        rhs._apply(s, out, -1)
-    return _state(out) if rhs_ba is None else (_state(out), _state(out_ba))
+        rhs._apply(s, out, -den)
+    if rhs_ba is None:
+        return _state(out, den)
+    return _state(out, den), _state(out_ba, den)
 
 
 # ---------------------------------------------------------------------------

@@ -405,16 +405,32 @@ def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states):
     For each (m, n) pair and state, compares [A_m, B_n] applied to the state
     with the translated right-hand side; on mismatch, retries the right-hand
     side under each uniform mode shift K -> K + s, s in AUDIT_SHIFTS, and
-    records which shift (if any) repairs the identity.  Returns a list of
-    dicts with keys m, n, state, pass, shift.
+    records which shift (if any) repairs the identity.  When A and B are one
+    field and (n, m) is a pair too, one commutator_apply call checks both
+    orders, each against its own right-hand side.  Returns a list of dicts
+    with keys m, n, state, pass, shift, in the order of mn_pairs.
     """
+    mn_pairs = list(mn_pairs)
+    wanted = set(mn_pairs)
+    passed = {}     # (m, n) -> [pass per state]
+    for m, n in mn_pairs:
+        if (m, n) in passed:
+            continue
+        orders = [(m, n)]
+        if lhs_a == lhs_b and m != n and (n, m) in wanted:
+            orders.append((n, m))
+        op_a, op_b = field_mode(lhs_a, m, params), field_mode(lhs_b, n, params)
+        rhss = [bracket_rhs_op(j_terms, mm, nn, params) for mm, nn in orders]
+        resids = [commutator_apply(op_a, op_b, state, *rhss) for state in states]
+        if len(orders) == 1:
+            resids = [(resid,) for resid in resids]
+        for i, order in enumerate(orders):
+            passed[order] = [pair[i].is_zero() for pair in resids]
     results = []
     for m, n in mn_pairs:
-        op_a = field_mode(lhs_a, m, params)
-        op_b = field_mode(lhs_b, n, params)
-        rhs = bracket_rhs_op(j_terms, m, n, params)
+        op_a, op_b = field_mode(lhs_a, m, params), field_mode(lhs_b, n, params)
         for idx, state in enumerate(states):
-            ok = commutator_apply(op_a, op_b, state, rhs).is_zero()
+            ok = passed[(m, n)][idx]
             found = None
             if not ok:
                 for s in AUDIT_SHIFTS:

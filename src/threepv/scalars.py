@@ -5,11 +5,15 @@ floating point anywhere in the math path.  gmpy2's mpq is used when
 available (arbitrary-precision, much faster), with fractions.Fraction as
 a drop-in fallback.
 
-Coefficients on the Fock path pass through qq: an integral value is kept
-as a Python int, whose arithmetic and hashing cost far less than either
-rational type's, and only a non-integral value (a rational kappa0 or B1
-entry, say) stays QQ.  An int compares and hashes equal to the same QQ
-and prints the same way, so the choice never shows in a report.
+Coefficients on the Fock path pass through qq at its edges: an integral
+value is kept as a Python int, whose arithmetic and hashing cost far less
+than either rational type's, and only a non-integral value (a rational
+kappa0 or B1 entry, say) stays QQ.  An int compares and hashes equal to
+the same QQ and prints the same way, so the choice never shows in a
+report.  Inside the Fock kernel each operator keeps its coefficients as
+ints over one denominator (fock.ModeOp.den), so a rational weight such as
+1/(2 kappa0) costs no QQ arithmetic per term; results are divided back
+through qq on the way out.
 
 Vec is the one exact sparse vector under every layer: ring elements,
 brackets, density-module vectors and Fock states are all finite

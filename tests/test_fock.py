@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from threepv import fock
+from threepv import fock, suites
 from threepv.scalars import QQ
 from threepv.liealg import affine_bracket, heis_bracket, vir_bracket
 from threepv.realization import (
@@ -638,10 +638,11 @@ def test_combinations_apply_as_their_flat_operator(r, kappa0):
 
 def _apply_by_parts(op, s, params):
     """The sum of c * (a fresh copy of base at params) applied to s over the
-    parts (c, base) of the combination op."""
+    parts (c, base) of the combination op, each copy rebuilt from the
+    terms and sums its base keeps multiplied by den."""
     out = FockState()
     for c, base in op.parts:
-        out += ModeOp(base.terms, base.sums, params).apply(s).scale(c)
+        out += ModeOp(base.terms, base.sums, params).apply(s).scale(QQ(c) / base.den)
     return out
 
 
@@ -832,6 +833,107 @@ def test_paired_residuals_equal_two_single_order_calls(r, kappa0):
             got = commutator_apply(A, A, s, R)
             assert got == minus_r and repr(got) == repr(minus_r)
             assert commutator_apply(A, A, s, R, R) == (minus_r, minus_r)
+
+
+# operators kept over one denominator: den * op in the kernel and the memo
+_SCALED_CASES = [
+    # (terms, sums, den)
+    (((QQ(7, 4), (("b", 1),)), (QQ(-2, 3), (("a1*", -1), ("b1", 0))), (3, ())),
+     (QuadSum("a", "a*", 1, QQ(1, 6), QQ(-3, 4)), QuadSum("b", "b1", -1, QQ(1, 2), 0),
+      CubicSum("a", "a1*", "a1*", 0, QQ(5, 12))), 12),
+    (((QQ(2, 5), (("a", 0), ("b", -1))),), (CubicSum("a1", "a*", "a*", 1, QQ(5, 12)),), 60),
+    ((), (QuadSum("b1", "b1", 0, QQ(-1, 6), QQ(3, 4)),), 12),
+    (((QQ(4, 2), (("a*", 1),)),), (QuadSum("a1", "a1*", 1, 2, -1),), 1),
+]
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("kappa0", [1, QQ(3, 2), QQ(2, 3)], ids=["k1", "k3/2", "k2/3"])
+def test_the_scaled_kernel_agrees_with_unscaled_fraction_arithmetic(r, kappa0):
+    """An operator keeps its terms and sums as ints times 1 / den, den the
+    lcm of the denominators of their weights, and applies as the sum of the
+    unscaled parts: the brute-force sums plus the terms' products."""
+    params = RepParams(r=r, kappa0=kappa0)
+    states = [FockState.vacuum()] + seeded_states(47, 2)
+    states.append(seeded_states(53, 1)[0].scale(QQ(2, 7)))
+    for terms, sums, den in _SCALED_CASES:
+        op = ModeOp(terms, sums, params)
+        assert op.den == den
+        assert all(type(c) is int for c, _fs in op.terms)
+        assert all(type(w) is int for q in op.sums for w in q[3:])
+        for s in states:
+            want = FockState()
+            for sum_op in sums:
+                want += naive_sum_apply(sum_op, s, params, _box(sum_op, s))
+            for c, factors in terms:
+                for mono, coeff in s.terms.items():
+                    for mo, cc in apply_product(factors, fock._pack(mono), params):
+                        want += FockState({fock._unpack(mo): c * coeff * cc})
+            got = op.apply(s)
+            assert got == want and repr(got) == repr(want), (terms, sums, s)
+
+
+@pytest.mark.parametrize("kappa0", [3, QQ(3, 2)], ids=["k3", "k3/2"])
+def test_the_kernel_stays_in_ints(kappa0, monkeypatch):
+    """Where 2 kappa0 is an integer, so that every annihilation coefficient
+    is, every image the memo holds over a virasoro-rep and an affine-rep
+    grid has int coefficients, though the Virasoro corrections' weights
+    and chi0 are not integers."""
+    monkeypatch.setattr(fock, "_MEMO", {})
+    seen = []
+    use = fock._use
+
+    def recording(params):
+        seen.extend(c for image in fock._MEMO.values() for _mo, c in image)
+        use(params)
+    monkeypatch.setattr(fock, "_use", recording)
+    for suite in ("virasoro-rep", "affine-rep"):
+        for r in (0, 1):
+            suites.run_suite(suites.SuiteConfig(
+                suite, window=1, states="random:1:3", seed=8, r=r, kappa0=kappa0))
+    recording(RepParams(kappa0=7))
+    assert seen and all(type(c) is int for c in seen)
+    params = RepParams(kappa0=kappa0)
+    assert pi_vir_mode("D", 0, params).den == (12 if kappa0 == 3 else 6)
+    assert tau_mode("e", 1, params).den == (1 if kappa0 == 3 else 2)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("kappa0", [3, QQ(3, 2), QQ(2, 3)], ids=["k3", "k3/2", "k2/3"])
+def test_nonzero_residuals_divide_exactly(r, kappa0):
+    """A residual of operators kept over denominators, against a right-hand
+    side wrong by (1/7) |unit>, on states with rational coefficients, is
+    the one FockState arithmetic gives, in the single and the paired form."""
+    params = RepParams(r=r, kappa0=kappa0)
+    vparams = VirParams.standard(kappa0)
+    unit = field_mode("1", -1, params)
+
+    def mode(k, m):
+        return pi_vir_mode(k, m, params, vparams)
+
+    def wrong(kA, m, kB, n):
+        right = vir_realize(vir_bracket((kA.lower(), m + 1), (kB.lower(), n + 1)),
+                            params, vparams)
+        return combine(((1, right), (QQ(1, 7), unit)))
+
+    states = [FockState.vacuum()] + [s.scale(QQ(3, 5)) for s in seeded_states(59, 2)]
+    for kA, m, kB, n in [("D", 1, "D", -2), ("D", 0, "D1", 1), ("D1", -1, "D1", 2)]:
+        A, B = mode(kA, m), mode(kB, n)
+        assert A.den > 1 and B.den > 1
+        R_ab, R_ba = wrong(kA, m, kB, n), wrong(kB, n, kA, m)
+        for s in states:
+            ab = A.apply(B.apply(s)) - B.apply(A.apply(s))
+            want_ab, want_ba = ab - R_ab.apply(s), -ab - R_ba.apply(s)
+            single_ab = commutator_apply(A, B, s, R_ab)
+            pair_ab, pair_ba = commutator_apply(A, B, s, R_ab, R_ba)
+            for got, want in [(single_ab, want_ab), (pair_ab, want_ab),
+                              (pair_ba, want_ba)]:
+                assert not want.is_zero()
+                assert got == want and repr(got) == repr(want)
+        for s in states:
+            minus_r = R_ab.apply(s).scale(-1)
+            got = commutator_apply(A, A, s, R_ab)
+            assert got == minus_r and repr(got) == repr(minus_r)
 
 
 def _integral_coefficients_are_ints(state):

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from threepv import fock
+from threepv import fock, realization
 from threepv.scalars import QQ, Vec
 from threepv.fock import (
     FockState,
@@ -19,6 +19,7 @@ from threepv.fock import (
 from threepv.liealg import affine_bracket, phi1, vir_bracket
 from threepv.realization import (
     AFFINE_GENERATORS,
+    AUDIT_SHIFTS,
     PAIRS_ITEMS,
     WITT_REP_PAIRS,
     VirParams,
@@ -323,6 +324,42 @@ def test_convention_audit_reports_shift():
     res = convention_audit("beta", "beta", bad, P0, [(1, -1), (2, -2)], [vac])
     assert all(not row["pass"] for row in res)
     assert all(row["shift"] == -1 for row in res)
+
+
+@pytest.mark.parametrize("case", ["holds", "shifted", "anomaly", "two-fields"])
+def test_convention_audit_checks_each_unordered_pair_once(case, monkeypatch):
+    """With one field on both sides, one commutator_apply call per unordered
+    (m, n) and state checks both orders; the rows, shifts included, are
+    those of one call per order."""
+    lhs_a, lhs_b, j_terms = {
+        "holds": pairs_gj(1, P0),
+        "shifted": ("beta", "beta", [(1, -2 * P0.kappa0, 1, "1", 0)]),
+        "anomaly": ("pi_d1", "pi_d1", witt_rep_gj(("d1", "d1"), 1)),
+        "two-fields": ("beta", "beta1", []),
+    }[case]
+    states = [FockState.vacuum()] + seeded_states(61, 2)
+    pairs = list(itertools.product(range(-2, 3), repeat=2))
+    calls = []
+    commutator = realization.commutator_apply
+    monkeypatch.setattr(realization, "commutator_apply",
+                        lambda A, B, s, *rhs: calls.append(len(rhs)) or commutator(A, B, s, *rhs))
+    got = convention_audit(lhs_a, lhs_b, j_terms, P0, pairs, states)
+    monkeypatch.undo()
+    paired = 0 if case == "two-fields" else 10
+    assert calls.count(2) == paired * len(states)
+    assert len(calls) - calls.count(2) >= (len(pairs) - 2 * paired) * len(states)
+    want = []
+    for m, n in pairs:
+        A, B = field_mode(lhs_a, m, P0), field_mode(lhs_b, n, P0)
+        for idx, s in enumerate(states):
+            ok = commutator_apply(A, B, s, bracket_rhs_op(j_terms, m, n, P0)).is_zero()
+            shift = None
+            if not ok:
+                shift = next((k for k in AUDIT_SHIFTS if commutator_apply(
+                    A, B, s, bracket_rhs_op(j_terms, m, n, P0, shift=k)).is_zero()), None)
+            want.append({"m": m, "n": n, "state": idx, "pass": ok, "shift": shift})
+    assert got == want
+    assert all(row["pass"] for row in got) == (case in ("holds", "two-fields"))
 
 
 # ---------------------------------------------------------------------------
