@@ -71,15 +71,21 @@ A ModeOp keeps its term coefficients and sum weights multiplied by den,
 the lcm of their denominators, so they are ints, and _MEMO holds the
 images of den * op: the kernel and the memo multiply ints wherever kappa0,
 B0 and B1 allow, and only _apply's per-call scale and a nonzero residual
-leaving commutator_apply are divided by den.  ModeOp memoizes monomial
-images in _MEMO, each operator its own key.  The
-caches hold one parameter set at a time: _use(params) clears _MEMO,
-_WALKS, _PLANS and _OPS, the operators built_once builders made, in place
+leaving commutator_apply are divided by den.  _MEMO keys an image by the
+operator and the part of the monomial its families read, by the walks'
+masks: an operator creates, differentiates and meets the field limit only
+in fields it reads, so each term of the read part's image takes back the
+unread rest in one addition.  _MEMO and _OPS, the operators built_once
+builders made, hold one parameter set: _use(params) clears them in place
 unless params equals the set they hold, so a repeated configuration gets
 its operators and their images back and any other frees the last one's
-entries.  Linear combinations (combine) are their parts alone and apply
-through the parts' memo entries, under the parts' parameter set; the empty
-one, the zero operator, applies nothing.
+entries.  A walk depends on the set through r alone, unless its families
+include b or b1, whose actions read kappa0, B0 and B1: at a new set with
+the same r _use drops only those walks, and at another r it clears _WALKS
+and _PLANS.  _READ_SETS, like the intern tables, is parameter-free and
+lives for the process.  Linear combinations (combine) are their parts
+alone and apply through the parts' memo entries, under the parts'
+parameter set; the empty one, the zero operator, applies nothing.
 """
 
 import functools
@@ -360,10 +366,11 @@ def _read_set(fams):
     return i
 
 
-# fams -> their read set; (fams, read part of a packed monomial) -> the
-# branches of _walk, for the parameter set of _MEMO; (creators, highs) -> the
+# fams -> their read set, for the process; (fams, read part of a packed
+# monomial) -> the branches of _walk, for the r of _MEMO's parameter set, and
+# for the set itself when fams include b or b1; (creators, highs) -> the
 # record (creators, highs, {rest: plan}) that branches share, parameter-free
-# but cleared with the walks that reach it.
+# but cleared with the walks at another r.
 _READ_SETS = {}
 _WALKS = {}
 _PLANS = {}
@@ -503,16 +510,22 @@ _MEMO_PARAMS = None     # the RepParams of every cache, as _use keeps it
 
 
 def _use(params):
-    """Make params the parameter set of _MEMO, _OPS, _WALKS and _PLANS,
-    clearing them and _READ_SETS in place unless it equals the one they
-    hold; an equal set leaves them the object they already hold."""
+    """Make params the parameter set of _MEMO, _OPS, _WALKS and _PLANS.
+    Unless it equals the one they hold, clear _MEMO and _OPS in place, and
+    drop the walks that read it: at the same r those over b or b1, whose
+    actions read kappa0, B0 and B1, and at another r every walk and plan.
+    An equal set leaves them the object they already hold."""
     global _MEMO_PARAMS
-    if _MEMO_PARAMS is None or params.key != _MEMO_PARAMS.key:
+    held = _MEMO_PARAMS
+    if held is None or params.key != held.key:
         _MEMO.clear()
         _OPS.clear()
-        _READ_SETS.clear()
-        _WALKS.clear()
-        _PLANS.clear()
+        if held is None or params.r != held.r:
+            _WALKS.clear()
+            _PLANS.clear()
+        else:
+            for key in [key for key in _WALKS if "b" in key[0] or "b1" in key[0]]:
+                del _WALKS[key]
         _MEMO_PARAMS = params
 
 
@@ -542,9 +555,10 @@ class ModeOp:
            weights given; terms and sums keep them multiplied by den, as ints
 
     apply takes and returns a FockState of tuple monomials; _apply and
-    apply_mono work on packed ones.  A base operator (parts None) is its own
-    key in _MEMO for the packed monomial images of den * op, and _apply
-    folds 1 / den into its scale.  ModeOp must keep identity equality:
+    apply_mono work on packed ones.  A base operator (parts None) keeps
+    read, the read set of its families (0 for the identity), and is its own
+    key in _MEMO for the images of den * op on the parts of packed
+    monomials it reads; _apply folds 1 / den into its scale.  ModeOp must keep identity equality:
     equal operators share entries only by being one object, as built_once
     makes them.  combine returns a combination, which has parts only: a
     tuple of (coeff, base), and den 1, each base folding its own; apply
@@ -552,7 +566,7 @@ class ModeOp:
     reusing their entries and adding none; parts () is the zero operator.
     """
 
-    __slots__ = ("terms", "sums", "params", "parts", "den")
+    __slots__ = ("terms", "sums", "params", "parts", "den", "read")
 
     def __init__(self, terms, sums, params):
         terms = [(qq(c), tuple(fs)) for c, fs in terms if c]
@@ -572,12 +586,15 @@ class ModeOp:
         fams.update(f for s in self.sums for f in s[:2 if isinstance(s, QuadSum) else 3])
         if not fams <= ANNIHILATES.keys():
             raise ValueError("unknown mode family %r" % min(fams - ANNIHILATES.keys()))
+        self.read = _read_set(fams)
         self.params = params
         self.parts = None
 
     def apply_mono(self, mono):
         """The image of a packed monomial under den * self,
-        ((packed monomial, coeff), ...), through _MEMO."""
+        ((packed monomial, coeff), ...), through _MEMO.  _apply passes the
+        part of each monomial that self reads, so monomials differing only
+        in unread fields share one entry."""
         key = (self, mono)
         cached = _MEMO.get(key)
         if cached is None:
@@ -607,7 +624,8 @@ class ModeOp:
         """Add scale * the image of a packed dict into out (a new dict
         by default); return out.  A part's entries hold the image of
         den * base, so scale / den joins its coefficient once per call, an
-        int when den divides an int product."""
+        int when den divides an int product.  Each monomial is looked up by
+        the part the base reads, and each image term takes back the rest."""
         out = {} if out is None else out
         for coeff, base in ((1, self),) if self.parts is None else self.parts:
             if base.params is not _MEMO_PARAMS:
@@ -618,8 +636,12 @@ class ModeOp:
             items = packed_terms.items()
             if coeff != 1:
                 items = [(mono, coeff * c) for mono, c in items]
+            mask = _READ_FIELDS[base.read]
             for mono, c in items:
-                for mo, cc in base.apply_mono(mono):
+                rel = mono & mask
+                off = mono - rel
+                for mo, cc in base.apply_mono(rel):
+                    mo += off
                     # Vec.add_term inlined: per term of every apply
                     s = out.get(mo, 0) + c * cc
                     if s:

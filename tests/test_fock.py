@@ -13,6 +13,7 @@ from threepv.realization import (
     AFFINE_GENERATORS,
     FIELD_BUILDERS,
     VirParams,
+    _unit,
     bracket_rhs_op,
     field_mode,
     pairs_gj,
@@ -590,8 +591,15 @@ def test_memoization_is_consistent(monkeypatch):
         (QuadSum("a", "a*", 0, QQ(1), QQ(1)),),
         P0,
     )
-    st = seeded_states(606, 1)[0]
+    # op reads x alone: the seeded monomials in x1 and y share the read part
+    # of the vacuum, and the two monomials in x_{-2} share another
+    st = seeded_states(606, 1)[0] + FockState({
+        make_monomial({(X, -2): 1, (Y, -2): 1}): 2,
+        make_monomial({(X, -2): 1}, 1): 3})
+    read = {fock._pack(mono) & fock._READ_FIELDS[op.read] for mono in st.terms}
+    assert len(read) == 2 < len(st.terms)
     first = op.apply(st)
+    assert not first.is_zero()
     second = op.apply(st)  # memo hit
     assert first == second
     monkeypatch.setattr(fock, "_MEMO", {})
@@ -602,12 +610,64 @@ def test_memoization_is_consistent(monkeypatch):
     op2 = ModeOp(op.terms, op.sums, P0)
     assert op2 != op
     assert op2.apply(st) == first
-    assert len(fock._MEMO) == 2 * len(st.terms)
-    assert {key[0] for key in fock._MEMO} == {op, op2}
+    assert len(fock._MEMO) == 2 * len(read)
+    assert set(fock._MEMO) == {(o, rel) for o in (op, op2) for rel in read}
     # a key is the operator object, which its entries keep alive, so an
     # operator built later never reads another's entries
     op3 = ModeOp(op.terms, op.sums, RepParams(r=0, kappa0=2))
     assert op3 not in {key[0] for key in fock._MEMO}
+
+
+def _brute_image(op, state):
+    """op applied to state without the memo or the sum kernel: its terms'
+    apply_product images plus naive_sum_apply of its sums, over den."""
+    out = FockState()
+    for mono, c in state.terms.items():
+        for coeff, factors in op.terms:
+            for mo, cc in apply_product(factors, fock._pack(mono), op.params):
+                out.add_term(fock._unpack(mo), c * coeff * cc)
+    for sum_op in op.sums:
+        out += naive_sum_apply(sum_op, state, op.params, _box(sum_op, state))
+    return out.scale(QQ(1, op.den))
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_images_are_kept_per_read_part(r, monkeypatch):
+    """An operator's entries are keyed by the part of a monomial its
+    families read, and each image term takes back the unread rest: on
+    monomials in both auxiliary components, with an unread variable at
+    exponent 200, apply equals the brute-force image of the whole monomial."""
+    params = RepParams(r=r, kappa0=QQ(3, 2))
+    ops = [_unit(params)]
+    for m in (-1, 0, 1):
+        ops += [tau_mode(g, m, params) for g in ("e", "e1", "h", "h1", "f", "f1")]
+        ops += [pi_witt_mode(k, m, params) for k in ("d", "d1")]
+        ops += [pi_vir_mode(k, m, params) for k in ("D", "D1")]
+        ops.append(field_mode("no_beta1_sq", m + 1, params))
+    monos = [make_monomial(powers, vpart) for vpart in (0, 1) for powers in (
+        {(X, -1): 1, (X1, 1): 1, (Y1, -1): 1},
+        {(X, -1): 1, (X1, 1): 1, (Y1, -1): 1, (Y, -3): 200},
+        {(X1, -2): 200, (Y1, -1): 1, (Y, -1): 1},
+        {(X, 2): 200, (Y1, -2): 1})]
+    monkeypatch.setattr(fock, "_MEMO", {})
+    for op in ops:
+        states = [FockState({mono: 1}) for mono in monos] + [
+            FockState({mono: i + 1 for i, mono in enumerate(monos)})]
+        for s in states:
+            assert op.apply(s) == _brute_image(op, s), (op.terms, op.sums, s)
+        # one entry per read part, the unread variables and vpart dropped
+        mask = fock._READ_FIELDS[op.read]
+        assert {mono for base, mono in fock._MEMO if base is op} == {
+            fock._pack(mono) & mask for mono in monos}
+    # the identity reads nothing, and b1's zero mode reads vpart
+    assert _unit(params).read == 0
+    assert fock._READ_FIELDS[field_mode("no_beta1_sq", 1, params).read] & 1
+    # a read field past the limit still raises; an unread one is carried
+    full = FockState({make_monomial({(X, -1): 255, (Y, -2): 255}): 1})
+    with pytest.raises(OverflowError):
+        tau_mode("f", -1, params).apply(full)
+    assert tau_mode("f", -2, params).apply(full) == _brute_image(
+        tau_mode("f", -2, params), full)
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -692,6 +752,8 @@ def test_memo_holds_one_parameter_set(monkeypatch):
     monkeypatch.setattr(fock, "_OPS", ops)
     monkeypatch.setattr(fock, "_WALKS", walks)
     monkeypatch.setattr(fock, "_PLANS", plans)
+    # and the set they belong to, so the caches put back match it
+    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
     P, Q = RepParams(r=0, kappa0=QQ(3, 2)), RepParams(r=0, kappa0=2)
     states = [FockState.vacuum()] + seeded_states(17, 2)
     opP = tau_mode("e", 0, P)
@@ -699,8 +761,11 @@ def test_memo_holds_one_parameter_set(monkeypatch):
         opP.apply(s)
     assert {op for op, _ in memo} == {opP}
     assert list(ops.values()) == [opP]
-    walks_P, plans_P = list(walks.values()), list(plans.values())
-    assert walks_P and any(slots[2] for slots in plans_P)
+    walks_P, plans_P = dict(walks), dict(plans)
+    assert any(slots[2] for slots in plans_P.values())
+    # b and b1 act through kappa0, B0 and B1, the oscillators through r alone
+    osc = {key for key in walks_P if not {"b", "b1"} & set(key[0])}
+    assert osc and osc != walks_P.keys()
     opQ = tau_mode("e", 0, Q)
     for s in states:
         opQ.apply(s)
@@ -708,8 +773,11 @@ def test_memo_holds_one_parameter_set(monkeypatch):
     assert fock._MEMO is memo and fock._WALKS is walks and fock._PLANS is plans
     assert fock._OPS is ops and list(ops.values()) == [opQ]
     assert {op for op, _ in memo} == {opQ}
-    assert walks and not {id(w) for w in walks_P} & {id(w) for w in walks.values()}
-    assert plans and not {id(p) for p in plans_P} & {id(p) for p in plans.values()}
+    # at the same r the oscillator walks and every plan are kept, and the
+    # walks of b and b1 are made anew
+    assert walks.keys() == walks_P.keys()
+    assert all((walks[key] is walk) == (key in osc) for key, walk in walks_P.items())
+    assert all(plans[key] is plan for key, plan in plans_P.items())
     # the walks reach plans through _PLANS alone
     reached = {id(branch[2]) for w in walks.values() for branch in w}
     assert reached <= {id(p) for p in plans.values()}
@@ -719,12 +787,15 @@ def test_memo_holds_one_parameter_set(monkeypatch):
     opQ.apply(states[1])
     assert memo == entries and walks == walked and plans == planned
     assert all(plans[k] is planned[k] for k in plans)
-    # the two gauges never share walks, though their keys are the same
+    # another r clears every cache, so the two gauges never share walks,
+    # though their keys are the same
+    fock._use(P1)
+    assert not (memo or ops or walks or plans)
     sum_op = QuadSum("a", "a*", 1, 1, 1)
     for params in (P0, P1, P0):
         before = list(walks.values())
         _assert_sum_matches_naive(sum_op, states, params)
-        assert not {id(w) for w in before} & {id(w) for w in walks.values()}
+        assert walks and not {id(w) for w in before} & {id(w) for w in walks.values()}
 
 
 def test_a_zero_right_hand_side_adds_no_memo_entry(monkeypatch):
@@ -744,12 +815,13 @@ def test_a_zero_right_hand_side_adds_no_memo_entry(monkeypatch):
 
 def test_use_of_another_parameter_set_empties_every_cache():
     """A guard for new caches: every module-level dict of fock lives for one
-    parameter set, but for the constant family tables and the packing's
-    process-lifetime intern table _SHIFT."""
+    parameter set, but for the constant family tables and the two
+    parameter-free tables that live for the process: the packing's intern
+    table _SHIFT and the families' read sets _READ_SETS."""
     params = RepParams(r=0, kappa0=QQ(3, 2))
     for s in [FockState.vacuum()] + seeded_states(5, 2):
         tau_realize(affine_bracket(("e1", 1), ("f1", -3)), params).apply(s)
-    exempt = {"CREATES", "ANNIHILATES", "_SHIFT"}
+    exempt = {"CREATES", "ANNIHILATES", "_SHIFT", "_READ_SETS"}
     caches = {name: value for name, value in vars(fock).items()
               if isinstance(value, dict) and not name.startswith("__")
               and name not in exempt}

@@ -478,6 +478,26 @@ def test_a_repeated_config_enumerates_no_sum(monkeypatch):
         monkeypatch.undo()
 
 
+def test_a_repeated_virasoro_config_walks_no_oscillator_sum_again(monkeypatch):
+    # virasoro-rep runs its probes under B0 = 0, B1 = 0 after the main grid,
+    # so a re-run finds the memo holding the probes' set and starts it cold;
+    # only b and b1 act through kappa0, B0 and B1, so the walks of the
+    # other families, kept per gauge, are all found
+    for r in (0, 1):
+        kw = dict(r=r, kappa0=1, window=2, states="random:3:3", seed=1)
+        first = emit_report(report("virasoro-rep", **kw), "json")
+        walk, walked = fock._walk, []
+
+        def counted(fams, *args):
+            walked.append(fams)
+            return walk(fams, *args)
+
+        monkeypatch.setattr(fock, "_walk", counted)
+        assert emit_report(report("virasoro-rep", **kw), "json") == first
+        monkeypatch.undo()
+        assert walked and all({"b", "b1"} & set(fams) for fams in walked), r
+
+
 def test_a_kept_operator_holds_the_parameter_set_the_caches_hold(monkeypatch):
     # the second run builds its window-2 modes while the caches hold the
     # first run's equal parameter set; applying them compares no keys
