@@ -8,14 +8,13 @@ fock:
   b, b1; the first central class acts by the scalar chi0 = kappa0 + 4 (for
   r = 0) or kappa0 (for r = 1), the second central class acts by zero.
 * pi_witt_mode -- the derivation families d, d1 act through quadratic
-  oscillator sums.  The explicit mode sums are authoritative;
-  pi_field_mode rebuilds them by generic composition of the underlying
-  fields (products with the polynomial P(w) = w^2 + 4w and its derivative)
-  as an independent route used to detect index-convention drift.
+  oscillator sums.  They and the squares of b1 are lists of field pieces
+  coeff * w^p * :(d^i A)(d^j B): in _QUAD_FIELDS, which D, D1 extend; one
+  rule, _quad_sums, makes pieces into mode sums.
 * pi_vir_mode -- the centrally extended derivation families D, D1 add
-  current-mode corrections whose coefficients live in VirParams; the
-  abstract weight-one basis embeds via the index shift D_m = -(d_{m+1}),
-  and the first central class acts by central_charge(r).
+  current-mode pieces whose coefficients live in VirParams; the abstract
+  weight-one basis embeds via the index shift D_m = -(d_{m+1}), and the
+  first central class acts by central_charge(r).
 
 A bracket identity given against a formal parameter,
 [A_lambda B] = sum_j lambda^j / j! G_j, translates into the mode identities
@@ -137,69 +136,57 @@ def tau_realize(vec, params):
 # pi: the derivation families
 # ---------------------------------------------------------------------------
 
-def _witt_sums(kind, m):
-    if kind == "d":
-        return (
-            QuadSum("a", "a*", m + 1, -m - 1, 1),
-            QuadSum("a", "a*", m, -4 * m, 4),
-            QuadSum("a1", "a1*", m + 1, -m, 1),
-            QuadSum("a1", "a1*", m, 2 - 4 * m, 4),
-        )
-    if kind == "d1":
-        return (
-            QuadSum("a1", "a*", m - 1, 1 - m, 1),
-            QuadSum("a", "a1*", m + 1, -m, 1),
-            QuadSum("a", "a1*", m, 2 - 4 * m, 4),
-        )
-    raise ValueError("unknown derivation family %r" % (kind,))
+# the weight wF of each family: its field is the sum of F_n w^{-n-wF}
+_FAMILY_WEIGHT = {"a": 1, "a1": 1, "b": 1, "b1": 1, "a*": 0, "a1*": 0}
 
-
-@built_once
-def pi_witt_mode(kind, m, params):
-    """Mode m of the realized derivation family d or d1 (authoritative sums)."""
-    return ModeOp((), _witt_sums(kind, m), params)
-
-
-# field pieces (coeff, p, famA, famB, derivB) meaning
-# coeff * w^p * :famA (d/dw)^derivB famB: with famA of weight one and famB of
-# weight zero
-_PI_FIELD_PIECES = {
-    "d": (
-        (1, 2, "a", "a*", 1),
-        (4, 1, "a", "a*", 1),
-        (1, 2, "a1", "a1*", 1),
-        (4, 1, "a1", "a1*", 1),
-        (1, 1, "a1", "a1*", 0),
-        (2, 0, "a1", "a1*", 0),
+# every quadratic field as pieces (coeff, p, famA, famB, i, j), each meaning
+# coeff * w^p * :(d^i famA)(d^j famB): with d = d/dw, at most one of i, j
+# set, registered in FIELD_BUILDERS under its key.  With P = w^2 + 4w, pi_d
+# is P (:a da*: + :a1 da1*:) + (dP/2) :a1 a1*: and pi_d1 is
+# :a1 da*: + P :a da1*: + (dP/2) :a a1*:
+_QUAD_FIELDS = {
+    "no_beta1_sq": ((1, 0, "b1", "b1", 0, 0),),
+    "no_dbeta1_beta1": ((1, 0, "b1", "b1", 1, 0),),
+    "pi_d": (
+        (1, 2, "a", "a*", 0, 1), (4, 1, "a", "a*", 0, 1),
+        (1, 2, "a1", "a1*", 0, 1), (4, 1, "a1", "a1*", 0, 1),
+        (1, 1, "a1", "a1*", 0, 0), (2, 0, "a1", "a1*", 0, 0),
     ),
-    "d1": (
-        (1, 0, "a1", "a*", 1),
-        (1, 2, "a", "a1*", 1),
-        (4, 1, "a", "a1*", 1),
-        (1, 1, "a", "a1*", 0),
-        (2, 0, "a", "a1*", 0),
+    "pi_d1": (
+        (1, 0, "a1", "a*", 0, 1),
+        (1, 2, "a", "a1*", 0, 1), (4, 1, "a", "a1*", 0, 1),
+        (1, 1, "a", "a1*", 0, 0), (2, 0, "a", "a1*", 0, 0),
     ),
 }
 
 
-def pi_field_mode(kind, m, params):
-    """Mode m of the d / d1 fields built by generic field composition.
+def _quad_sums(pieces, k):
+    """Mode k (weight-one indexing) of a sum of field pieces, as QuadSums
+    merged on (famA, famB, M) in first-seen order, zero weights dropped.
 
-    Independent route cross-checking pi_witt_mode: each product
-    :A (d^k B): is convolved mode-by-mode, then shifted by the w-power.
+    A piece's mode k sums :A_p1 B_q: over p1 + q = M with
+    M = k + p + 1 - wA - wB - i - j, weighted by coeff, times -p1 - wA when
+    i = 1 and -q - wB when j = 1.
     """
-    if kind not in _PI_FIELD_PIECES:
-        raise ValueError("unknown derivation family %r" % (kind,))
-    sums = []
-    for c, p, fam_a, fam_b, deriv_b in _PI_FIELD_PIECES[kind]:
-        k = m + p
-        if deriv_b == 0:
-            # (:A B:)_K = sum over p1+q = K of :A_{p1} B_q:
-            sums.append(QuadSum(fam_a, fam_b, k, c, 0))
+    merged = {}
+    for coeff, p, fam_a, fam_b, i, j in pieces:
+        w_a, w_b = _FAMILY_WEIGHT[fam_a], _FAMILY_WEIGHT[fam_b]
+        total = k + p + 1 - w_a - w_b - i - j
+        if i:
+            c0, c1 = -coeff * w_a, -coeff
+        elif j:
+            c0, c1 = -coeff * (total + w_b), coeff
         else:
-            # (:A dB:)_K = sum over p1+q = K-1 of (-q) :A_{p1} B_q:
-            sums.append(QuadSum(fam_a, fam_b, k - 1, c * (1 - k), c))
-    return ModeOp((), tuple(sums), params)
+            c0, c1 = coeff, 0
+        w0, w1 = merged.get((fam_a, fam_b, total), (0, 0))
+        merged[fam_a, fam_b, total] = (w0 + c0, w1 + c1)
+    return tuple(QuadSum(*key, c0, c1)
+                 for key, (c0, c1) in merged.items() if c0 or c1)
+
+
+def pi_witt_mode(kind, m, params):
+    """Mode m of the realized derivation family d or d1."""
+    return field_mode("pi_" + kind, m, params)
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +245,17 @@ def pi_vir_mode(kind, m, params, vparams=None):
 
 @built_once
 def _vir_mode(kind, m, nu, gamma1, gammaP, params):
+    # D_m is d_{m+1} + gammaP P :b b: + gamma1 :b1 b1: and D1_m is
+    # d1_{m+1} + nu :b b1:, each field at its weight-one mode m + 1
     if kind == "D":
-        sums = list(_witt_sums("d", m + 1))
-        if gammaP:
-            sums.append(QuadSum("b", "b", m + 2, gammaP, 0))
-            sums.append(QuadSum("b", "b", m + 1, 4 * gammaP, 0))
-        if gamma1:
-            sums.append(QuadSum("b1", "b1", m, gamma1, 0))
-        return ModeOp((), sums, params)
-    if kind == "D1":
-        sums = list(_witt_sums("d1", m + 1))
-        if nu:
-            sums.append(QuadSum("b", "b1", m, nu, 0))
-        return ModeOp((), sums, params)
-    raise ValueError("unknown extended family %r" % (kind,))
+        pieces = _QUAD_FIELDS["pi_d"] + ((gammaP, 2, "b", "b", 0, 0),
+                                         (4 * gammaP, 1, "b", "b", 0, 0),
+                                         (gamma1, 0, "b1", "b1", 0, 0))
+    elif kind == "D1":
+        pieces = _QUAD_FIELDS["pi_d1"] + ((nu, 0, "b", "b1", 0, 0),)
+    else:
+        raise ValueError("unknown extended family %r" % (kind,))
+    return ModeOp((), _quad_sums(pieces, m + 1), params)
 
 
 def vir_realize(vec, params, vparams=None):
@@ -317,14 +301,10 @@ def _field_p_dbeta(k, params):
     )
 
 
-def _field_beta1_sq(k, params):
-    # (:b1 b1:)_K = sum over p+q = K-1 of :b1_p b1_q:
-    return ModeOp((), (QuadSum("b1", "b1", k - 1, 1, 0),), params)
-
-
-def _field_dbeta1_beta1(k, params):
-    # (:(db1) b1:)_K = sum over p+q = K-2 of (-p-1) :b1_p b1_q:
-    return ModeOp((), (QuadSum("b1", "b1", k - 2, -1, -1),), params)
+def _field_quad(name):
+    def build(k, params):
+        return ModeOp((), _quad_sums(_QUAD_FIELDS[name], k), params)
+    return build
 
 
 FIELD_BUILDERS = {
@@ -332,10 +312,7 @@ FIELD_BUILDERS = {
     "beta": _field_single("b"),
     "beta1": _field_single("b1"),
     "P_dbeta": _field_p_dbeta,
-    "no_beta1_sq": _field_beta1_sq,
-    "no_dbeta1_beta1": _field_dbeta1_beta1,
-    "pi_d": lambda k, params: pi_witt_mode("d", k, params),
-    "pi_d1": lambda k, params: pi_witt_mode("d1", k, params),
+    **{name: _field_quad(name) for name in _QUAD_FIELDS},
 }
 
 

@@ -23,7 +23,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ALLOWED = {
-    "pi_field_mode": "the independent reference the realization tests compare against",
     "contraction_check": "the Wick-contraction certificates are to build on it",
     "__version__": "package metadata",
 }

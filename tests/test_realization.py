@@ -11,12 +11,13 @@ from threepv.scalars import QQ, Vec
 from threepv.fock import (
     FockState,
     ModeOp,
+    QuadSum,
     RepParams,
     combine,
     commutator_apply,
     seeded_states,
 )
-from threepv.liealg import affine_bracket, phi1, vir_bracket
+from threepv.liealg import affine_bracket, phi1, phi2, vir_bracket
 from threepv.realization import (
     AFFINE_GENERATORS,
     AUDIT_SHIFTS,
@@ -29,7 +30,6 @@ from threepv.realization import (
     convention_audit,
     field_mode,
     pairs_gj,
-    pi_field_mode,
     pi_vir_mode,
     pi_witt_mode,
     tau_mode,
@@ -219,15 +219,82 @@ def test_pi_witt_annihilates_vacuum():
         assert pi_witt_mode("d1", m, P1).apply(vac).is_zero()
 
 
+def _witt_closed_form(kind, m):
+    """The d and d1 mode sums, written out by hand."""
+    if kind == "d":
+        return [("a", "a*", m + 1, -m - 1, 1), ("a", "a*", m, -4 * m, 4),
+                ("a1", "a1*", m + 1, -m, 1), ("a1", "a1*", m, 2 - 4 * m, 4)]
+    return [("a1", "a*", m - 1, 1 - m, 1), ("a", "a1*", m + 1, -m, 1),
+            ("a", "a1*", m, 2 - 4 * m, 4)]
+
+
+def _weights(op):
+    """op's sums with their weights divided back by op.den."""
+    return [(*s[:3], QQ(s.c0) / op.den, QQ(s.c1) / op.den) for s in op.sums]
+
+
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
-def test_pi_field_route_matches_mode_sums(params):
-    states = [FockState.vacuum()] + seeded_states(41, 3, max_degree=2)
+def test_pi_witt_sums_pin_the_closed_forms(params):
     for kind in ("d", "d1"):
-        for m in range(-3, 4):
-            op_mode = pi_witt_mode(kind, m, params)
-            op_field = pi_field_mode(kind, m, params)
-            for s in states:
-                assert op_mode.apply(s) == op_field.apply(s), (kind, m)
+        for m in range(-20, 21):
+            op = pi_witt_mode(kind, m, params)
+            assert op.den == 1
+            assert _weights(op) == _witt_closed_form(kind, m), (kind, m)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("kappa0", [1, QQ(3, 2)], ids=["k1", "k3/2"])
+def test_vir_sums_pin_the_closed_forms(r, kappa0):
+    params = RepParams(r=r, kappa0=kappa0)
+    nu, gamma = QQ(1) / (2 * kappa0), -QQ(1) / (4 * kappa0)
+    for m in (-3, -1, 0, 2):
+        D = _witt_closed_form("d", m + 1) + [
+            ("b", "b", m + 2, gamma, 0), ("b", "b", m + 1, 4 * gamma, 0),
+            ("b1", "b1", m, gamma, 0)]
+        D1 = _witt_closed_form("d1", m + 1) + [("b", "b1", m, nu, 0)]
+        assert _weights(pi_vir_mode("D", m, params)) == D, m
+        assert _weights(pi_vir_mode("D1", m, params)) == D1, m
+
+
+# ---------------------------------------------------------------------------
+# the field-composition rule behind every quadratic field
+# ---------------------------------------------------------------------------
+
+def test_quad_sums_ignore_the_order_of_the_pieces():
+    pieces = realization._QUAD_FIELDS["pi_d1"] + ((QQ(1, 3), 0, "b1", "b1", 1, 0),)
+    for k in (-2, 0, 3):
+        want = set(realization._quad_sums(pieces, k))
+        for perm in itertools.permutations(pieces):
+            assert set(realization._quad_sums(perm, k)) == want, (perm, k)
+
+
+def test_quad_sums_drop_zero_and_cancelling_pieces():
+    quad_sums = realization._quad_sums
+    d = realization._QUAD_FIELDS["pi_d"]
+    negated = tuple((-c, *rest) for c, *rest in d)
+    for k in range(-3, 4):
+        assert quad_sums(((0, 1, "a", "a*", 0, 1), (0, 0, "b", "b1", 0, 0)), k) == ()
+        assert quad_sums(((1, 0, "b", "b1", 0, 0), (-1, 0, "b", "b1", 0, 0)), k) == ()
+        assert quad_sums(d + negated, k) == ()
+        assert quad_sums(d + ((0, 0, "b", "b", 0, 0),), k) == quad_sums(d, k)
+        # k :a1 a1*: cancels the constant weight of w :a1 da1*: at mode k,
+        # and the merged sum keeps its p-weight
+        cut = quad_sums(((1, 1, "a1", "a1*", 0, 1), (k, 0, "a1", "a1*", 0, 0)), k)
+        assert cut == (QuadSum("a1", "a1*", k, 0, 1),)
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
+def test_quad_sums_derivative_on_either_side(params):
+    # :(d b1) b1: (i = 1) and :b1 (d b1): (j = 1) are one field, written as
+    # two different mode sums
+    states = [FockState.vacuum()] + seeded_states(43, 3, max_degree=2)
+    for k in range(-3, 4):
+        left = realization._quad_sums(((1, 0, "b1", "b1", 1, 0),), k)
+        right = realization._quad_sums(((1, 0, "b1", "b1", 0, 1),), k)
+        assert left != right
+        op_l, op_r = ModeOp((), left, params), ModeOp((), right, params)
+        for s in states:
+            assert op_l.apply(s) == op_r.apply(s), k
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
@@ -433,6 +500,27 @@ def test_vir_alt_central_like_kind(r):
         std = vir_realize(vec, params)
         alt = _alternative_realization(vec, params, c2)
         assert std.apply(s) == alt.apply(s)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("kappa0", [1, QQ(3, 2)], ids=["k1", "k3/2"])
+def test_vir_central_values_fit_the_alternative_assignment(r, kappa0):
+    # at B0 = 0 and B1 = 0 the vacuum coefficient of a realized bracket is
+    # its c-number: phi1 times central_charge(r) on like-kind pairs and 0 on
+    # mixed ones, which c1 -> 0, c2 -> (2 delta_{r,0} + 1)/12 reproduces
+    zero = RepParams(r=r, kappa0=kappa0, B0=0, B1=((0, 0), (0, 0)))
+    vac = FockState.vacuum()
+    c2 = QQ(2 * (1 if r == 0 else 0) + 1, 12)
+    for kA, kB in (("D", "D"), ("D1", "D1"), ("D", "D1")):
+        for m in range(-2, 3):
+            for n in range(-2, 3):
+                got = commutator_apply(pi_vir_mode(kA, m, zero),
+                                       pi_vir_mode(kB, n, zero), vac)
+                value = got.terms.get(fock.VACUUM_MONO, 0)
+                x, y = (kA.lower(), m + 1), (kB.lower(), n + 1)
+                want = central_charge(r) * phi1(x, y) if kA == kB else 0
+                assert value == want, (kA, m, kB, n)
+                assert value == c2 * phi2(x, y), (kA, m, kB, n)
 
 
 @pytest.mark.parametrize("r", [0, 1])
