@@ -1,16 +1,15 @@
 """Mode operators realizing the three-point algebras on polynomial Fock spaces.
 
-Three operator families are assembled from the normal-ordered machinery in
-fock:
+Every realized operator is a field, listed as pieces coeff * w^p * :F ...:
+(zero to three families, d/dw on at most one) in _FIELDS or _TAU_PIECES, and
+one rule, _field_op, makes the pieces into the field's modes, merged on
+(families, total mode).  Three operator families are assembled so:
 
-* tau_mode -- the affine generators e, f, h, e1, f1, h1 act through quadratic
-  and cubic normal-ordered sums in oscillator modes plus the current modes
-  b, b1; the first central class acts by the scalar chi0 = kappa0 + 4 (for
-  r = 0) or kappa0 (for r = 1), the second central class acts by zero.
-* pi_witt_mode -- the derivation families d, d1 act through quadratic
-  oscillator sums.  They and the squares of b1 are lists of field pieces
-  coeff * w^p * :(d^i A)(d^j B): in _QUAD_FIELDS, which D, D1 extend; one
-  rule, _quad_sums, makes pieces into mode sums.
+* tau_mode -- the affine generators e, f, h, e1, f1, h1; the first central
+  class acts by the scalar chi0 = kappa0 + 4 (for r = 0) or kappa0 (for
+  r = 1), which multiplies a second piece list, the second by zero.
+* pi_witt_mode -- the derivation families d, d1, registered fields beside
+  the identity, the currents, P db and the squares of b1.
 * pi_vir_mode -- the centrally extended derivation families D, D1 add
   current-mode pieces whose coefficients live in VirParams; the abstract
   weight-one basis embeds via the index shift D_m = -(d_{m+1}), and the
@@ -42,10 +41,113 @@ def chi0(params):
     return params.kappa0 + (4 if params.r == 0 else 0)
 
 
-@built_once
 def _unit(params):
     # every multiple of the identity goes through this one base
-    return ModeOp(((1, ()),), (), params)
+    return field_mode("1", -1, params)
+
+
+# ---------------------------------------------------------------------------
+# field pieces and the rule that makes their modes
+# ---------------------------------------------------------------------------
+
+# the weight wF of each family: its field is the sum of F_n w^{-n-wF}
+_FAMILY_WEIGHT = {"a": 1, "a1": 1, "b": 1, "b1": 1, "a*": 0, "a1*": 0}
+
+# every registered field as pieces (coeff, p, fams, i), each meaning
+# coeff * w^p * :F_0 ... F_j: over the 0 to 3 families fams, with d = d/dw
+# on slot i (None for none; only with one or two families).  With
+# P = w^2 + 4w, pi_d is P (:a da*: + :a1 da1*:) + (dP/2) :a1 a1*:, pi_d1 is
+# :a1 da*: + P :a da1*: + (dP/2) :a a1*: and P_dbeta is P db
+_FIELDS = {
+    "1": ((1, 0, (), None),),
+    "beta": ((1, 0, ("b",), None),),
+    "beta1": ((1, 0, ("b1",), None),),
+    "P_dbeta": ((1, 2, ("b",), 0), (4, 1, ("b",), 0)),
+    "no_beta1_sq": ((1, 0, ("b1", "b1"), None),),
+    "no_dbeta1_beta1": ((1, 0, ("b1", "b1"), 0),),
+    "pi_d": (
+        (1, 2, ("a", "a*"), 1), (4, 1, ("a", "a*"), 1),
+        (1, 2, ("a1", "a1*"), 1), (4, 1, ("a1", "a1*"), 1),
+        (1, 1, ("a1", "a1*"), None), (2, 0, ("a1", "a1*"), None),
+    ),
+    "pi_d1": (
+        (1, 0, ("a1", "a*"), 1),
+        (1, 2, ("a", "a1*"), 1), (4, 1, ("a", "a1*"), 1),
+        (1, 1, ("a", "a1*"), None), (2, 0, ("a", "a1*"), None),
+    ),
+}
+
+# each affine generator as (pieces, pieces that chi0 multiplies), in the
+# format of _FIELDS; tau_mode gives the fields they spell
+_TAU_PIECES = {
+    "f": (((-1, 0, ("a",), None),), ()),
+    "f1": (((-1, 0, ("a1",), None),), ()),
+    "h": (((1, 0, ("b",), None), (2, 0, ("a", "a*"), None),
+           (2, 0, ("a1", "a1*"), None)), ()),
+    "h1": (((1, 0, ("b1",), None), (2, 0, ("a1", "a*"), None),
+            (2, 2, ("a", "a1*"), None), (8, 1, ("a", "a1*"), None)), ()),
+    "e": (
+        ((1, 0, ("a", "a*", "a*"), None),
+         (1, 2, ("a", "a1*", "a1*"), None), (4, 1, ("a", "a1*", "a1*"), None),
+         (2, 0, ("a1", "a*", "a1*"), None),
+         (1, 0, ("b", "a*"), None), (1, 0, ("b1", "a1*"), None)),
+        ((1, 0, ("a*",), 0),),
+    ),
+    "e1": (
+        ((1, 0, ("a1", "a*", "a*"), None),
+         (1, 2, ("a1", "a1*", "a1*"), None), (4, 1, ("a1", "a1*", "a1*"), None),
+         (2, 2, ("a", "a*", "a1*"), None), (8, 1, ("a", "a*", "a1*"), None),
+         (1, 0, ("b1", "a*"), None),
+         (1, 2, ("b", "a1*"), None), (4, 1, ("b", "a1*"), None)),
+        ((1, 2, ("a1*",), 0), (4, 1, ("a1*",), 0),
+         (1, 1, ("a1*",), None), (2, 0, ("a1*",), None)),
+    ),
+}
+
+
+def _field_op(pieces, k, params):
+    """Mode k (weight-one indexing) of a sum of field pieces, as one operator.
+
+    A piece's mode k sums the normal-ordered products of its families' modes
+    over the mode tuples adding up to M = k + p + 1 - (their weights) - (1 if
+    i is set), weighted by coeff, times -(mode_i + w_i) if i is set.  Pieces
+    merge on (fams, M) in first-seen order and zero weights drop; then no
+    family gives the identity at M = 0, one family a term, two a QuadSum,
+    three a CubicSum, and nothing left the zero operator.
+    """
+    merged = {}
+    for coeff, p, fams, i in pieces:
+        weights = [_FAMILY_WEIGHT[fam] for fam in fams]
+        total = k + p + 1 - sum(weights) - (i is not None)
+        # the weight as c0 + c1 * (mode of slot 0), slot 1's being total less it
+        if i is None:
+            c0, c1 = coeff, 0
+        elif i == 0:
+            c0, c1 = -coeff * weights[0], -coeff
+        else:
+            c0, c1 = -coeff * (total + weights[1]), coeff
+        if fams or not total:   # the constant field has no other mode
+            w0, w1 = merged.get((fams, total), (0, 0))
+            merged[fams, total] = (w0 + c0, w1 + c1)
+    terms, sums = [], []
+    for (fams, total), (c0, c1) in merged.items():
+        if len(fams) < 2 and c0 + c1 * total:
+            terms.append((c0 + c1 * total, tuple((fam, total) for fam in fams)))
+        elif len(fams) == 2 and (c0 or c1):
+            sums.append(QuadSum(*fams, total, c0, c1))
+        elif len(fams) == 3 and c0:
+            sums.append(CubicSum(*fams, total, c0))
+    return ModeOp(terms, sums, params) if terms or sums else combine(())
+
+
+@built_once
+def field_mode(name, k, params):
+    """Mode k (weight-one indexing) of a registered field."""
+    try:
+        pieces = _FIELDS[name]
+    except KeyError:
+        raise ValueError("unknown field %r" % (name,))
+    return _field_op(pieces, k, params)
 
 
 # ---------------------------------------------------------------------------
@@ -58,63 +160,25 @@ def tau_mode(gen, m, params):
 
     Conventions: every current expands as sum of (.)_m z^{-m-1}; the starred
     oscillator fields expand as sum of a*_n z^{-n} (weight zero), the
-    unstarred ones as sum of a_n z^{-n-1}; multiplying a weight-one family
-    F by P(z) = z^2 + 4z sends mode m to F_{m+2} + 4 F_{m+1}.
+    unstarred ones as sum of a_n z^{-n-1}.  With P = z^2 + 4z and d = d/dz,
+    the generators are the fields f = -a, f1 = -a1,
+
+        h  = b + 2 :a a*: + 2 :a1 a1*:
+        h1 = b1 + 2 :a1 a*: + 2P :a a1*:
+        e  = :a a* a*: + P :a a1* a1*: + 2 :a1 a* a1*: + :b a*: + :b1 a1*:
+             + chi0 da*
+        e1 = :a1 a* a*: + P :a1 a1* a1*: + 2P :a a* a1*: + :b1 a*: + P :b a1*:
+             + chi0 (P da1* + (dP/2) a1*)
+
+    each listed in _TAU_PIECES with its chi0 part apart.
     """
-    if gen == "f":
-        return ModeOp(((-1, (("a", m),)),), (), params)
-    if gen == "f1":
-        return ModeOp(((-1, (("a1", m),)),), (), params)
-    if gen == "h":
-        return ModeOp(
-            ((1, (("b", m),)),),
-            (QuadSum("a", "a*", m, 2, 0), QuadSum("a1", "a1*", m, 2, 0)),
-            params,
-        )
-    if gen == "h1":
-        return ModeOp(
-            ((1, (("b1", m),)),),
-            (
-                QuadSum("a1", "a*", m, 2, 0),
-                QuadSum("a", "a1*", m + 2, 2, 0),
-                QuadSum("a", "a1*", m + 1, 8, 0),
-            ),
-            params,
-        )
-    if gen == "e":
-        x0 = chi0(params)
-        return ModeOp(
-            ((-m * x0, (("a*", m),)),),
-            (
-                CubicSum("a", "a*", "a*", m, 1),
-                CubicSum("a", "a1*", "a1*", m + 2, 1),
-                CubicSum("a", "a1*", "a1*", m + 1, 4),
-                CubicSum("a1", "a*", "a1*", m, 2),
-                QuadSum("b", "a*", m, 1, 0),
-                QuadSum("b1", "a1*", m, 1, 0),
-            ),
-            params,
-        )
-    if gen == "e1":
-        x0 = chi0(params)
-        return ModeOp(
-            (
-                (-(m + 1) * x0, (("a1*", m + 2),)),
-                (-(4 * m + 2) * x0, (("a1*", m + 1),)),
-            ),
-            (
-                CubicSum("a1", "a*", "a*", m, 1),
-                CubicSum("a1", "a1*", "a1*", m + 2, 1),
-                CubicSum("a1", "a1*", "a1*", m + 1, 4),
-                CubicSum("a", "a*", "a1*", m + 2, 2),
-                CubicSum("a", "a*", "a1*", m + 1, 8),
-                QuadSum("b1", "a*", m, 1, 0),
-                QuadSum("b", "a1*", m + 2, 1, 0),
-                QuadSum("b", "a1*", m + 1, 4, 0),
-            ),
-            params,
-        )
-    raise ValueError("unknown generator %r" % (gen,))
+    try:
+        pieces, chi0_pieces = _TAU_PIECES[gen]
+    except KeyError:
+        raise ValueError("unknown generator %r" % (gen,))
+    x0 = chi0(params)
+    return _field_op(pieces + tuple((x0 * c, *rest) for c, *rest in chi0_pieces),
+                     m, params)
 
 
 def tau_realize(vec, params):
@@ -133,72 +197,17 @@ def tau_realize(vec, params):
 
 
 # ---------------------------------------------------------------------------
-# pi: the derivation families
+# pi: the derivation families and their central extensions
 # ---------------------------------------------------------------------------
-
-# the weight wF of each family: its field is the sum of F_n w^{-n-wF}
-_FAMILY_WEIGHT = {"a": 1, "a1": 1, "b": 1, "b1": 1, "a*": 0, "a1*": 0}
-
-# every quadratic field as pieces (coeff, p, famA, famB, i, j), each meaning
-# coeff * w^p * :(d^i famA)(d^j famB): with d = d/dw, at most one of i, j
-# set, registered in FIELD_BUILDERS under its key.  With P = w^2 + 4w, pi_d
-# is P (:a da*: + :a1 da1*:) + (dP/2) :a1 a1*: and pi_d1 is
-# :a1 da*: + P :a da1*: + (dP/2) :a a1*:
-_QUAD_FIELDS = {
-    "no_beta1_sq": ((1, 0, "b1", "b1", 0, 0),),
-    "no_dbeta1_beta1": ((1, 0, "b1", "b1", 1, 0),),
-    "pi_d": (
-        (1, 2, "a", "a*", 0, 1), (4, 1, "a", "a*", 0, 1),
-        (1, 2, "a1", "a1*", 0, 1), (4, 1, "a1", "a1*", 0, 1),
-        (1, 1, "a1", "a1*", 0, 0), (2, 0, "a1", "a1*", 0, 0),
-    ),
-    "pi_d1": (
-        (1, 0, "a1", "a*", 0, 1),
-        (1, 2, "a", "a1*", 0, 1), (4, 1, "a", "a1*", 0, 1),
-        (1, 1, "a", "a1*", 0, 0), (2, 0, "a", "a1*", 0, 0),
-    ),
-}
-
-
-def _quad_sums(pieces, k):
-    """Mode k (weight-one indexing) of a sum of field pieces, as QuadSums
-    merged on (famA, famB, M) in first-seen order, zero weights dropped.
-
-    A piece's mode k sums :A_p1 B_q: over p1 + q = M with
-    M = k + p + 1 - wA - wB - i - j, weighted by coeff, times -p1 - wA when
-    i = 1 and -q - wB when j = 1.
-    """
-    merged = {}
-    for coeff, p, fam_a, fam_b, i, j in pieces:
-        w_a, w_b = _FAMILY_WEIGHT[fam_a], _FAMILY_WEIGHT[fam_b]
-        total = k + p + 1 - w_a - w_b - i - j
-        if i:
-            c0, c1 = -coeff * w_a, -coeff
-        elif j:
-            c0, c1 = -coeff * (total + w_b), coeff
-        else:
-            c0, c1 = coeff, 0
-        w0, w1 = merged.get((fam_a, fam_b, total), (0, 0))
-        merged[fam_a, fam_b, total] = (w0 + c0, w1 + c1)
-    return tuple(QuadSum(*key, c0, c1)
-                 for key, (c0, c1) in merged.items() if c0 or c1)
-
 
 def pi_witt_mode(kind, m, params):
     """Mode m of the realized derivation family d or d1."""
     return field_mode("pi_" + kind, m, params)
 
 
-# ---------------------------------------------------------------------------
-# extended (centrally corrected) derivation families
-# ---------------------------------------------------------------------------
-
 class VirParams:
-    """Coefficients of the current-mode corrections in the extended family.
-
-    gammaP is the scalar multiplying the P-convolution of :b b:, i.e. the
-    quadratic correction enters mode m as
-    gammaP * ((:b^2:)_{m+2} + 4 (:b^2:)_{m+1}).
+    """Coefficients of the current-mode pieces of the extended family: D
+    adds gammaP P :b b: + gamma1 :b1 b1: to d, and D1 adds nu :b b1: to d1.
     """
 
     __slots__ = ("nu", "gamma1", "gammaP")
@@ -245,17 +254,16 @@ def pi_vir_mode(kind, m, params, vparams=None):
 
 @built_once
 def _vir_mode(kind, m, nu, gamma1, gammaP, params):
-    # D_m is d_{m+1} + gammaP P :b b: + gamma1 :b1 b1: and D1_m is
-    # d1_{m+1} + nu :b b1:, each field at its weight-one mode m + 1
+    # D_m and D1_m: the fields VirParams describes, at weight-one mode m + 1
     if kind == "D":
-        pieces = _QUAD_FIELDS["pi_d"] + ((gammaP, 2, "b", "b", 0, 0),
-                                         (4 * gammaP, 1, "b", "b", 0, 0),
-                                         (gamma1, 0, "b1", "b1", 0, 0))
+        pieces = _FIELDS["pi_d"] + ((gammaP, 2, ("b", "b"), None),
+                                    (4 * gammaP, 1, ("b", "b"), None),
+                                    (gamma1, 0, ("b1", "b1"), None))
     elif kind == "D1":
-        pieces = _QUAD_FIELDS["pi_d1"] + ((nu, 0, "b", "b1", 0, 0),)
+        pieces = _FIELDS["pi_d1"] + ((nu, 0, ("b", "b1"), None),)
     else:
         raise ValueError("unknown extended family %r" % (kind,))
-    return ModeOp((), _quad_sums(pieces, m + 1), params)
+    return _field_op(pieces, m + 1, params)
 
 
 def vir_realize(vec, params, vparams=None):
@@ -282,50 +290,6 @@ def vir_realize(vec, params, vparams=None):
 # bracket identities against a formal parameter, translated to modes
 # ---------------------------------------------------------------------------
 
-def _field_one(k, params):
-    return _unit(params) if k == -1 else combine(())
-
-
-def _field_single(fam):
-    def build(k, params):
-        return ModeOp(((1, ((fam, k),)),), (), params)
-    return build
-
-
-def _field_p_dbeta(k, params):
-    # (P db)_K = -(K+2) b_{K+1} - 4 (K+1) b_K
-    return ModeOp(
-        ((-(k + 2), (("b", k + 1),)), (-4 * (k + 1), (("b", k),))),
-        (),
-        params,
-    )
-
-
-def _field_quad(name):
-    def build(k, params):
-        return ModeOp((), _quad_sums(_QUAD_FIELDS[name], k), params)
-    return build
-
-
-FIELD_BUILDERS = {
-    "1": _field_one,
-    "beta": _field_single("b"),
-    "beta1": _field_single("b1"),
-    "P_dbeta": _field_p_dbeta,
-    **{name: _field_quad(name) for name in _QUAD_FIELDS},
-}
-
-
-@built_once
-def field_mode(name, k, params):
-    """Mode k (weight-one indexing) of a registered field."""
-    try:
-        build = FIELD_BUILDERS[name]
-    except KeyError:
-        raise ValueError("unknown field %r" % (name,))
-    return build(k, params)
-
-
 def _group_j_terms(j_terms):
     grouped = {}
     for j, coeff, p, name, nderiv in j_terms:
@@ -333,7 +297,7 @@ def _group_j_terms(j_terms):
             raise ValueError("negative bracket order %r" % (j,))
         if nderiv not in (0, 1):
             raise ValueError("unsupported derivative order %r" % (nderiv,))
-        if name not in FIELD_BUILDERS:
+        if name not in _FIELDS:
             raise ValueError("unknown field %r" % (name,))
         grouped.setdefault(j, []).append((coeff, p, name, nderiv))
     return grouped

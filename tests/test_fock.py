@@ -6,12 +6,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from threepv import fock, suites
+from threepv import fock, realization, suites
 from threepv.scalars import QQ
 from threepv.liealg import affine_bracket, heis_bracket, vir_bracket
 from threepv.realization import (
     AFFINE_GENERATORS,
-    FIELD_BUILDERS,
     VirParams,
     _unit,
     bracket_rhs_op,
@@ -437,7 +436,7 @@ def test_every_realization_sum_matches_naive(params):
         ops += [tau_mode(g, m, params) for g in AFFINE_GENERATORS]
         ops += [pi_witt_mode(k, m, params) for k in ("d", "d1")]
         ops += [pi_vir_mode(k, m, params) for k in ("D", "D1")]
-        ops += [field_mode(name, m, params) for name in FIELD_BUILDERS]
+        ops += [field_mode(name, m, params) for name in realization._FIELDS]
     # a combination's sums are its bases' sums, each scaled by a coefficient
     sums = {s for op in ops
             for _c, base in (((1, op),) if op.parts is None else op.parts)

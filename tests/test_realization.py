@@ -9,6 +9,7 @@ import pytest
 from threepv import fock, realization
 from threepv.scalars import QQ, Vec
 from threepv.fock import (
+    CubicSum,
     FockState,
     ModeOp,
     QuadSum,
@@ -185,6 +186,51 @@ def test_tau_realize_classes():
     assert tau_realize(Vec({("w1", 0): QQ(3)}), P1).apply(s).is_zero()
 
 
+def _tau_closed_form(gen, m, x0):
+    """The generators' terms and sums, written out by hand."""
+    if gen == "f":
+        return ((-1, (("a", m),)),), ()
+    if gen == "f1":
+        return ((-1, (("a1", m),)),), ()
+    if gen == "h":
+        return ((1, (("b", m),)),), (QuadSum("a", "a*", m, 2, 0),
+                                     QuadSum("a1", "a1*", m, 2, 0))
+    if gen == "h1":
+        return ((1, (("b1", m),)),), (QuadSum("a1", "a*", m, 2, 0),
+                                      QuadSum("a", "a1*", m + 2, 2, 0),
+                                      QuadSum("a", "a1*", m + 1, 8, 0))
+    if gen == "e":
+        return ((-m * x0, (("a*", m),)),), (
+            CubicSum("a", "a*", "a*", m, 1),
+            CubicSum("a", "a1*", "a1*", m + 2, 1),
+            CubicSum("a", "a1*", "a1*", m + 1, 4),
+            CubicSum("a1", "a*", "a1*", m, 2),
+            QuadSum("b", "a*", m, 1, 0),
+            QuadSum("b1", "a1*", m, 1, 0),
+        )
+    return ((-(m + 1) * x0, (("a1*", m + 2),)), (-(4 * m + 2) * x0, (("a1*", m + 1),))), (
+        CubicSum("a1", "a*", "a*", m, 1),
+        CubicSum("a1", "a1*", "a1*", m + 2, 1),
+        CubicSum("a1", "a1*", "a1*", m + 1, 4),
+        CubicSum("a", "a*", "a1*", m + 2, 2),
+        CubicSum("a", "a*", "a1*", m + 1, 8),
+        QuadSum("b1", "a*", m, 1, 0),
+        QuadSum("b", "a1*", m + 2, 1, 0),
+        QuadSum("b", "a1*", m + 1, 4, 0),
+    )
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("kappa0", [1, QQ(3, 2), QQ(2, 3)], ids=["k1", "k3/2", "k2/3"])
+def test_tau_sums_pin_the_closed_forms(r, kappa0):
+    params = RepParams(r=r, kappa0=kappa0)
+    for gen in AFFINE_GENERATORS:
+        for m in range(-20, 21):
+            got = tau_mode(gen, m, params)
+            want = ModeOp(*_tau_closed_form(gen, m, chi0(params)), params)
+            assert (got.terms, got.sums, got.den) == (want.terms, want.sums, want.den), (gen, m)
+
+
 @pytest.mark.parametrize("r", [0, 1])
 def test_affine_commutators_small_window(r):
     params = RepParams(r=r, kappa0=1)
@@ -257,44 +303,105 @@ def test_vir_sums_pin_the_closed_forms(r, kappa0):
 
 
 # ---------------------------------------------------------------------------
-# the field-composition rule behind every quadratic field
+# the piece tables and the one rule behind every realized operator
 # ---------------------------------------------------------------------------
 
+def test_every_table_piece_fits_the_rule():
+    # what _field_op assumes of a piece (coeff, p, fams, i): known families,
+    # 0 to 3 of them, and a derivative only on a slot of a one- or
+    # two-family piece, where a weight can carry the slot's mode
+    assert realization._FAMILY_WEIGHT.keys() == fock.ANNIHILATES.keys()
+    assert set(realization._TAU_PIECES) == set(AFFINE_GENERATORS)
+    assert not set(realization._TAU_PIECES) & set(realization._FIELDS)
+    lists = list(realization._FIELDS.values())
+    lists += [part for parts in realization._TAU_PIECES.values() for part in parts]
+    for pieces in lists:
+        for coeff, p, fams, i in pieces:
+            assert coeff and type(p) is int and p >= 0, pieces
+            assert type(fams) is tuple and len(fams) <= 3, pieces
+            assert set(fams) <= realization._FAMILY_WEIGHT.keys(), pieces
+            assert i is None or 1 <= len(fams) <= 2 and i in range(len(fams)), pieces
+
+
+def test_one_identity_base_and_no_generator_as_a_field():
+    for params in (P0, RepParams(r=1, kappa0=QQ(3, 2))):
+        assert realization._unit(params) is field_mode("1", -1, params)
+    for gen in AFFINE_GENERATORS:
+        with pytest.raises(ValueError):
+            field_mode(gen, 0, P0)
+        with pytest.raises(ValueError):
+            bracket_rhs_op([(0, 1, 0, gen, 0)], 0, 0, P0)
+
+
 def test_quad_sums_ignore_the_order_of_the_pieces():
-    pieces = realization._QUAD_FIELDS["pi_d1"] + ((QQ(1, 3), 0, "b1", "b1", 1, 0),)
+    pieces = realization._FIELDS["pi_d1"] + ((QQ(1, 3), 0, ("b1", "b1"), 0),
+                                             (2, 1, ("b",), 0))
     for k in (-2, 0, 3):
-        want = set(realization._quad_sums(pieces, k))
+        want = realization._field_op(pieces, k, P0)
         for perm in itertools.permutations(pieces):
-            assert set(realization._quad_sums(perm, k)) == want, (perm, k)
+            got = realization._field_op(perm, k, P0)
+            assert set(got.sums) == set(want.sums), (perm, k)
+            assert got.terms == want.terms and got.den == want.den, (perm, k)
 
 
 def test_quad_sums_drop_zero_and_cancelling_pieces():
-    quad_sums = realization._quad_sums
-    d = realization._QUAD_FIELDS["pi_d"]
+    def op(pieces, k):
+        return realization._field_op(pieces, k, P0)
+
+    d = realization._FIELDS["pi_d"]
     negated = tuple((-c, *rest) for c, *rest in d)
     for k in range(-3, 4):
-        assert quad_sums(((0, 1, "a", "a*", 0, 1), (0, 0, "b", "b1", 0, 0)), k) == ()
-        assert quad_sums(((1, 0, "b", "b1", 0, 0), (-1, 0, "b", "b1", 0, 0)), k) == ()
-        assert quad_sums(d + negated, k) == ()
-        assert quad_sums(d + ((0, 0, "b", "b", 0, 0),), k) == quad_sums(d, k)
+        assert op(((0, 1, ("a", "a*"), 1), (0, 0, ("b", "b1"), None)), k).parts == ()
+        assert op(((1, 0, ("b", "b1"), None), (-1, 0, ("b", "b1"), None)), k).parts == ()
+        assert op(((2, 1, ("a", "a*", "a1*"), None), (1, 0, ("b",), None),
+                   (-2, 1, ("a", "a*", "a1*"), None), (-1, 0, ("b",), None)), k).parts == ()
+        assert op(d + negated, k).parts == ()
+        assert op(d + ((0, 0, ("b", "b"), None),), k).sums == op(d, k).sums
         # k :a1 a1*: cancels the constant weight of w :a1 da1*: at mode k,
         # and the merged sum keeps its p-weight
-        cut = quad_sums(((1, 1, "a1", "a1*", 0, 1), (k, 0, "a1", "a1*", 0, 0)), k)
-        assert cut == (QuadSum("a1", "a1*", k, 0, 1),)
+        cut = op(((1, 1, ("a1", "a1*"), 1), (k, 0, ("a1", "a1*"), None)), k)
+        assert cut.sums == (QuadSum("a1", "a1*", k, 0, 1),)
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
 def test_quad_sums_derivative_on_either_side(params):
-    # :(d b1) b1: (i = 1) and :b1 (d b1): (j = 1) are one field, written as
+    # :(d b1) b1: (i = 0) and :b1 (d b1): (i = 1) are one field, written as
     # two different mode sums
     states = [FockState.vacuum()] + seeded_states(43, 3, max_degree=2)
     for k in range(-3, 4):
-        left = realization._quad_sums(((1, 0, "b1", "b1", 1, 0),), k)
-        right = realization._quad_sums(((1, 0, "b1", "b1", 0, 1),), k)
-        assert left != right
-        op_l, op_r = ModeOp((), left, params), ModeOp((), right, params)
+        op_l = realization._field_op(((1, 0, ("b1", "b1"), 0),), k, params)
+        op_r = realization._field_op(((1, 0, ("b1", "b1"), 1),), k, params)
+        assert op_l.sums != op_r.sums
         for s in states:
             assert op_l.apply(s) == op_r.apply(s), k
+
+
+def test_one_family_pieces_merge_into_terms():
+    # chi0 (P da1* + (dP/2) a1*), e1's four chi0 pieces, is two terms
+    params = RepParams(r=0, kappa0=QQ(3, 2))
+    x0 = chi0(params)
+    pieces = tuple((x0 * c, *rest) for c, *rest in realization._TAU_PIECES["e1"][1])
+    assert len(pieces) == 4
+    for m in range(-4, 4):
+        op = realization._field_op(pieces, m, params)
+        want = [(-(m + 1) * x0, (("a1*", m + 2),)), (-(4 * m + 2) * x0, (("a1*", m + 1),))]
+        assert op.sums == ()
+        assert [(QQ(c) / op.den, fs) for c, fs in op.terms] == [t for t in want if t[0]]
+
+
+def test_the_constant_piece_is_the_identity_at_total_mode_zero_only():
+    for k in range(-4, 3):
+        op = realization._field_op(((1, 0, (), None),), k, P0)
+        if k == -1:
+            assert (op.terms, op.sums) == (((1, ()),), ())
+        else:
+            assert op.parts == ()
+        # at w^2 the identity moves to k = -3
+        shifted = realization._field_op(((5, 2, (), None),), k, P0)
+        if k == -3:
+            assert (shifted.terms, shifted.sums) == (((5, ()),), ())
+        else:
+            assert shifted.parts == ()
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
