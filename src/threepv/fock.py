@@ -18,10 +18,10 @@ with variable codes 0 = x, 1 = x1, 2 = y, 3 = y1.  Inside the module it is
 packed into one int: bit 0 holds vpart, and each variable gets an 8-bit
 exponent field at a shift interned on first sight, so multiplying by a
 variable is one addition and a derivative reads one field.  An exponent
-past 255 raises OverflowError rather than carry.  ModeOp.apply and
-commutator_apply (which subtracts right-hand sides in the same dicts) pack
-a state once and unpack each result once, sorting each monomial's
-variables, so the interning order never reaches the output.
+past 255 raises OverflowError rather than carry.  An ImageTable packs a
+state once for ModeOp.apply and commutator_apply, and each result is
+unpacked once, sorting each monomial's variables, so the interning order
+never reaches the output.
 
 Single modes act in one of two gauges r in {0, 1}:
 
@@ -70,7 +70,7 @@ or more is multiplied variable by variable, checked against the limit.
 A ModeOp keeps its term coefficients and sum weights multiplied by den,
 the lcm of their denominators, so they are ints, and _MEMO holds the
 images of den * op: the kernel and the memo multiply ints wherever kappa0,
-B0 and B1 allow, and only _apply's per-call scale and a nonzero residual
+B0 and B1 allow, and only a per-call scale and a nonzero residual
 leaving commutator_apply are divided by den.  _MEMO keys an image by the
 operator and the part of the monomial its families read, by the walks'
 masks: an operator creates, differentiates and meets the field limit only
@@ -86,6 +86,9 @@ and _PLANS.  _READ_SETS, like the intern tables, is parameter-free and
 lives for the process.  Linear combinations (combine) are their parts
 alone and apply through the parts' memo entries, under the parts'
 parameter set; the empty one, the zero operator, applies nothing.
+An ImageTable is no module cache: it belongs to its caller, and an image
+in it stays valid whatever _use clears, as each operator keeps its own
+parameter set.
 """
 
 import functools
@@ -617,8 +620,7 @@ class ModeOp:
         return cached
 
     def apply(self, state):
-        packed = {_pack(mono): c for mono, c in state.terms.items()}
-        return _state(self._apply(packed, None, self.den), self.den)
+        return _state(ImageTable(state).image(self), self.den)
 
     def _apply(self, packed_terms, out=None, scale=1):
         """Add scale * the image of a packed dict into out (a new dict
@@ -671,28 +673,67 @@ def combine(pairs):
     return op
 
 
+class ImageTable:
+    """One FockState s, packed once, and per operator object op the packed
+    image of op.den * op(s), made once: a base's through _apply and its memo
+    entries, a combination's as its bases' images scaled by coeff / base.den.
+    A caller that keeps the table for a grid of commutators applies each
+    operator, right-hand sides' bases included, to s once."""
+
+    def __init__(self, state):
+        self.packed = {_pack(mono): c for mono, c in state.terms.items()}
+        self.images = {}
+
+    def image(self, op):
+        """The packed image of op.den * op(s)."""
+        img = self.images.get(op)
+        if img is None:
+            if op.parts is None:
+                img = op._apply(self.packed, None, op.den)
+            else:
+                img = self.add(op, {}, 1)
+            self.images[op] = img
+        return img
+
+    def add(self, op, out, scale):
+        """Add scale * op(s) into the packed dict out, from the images of
+        op's bases; return out."""
+        for coeff, base in ((1, op),) if op.parts is None else op.parts:
+            coeff = _div(coeff * scale, base.den)
+            for mo, c in self.image(base).items():
+                # Vec.add_term inlined: per term of every right-hand side
+                v = out.get(mo, 0) + coeff * c
+                if v:
+                    out[mo] = v
+                else:
+                    out.pop(mo, None)
+        return out
+
+
 def commutator_apply(opA, opB, state, rhs=None, rhs_ba=None):
     """A(B(s)) - B(A(s)) - rhs(s), rhs optional, in one packed dict, built
     once and not at all when opA is opB; given rhs_ba, also the residual of
     the other order, the same commutator negated less rhs_ba(s), as a pair.
 
-    The dicts hold den_A * den_B times the residuals: the inner operators
-    apply at the scale of their own den, the outer ones at the other's, and
-    the right-hand sides at -den_A * den_B, so operators kept over
-    denominators add ints.  _state divides a nonzero residual back, and a
-    zero one unpacks and divides nothing."""
-    s = {_pack(mono): c for mono, c in state.terms.items()}
+    state is a FockState or the ImageTable of one, whose images the inner
+    operators and the right-hand sides' bases are read from; a FockState
+    gets a table for this call.  The dicts hold den_A * den_B times the
+    residuals: the outer operators apply at the other's den to the inner
+    images of den * op(s), and the right-hand sides add at -den_A * den_B,
+    so operators kept over denominators add ints.  _state divides a
+    nonzero residual back, and a zero one unpacks and divides nothing."""
+    table = state if isinstance(state, ImageTable) else ImageTable(state)
     den_a, den_b = opA.den, opB.den
     out = {}
     if opA is not opB:
-        opA._apply(opB._apply(s, None, den_b), out, den_a)
-        opB._apply(opA._apply(s, None, den_a), out, -den_b)
+        opA._apply(table.image(opB), out, den_a)
+        opB._apply(table.image(opA), out, -den_b)
     den = den_a * den_b
     if rhs_ba is not None:
         out_ba = {mono: -c for mono, c in out.items()}
-        rhs_ba._apply(s, out_ba, -den)
+        table.add(rhs_ba, out_ba, -den)
     if rhs is not None:
-        rhs._apply(s, out, -den)
+        table.add(rhs, out, -den)
     if rhs_ba is None:
         return _state(out, den)
     return _state(out, den), _state(out_ba, den)
@@ -757,12 +798,12 @@ def contraction_check(params, window, states):
                 comm = _commutator_value(famA, famB, m, n, params)
                 if c_ab - c_ba != comm:
                     bad.append((("identity", famA, famB, m, n), c_ab - c_ba - comm))
+                op_a = ModeOp(((1, ((famA, m),)),), (), params)
+                op_b = ModeOp(((1, ((famB, n),)),), (), params)
+                normal_ab = ModeOp(((1, ((famA, m), (famB, n))),), (), params)
                 for idx, s in enumerate(states):
-                    plain = ModeOp(
-                        ((1, ((famA, m),)),), (), params
-                    ).apply(ModeOp(((1, ((famB, n),)),), (), params).apply(s))
-                    normal = ModeOp(((1, ((famA, m), (famB, n))),), (), params).apply(s)
-                    resid = plain - normal - s.scale(c_ab)
+                    plain = op_a.apply(op_b.apply(s))
+                    resid = plain - normal_ab.apply(s) - s.scale(c_ab)
                     if not resid.is_zero():
                         bad.append((("states", famA, famB, m, n, idx), resid))
     return bad

@@ -29,7 +29,8 @@ convention drift surfaces as a loud diagnostic instead of a silent mismatch.
 """
 
 from .scalars import QQ, binom, qq
-from .fock import CubicSum, ModeOp, QuadSum, built_once, combine, commutator_apply
+from .fock import (CubicSum, ImageTable, ModeOp, QuadSum, built_once, combine,
+                   commutator_apply)
 
 AFFINE_GENERATORS = ("e", "f", "h", "e1", "f1", "h1")
 WITT_REP_PAIRS = (("d", "d"), ("d1", "d1"), ("d", "d1"))
@@ -348,10 +349,12 @@ def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states):
     side under each uniform mode shift K -> K + s, s in AUDIT_SHIFTS, and
     records which shift (if any) repairs the identity.  When A and B are one
     field and (n, m) is a pair too, one commutator_apply call checks both
-    orders, each against its own right-hand side.  Returns a list of dicts
+    orders, each against its own right-hand side.  Each state has one
+    ImageTable for the first pass and the retries.  Returns a list of dicts
     with keys m, n, state, pass, shift, in the order of mn_pairs.
     """
     mn_pairs = list(mn_pairs)
+    tables = [ImageTable(state) for state in states]
     wanted = set(mn_pairs)
     passed = {}     # (m, n) -> [pass per state]
     for m, n in mn_pairs:
@@ -362,7 +365,7 @@ def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states):
             orders.append((n, m))
         op_a, op_b = field_mode(lhs_a, m, params), field_mode(lhs_b, n, params)
         rhss = [bracket_rhs_op(j_terms, mm, nn, params) for mm, nn in orders]
-        resids = [commutator_apply(op_a, op_b, state, *rhss) for state in states]
+        resids = [commutator_apply(op_a, op_b, table, *rhss) for table in tables]
         if len(orders) == 1:
             resids = [(resid,) for resid in resids]
         for i, order in enumerate(orders):
@@ -370,13 +373,13 @@ def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states):
     results = []
     for m, n in mn_pairs:
         op_a, op_b = field_mode(lhs_a, m, params), field_mode(lhs_b, n, params)
-        for idx, state in enumerate(states):
+        for idx, table in enumerate(tables):
             ok = passed[(m, n)][idx]
             found = None
             if not ok:
                 for s in AUDIT_SHIFTS:
                     shifted = bracket_rhs_op(j_terms, m, n, params, shift=s)
-                    if commutator_apply(op_a, op_b, state, shifted).is_zero():
+                    if commutator_apply(op_a, op_b, table, shifted).is_zero():
                         found = s
                         break
             results.append(

@@ -10,6 +10,8 @@ Each suite body is a generator of check dicts; run_suite sorts them by
 byte-identical across runs.  The representation suites share one grid
 evaluator, _rep_checks, which checks the residual [A, B] s - R s on each
 state and builds each unordered pair's commutator once for both orders.
+It keeps one fock.ImageTable per state for the grid, so each operator,
+right-hand sides' bases included, is applied to each state once per run.
 """
 
 import itertools
@@ -35,7 +37,8 @@ from .liealg import (
     witt_bracket,
 )
 from .density import density_module_check
-from .fock import FockState, RepParams, combine, commutator_apply, seeded_states
+from .fock import (FockState, ImageTable, RepParams, combine, commutator_apply,
+                   seeded_states)
 from .realization import (
     AFFINE_GENERATORS,
     AUDIT_SHIFTS,
@@ -242,8 +245,10 @@ def _rep_checks(cfg, fam_pairs, mode, bracket):
     rhs label, R) by the suite's own formula for that order.  When (B, A)
     is checked too, each unordered pair of modes is walked once: one
     commutator_apply call checks both orders, each against its own R.
+    Each state's ImageTable lives for the grid, so every commutator reads
+    the state's images under A, B and R's bases that an earlier one made.
     """
-    states = build_states(cfg)
+    tables = [(label, ImageTable(s)) for label, s in build_states(cfg)]
     fam_pairs = tuple(fam_pairs)
     walked = set()
     for fA, fB in fam_pairs:
@@ -255,8 +260,8 @@ def _rep_checks(cfg, fam_pairs, mode, bracket):
             if (fB, fA) in fam_pairs and (fA, m) != (fB, n):
                 orders.append(bracket(fB, n, fA, m))
             A, B = mode(fA, m), mode(fB, n)
-            for label, s in states:
-                resids = commutator_apply(A, B, s, *[R for _, _, R in orders])
+            for label, table in tables:
+                resids = commutator_apply(A, B, table, *[R for _, _, R in orders])
                 if len(orders) == 1:
                     resids = (resids,)
                 for (lhs, rhs, _), resid in zip(orders, resids):
@@ -454,12 +459,13 @@ def _suite_virasoro_rep(cfg):
     yield from _rep_checks(cfg, _VIR_PAIRS,
                            lambda k, m: pi_vir_mode(k, m, params, vparams), bracket)
     zero = RepParams(r=params.r, kappa0=params.kappa0, B0=0, B1=((0, 0), (0, 0)))
+    vacuum = ImageTable(FockState.vacuum())
     for kA, kB, m, n in _VIR_PROBES:
         value = phi1((kA.lower(), m + 1), (kB.lower(), n + 1))
         value *= central_charge(params.r)
         resid = commutator_apply(
             pi_vir_mode(kA, m, zero, vparams), pi_vir_mode(kB, n, zero, vparams),
-            FockState.vacuum(), combine(((value, field_mode("1", -1, zero)),)))
+            vacuum, combine(((value, field_mode("1", -1, zero)),)))
         yield _check("pure-central [pi(%s)_%d, pi(%s)_%d] with B0 = 0, B1 = 0"
                      % (kA, m, kB, n), "%s * |0>" % rat_str(value), "vacuum",
                      resid.is_zero(), repr(resid))

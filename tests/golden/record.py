@@ -20,7 +20,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-# Both gauges, kappa0 = 1 and 3/2, rational B0 / B1 entries and seeded
+# Both gauges, kappa0 = 1, 3/2 and 2, rational B0 / B1 entries and seeded
 # random:K:D states, for every suite that applies operators to Fock states.
 CASES = (
     ("heisenberg-rep", "--r", "0", "--kappa0", "1", "--window", "2",
@@ -77,6 +77,20 @@ CASES = (
     ("coboundary-window", "--window", "3"),
     ("density-module", "--window", "2"),
     ("lambda-table", "--window", "3"),
+    # kappa0 whose 2*kappa0 is not an integer, so the realized operators and
+    # right-hand sides keep denominators: den > 1 and Fraction scales.
+    ("affine-rep", "--r", "0", "--kappa0", "2/3", "--window", "1",
+     "--states", "random:1:2", "--seed", "7"),
+    ("affine-rep", "--r", "1", "--kappa0", "5/4", "--B0", "1/2", "--window", "1",
+     "--states", "random:1:2", "--seed", "3"),
+    ("witt-rep", "--r", "1", "--kappa0", "2/3", "--window", "2",
+     "--states", "random:2:3", "--seed", "5"),
+    ("witt-rep", "--r", "0", "--kappa0", "5/4", "--B1", "1/2,1,-1,1/2",
+     "--window", "2", "--states", "random:1:3", "--seed", "12"),
+    ("virasoro-rep", "--r", "0", "--kappa0", "2/3", "--window", "2",
+     "--states", "random:1:2", "--seed", "8"),
+    ("virasoro-rep", "--r", "1", "--kappa0", "5/4", "--B0=-1", "--window", "1",
+     "--states", "random:2:3", "--seed", "9"),
 )
 
 

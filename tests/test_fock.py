@@ -248,9 +248,12 @@ def test_current_modes_represent_heisenberg(params):
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
-def test_contraction_identities(params):
+def test_contraction_identities(params, monkeypatch):
+    monkeypatch.setattr(fock, "_MEMO", {})
     states = [FockState.vacuum()] + seeded_states(303, 5)
     assert contraction_check(params, 4, states) == []
+    # three operators per (pair, m, n), whatever the number of states
+    assert len({op for op, _mono in fock._MEMO}) <= 3 * 11 * 9 ** 2
 
 
 def test_contraction_frozen_values():

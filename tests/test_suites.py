@@ -4,10 +4,12 @@ import copy
 import itertools
 import json
 import sys
+import weakref
+from collections import Counter
 
 import pytest
 
-from threepv import fock, suites
+from threepv import fock, realization, suites
 from threepv.fock import FockState, ModeOp, RepParams, seeded_states
 from threepv.scalars import QQ
 from threepv.suites import (
@@ -275,33 +277,114 @@ def test_rep_checks_residual_is_got_minus_want():
         assert c["pass"] and c["residual"] is None
 
 
+_FAMILY_PAIRS = {"heisenberg-rep": 4, "affine-rep": 21, "witt-rep": 3,
+                 "virasoro-rep": 3, "pairs-subset": 4}
+
+
 @pytest.mark.parametrize("suite, built, checks",
                          [("heisenberg-rep", 15, 36), ("affine-rep", 153, 189)])
 def test_each_unordered_commutator_is_built_once(suite, built, checks, monkeypatch):
-    """Products A(B s) and B(A s) are built once per unordered pair of modes
-    and state, and not at all for [A, A]."""
-    applied = []
+    """Each operator, right-hand sides' bases included, is applied to each
+    state once per run; the products A(B s) and B(A s) are built once per
+    unordered pair of modes and state, and not at all for [A, A]."""
+    tables = {}         # id of a table's packed state -> the table
+    on_state, outer = Counter(), []
     apply = ModeOp._apply
-    monkeypatch.setattr(ModeOp, "_apply",
-                        lambda op, *a, **kw: applied.append(op) or apply(op, *a, **kw))
-    calls = []
+
+    def recording(op, terms, *a):
+        if id(terms) in tables:
+            on_state[op, id(terms)] += 1
+        else:
+            outer.append(op)
+        return apply(op, terms, *a)
+    monkeypatch.setattr(ModeOp, "_apply", recording)
+    calls, met = [], set()
     commutator = suites.commutator_apply
 
-    def counting(opA, opB, state, *rhs):
-        del applied[:]
-        out = commutator(opA, opB, state, *rhs)
-        calls.append((opA is opB, applied.count(opA), applied.count(opB)))
+    def counting(opA, opB, table, *rhs):
+        tables[id(table.packed)] = table
+        del outer[:]
+        out = commutator(opA, opB, table, *rhs)
+        calls.append((opA is opB, outer == ([] if opA is opB else [opA, opB])))
+        for op in (opA, opB) + rhs:
+            for _c, base in ((1, op),) if op.parts is None else op.parts:
+                met.add((base, id(table.packed)))
         return out
     monkeypatch.setattr(suites, "commutator_apply", counting)
     rep = report(suite, window=1, kappa0=QQ(3, 2))
     assert len(rep.checks) == checks and rep.failed == 0
-    assert sum(not same for same, _, _ in calls) == built
-    for same, on_a, on_b in calls:
-        assert (on_a, on_b) == ((0, 0) if same else (2, 2))
+    assert sum(not same for same, _ in calls) == built
+    assert all(outer_once for _, outer_once in calls)
+    assert len(tables) == 1 and set(on_state.values()) == {1}
+    assert met <= on_state.keys()
 
 
-_FAMILY_PAIRS = {"heisenberg-rep": 4, "affine-rep": 21, "witt-rep": 3,
-                 "virasoro-rep": 3, "pairs-subset": 4}
+@pytest.mark.parametrize("suite", sorted(_FAMILY_PAIRS))
+def test_a_shared_table_changes_no_residual(suite, monkeypatch):
+    """Every commutator a grid checks through its shared tables equals the
+    one on the bare state, and both equal A(B s) - B(A s) - R s applied
+    operator by operator; mixed [D_m, D1_n] pairs make residuals nonzero."""
+    commutator = suites.commutator_apply
+    seen = Counter()
+
+    def compared(A, B, table, *rhs):
+        shared = commutator(A, B, table, *rhs)
+        s = fock._state(table.packed)
+        c = A.apply(B.apply(s)) - B.apply(A.apply(s))
+        want = [c - rhs[0].apply(s)] if rhs else [c]
+        if len(rhs) == 2:
+            want.append(c.scale(-1) - rhs[1].apply(s))
+        assert commutator(A, B, s, *rhs) == shared == (
+            tuple(want) if len(rhs) == 2 else want[0])
+        seen["pairs"] += len(rhs) == 2
+        seen["nonzero"] += not all(w.is_zero() for w in want)
+        return shared
+    monkeypatch.setattr(suites, "commutator_apply", compared)
+    for r, kappa0 in itertools.product((0, 1), (1, QQ(3, 2), QQ(2, 3))):
+        report(suite, r=r, kappa0=kappa0, window=1, states="random:1:2", seed=5)
+    assert seen["pairs"]
+    assert bool(seen["nonzero"]) == (suite == "virasoro-rep")
+
+
+def _memo_keys():
+    """_MEMO's keys by what they mean, whichever objects the operators are
+    and in whichever order the variables were interned."""
+    return {(op.terms, op.sums, op.den, fock._unpack(mono)) for op, mono in fock._MEMO}
+
+
+@pytest.mark.parametrize("suite", sorted(_FAMILY_PAIRS))
+def test_tables_change_no_cache(suite, monkeypatch):
+    """A run through shared tables leaves the memo keys, and makes the sum
+    calls, of one with a table per commutator."""
+    kw = dict(r=1, kappa0=QQ(2, 3), window=1, states="random:2:2", seed=5)
+    sums = Counter()
+    for name in ("apply_quad_sum", "apply_cubic_sum"):
+        monkeypatch.setattr(fock, name, lambda *a, _f=getattr(fock, name), _n=name:
+                            sums.update((_n,)) or _f(*a))
+    _fresh_fock_tables(monkeypatch)
+    shared = emit_report(report(suite, **kw), "json")
+    keys, calls = _memo_keys(), Counter(sums)
+    commutator = suites.commutator_apply
+    monkeypatch.setattr(suites, "commutator_apply", lambda A, B, t, *rhs: commutator(
+        A, B, fock._state(t.packed), *rhs))
+    sums.clear()
+    _fresh_fock_tables(monkeypatch)
+    assert emit_report(report(suite, **kw), "json") == shared
+    assert _memo_keys() == keys and keys
+    assert sums == calls and (calls["apply_quad_sum"] or suite == "heisenberg-rep")
+
+
+@pytest.mark.parametrize("suite", ["virasoro-rep", "audit"])
+def test_no_table_outlives_its_run(suite, monkeypatch):
+    """The tables a run makes, the audit's and the Virasoro probes' too, are
+    freed when it returns: nothing in the program keeps one."""
+    refs = []
+    for mod in (suites, realization):
+        commutator = mod.commutator_apply
+        monkeypatch.setattr(mod, "commutator_apply", lambda A, B, t, *rhs, _c=commutator:
+                            refs.append(weakref.ref(t)) or _c(A, B, t, *rhs))
+    report(suite, window=1, states="random:2:2", seed=5)
+    assert refs and all(ref() is None for ref in refs)
 
 
 @pytest.mark.parametrize("window", [1, 2])
