@@ -623,33 +623,31 @@ class ModeOp:
         return _state(ImageTable(state).image(self), self.den)
 
     def _apply(self, packed_terms, out=None, scale=1):
-        """Add scale * the image of a packed dict into out (a new dict
-        by default); return out.  A part's entries hold the image of
-        den * base, so scale / den joins its coefficient once per call, an
-        int when den divides an int product.  Each monomial is looked up by
-        the part the base reads, and each image term takes back the rest."""
+        """Add scale * the image of a packed dict under this base operator
+        into out (a new dict by default); return out.  The entries hold the
+        image of den * self, so scale / den joins the coefficients once per
+        call, an int when den divides an int product.  Each monomial is
+        looked up by the part self reads, and each image term takes back
+        the rest.  A combination applies through ImageTable.add instead."""
         out = {} if out is None else out
-        for coeff, base in ((1, self),) if self.parts is None else self.parts:
-            if base.params is not _MEMO_PARAMS:
-                _use(base.params)
-            coeff *= scale
-            if base.den != 1:
-                coeff = _div(coeff, base.den)
-            items = packed_terms.items()
-            if coeff != 1:
-                items = [(mono, coeff * c) for mono, c in items]
-            mask = _READ_FIELDS[base.read]
-            for mono, c in items:
-                rel = mono & mask
-                off = mono - rel
-                for mo, cc in base.apply_mono(rel):
-                    mo += off
-                    # Vec.add_term inlined: per term of every apply
-                    s = out.get(mo, 0) + c * cc
-                    if s:
-                        out[mo] = s
-                    else:
-                        out.pop(mo, None)
+        if self.params is not _MEMO_PARAMS:
+            _use(self.params)
+        coeff = scale if self.den == 1 else _div(scale, self.den)
+        items = packed_terms.items()
+        if coeff != 1:
+            items = [(mono, coeff * c) for mono, c in items]
+        mask = _READ_FIELDS[self.read]
+        for mono, c in items:
+            rel = mono & mask
+            off = mono - rel
+            for mo, cc in self.apply_mono(rel):
+                mo += off
+                # Vec.add_term inlined: per term of every apply
+                s = out.get(mo, 0) + c * cc
+                if s:
+                    out[mo] = s
+                else:
+                    out.pop(mo, None)
         return out
 
 

@@ -23,14 +23,11 @@ A bracket identity given against a formal parameter,
 where each G_j is a w-polynomial combination of registered fields (expanded
 as sum_K F_K w^{-K-1}, the constant field contributing at mode -1).
 field_mode builds A_m and B_n, and bracket_rhs_op the right-hand side as one
-operator.  convention_audit re-runs such a check on a small window and
-reports the integer mode shift that would repair any failure, so a
-convention drift surfaces as a loud diagnostic instead of a silent mismatch.
+operator.
 """
 
 from .scalars import QQ, binom, qq
-from .fock import (CubicSum, ImageTable, ModeOp, QuadSum, built_once, combine,
-                   commutator_apply)
+from .fock import CubicSum, ModeOp, QuadSum, built_once, combine
 
 AFFINE_GENERATORS = ("e", "f", "h", "e1", "f1", "h1")
 WITT_REP_PAIRS = (("d", "d"), ("d1", "d1"), ("d", "d1"))
@@ -114,7 +111,8 @@ def _field_op(pieces, k, params):
     i is set), weighted by coeff, times -(mode_i + w_i) if i is set.  Pieces
     merge on (fams, M) in first-seen order and zero weights drop; then no
     family gives the identity at M = 0, one family a term, two a QuadSum,
-    three a CubicSum, and nothing left the zero operator.
+    three a CubicSum, and nothing left an operator with neither, which
+    combine drops.
     """
     merged = {}
     for coeff, p, fams, i in pieces:
@@ -138,7 +136,7 @@ def _field_op(pieces, k, params):
             sums.append(QuadSum(*fams, total, c0, c1))
         elif len(fams) == 3 and c0:
             sums.append(CubicSum(*fams, total, c0))
-    return ModeOp(terms, sums, params) if terms or sums else combine(())
+    return ModeOp(terms, sums, params)
 
 
 @built_once
@@ -323,7 +321,7 @@ def gj_mode_op(terms, k, params):
 
 def bracket_rhs_op(j_terms, m, n, params, shift=0):
     """The translated right-hand side sum_j binom(m, j) (G_j)_{m+n-j+shift}
-    as one operator (shift is used by the convention audit).
+    as one operator (shift is used by the suites' convention audit).
 
     j_terms is an iterable of (j, coeff, p, name, nderiv) contributions, each
     meaning that the order-j coefficient G_j contains
@@ -335,57 +333,6 @@ def bracket_rhs_op(j_terms, m, n, params, shift=0):
         if bj:
             pairs.append((bj, gj_mode_op(terms, m + n - j + shift, params)))
     return combine(pairs)
-
-
-# the uniform mode shifts convention_audit tries on a failed identity
-AUDIT_SHIFTS = (-2, -1, 1, 2)
-
-
-def convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs, states):
-    """Small-window bracket check reporting the observed mode shift.
-
-    For each (m, n) pair and state, compares [A_m, B_n] applied to the state
-    with the translated right-hand side; on mismatch, retries the right-hand
-    side under each uniform mode shift K -> K + s, s in AUDIT_SHIFTS, and
-    records which shift (if any) repairs the identity.  When A and B are one
-    field and (n, m) is a pair too, one commutator_apply call checks both
-    orders, each against its own right-hand side.  Each state has one
-    ImageTable for the first pass and the retries.  Returns a list of dicts
-    with keys m, n, state, pass, shift, in the order of mn_pairs.
-    """
-    mn_pairs = list(mn_pairs)
-    tables = [ImageTable(state) for state in states]
-    wanted = set(mn_pairs)
-    passed = {}     # (m, n) -> [pass per state]
-    for m, n in mn_pairs:
-        if (m, n) in passed:
-            continue
-        orders = [(m, n)]
-        if lhs_a == lhs_b and m != n and (n, m) in wanted:
-            orders.append((n, m))
-        op_a, op_b = field_mode(lhs_a, m, params), field_mode(lhs_b, n, params)
-        rhss = [bracket_rhs_op(j_terms, mm, nn, params) for mm, nn in orders]
-        resids = [commutator_apply(op_a, op_b, table, *rhss) for table in tables]
-        if len(orders) == 1:
-            resids = [(resid,) for resid in resids]
-        for i, order in enumerate(orders):
-            passed[order] = [pair[i].is_zero() for pair in resids]
-    results = []
-    for m, n in mn_pairs:
-        op_a, op_b = field_mode(lhs_a, m, params), field_mode(lhs_b, n, params)
-        for idx, table in enumerate(tables):
-            ok = passed[(m, n)][idx]
-            found = None
-            if not ok:
-                for s in AUDIT_SHIFTS:
-                    shifted = bracket_rhs_op(j_terms, m, n, params, shift=s)
-                    if commutator_apply(op_a, op_b, table, shifted).is_zero():
-                        found = s
-                        break
-            results.append(
-                {"m": m, "n": n, "state": idx, "pass": ok, "shift": found}
-            )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +382,10 @@ def witt_rep_gj(pair, r):
 
 
 def pairs_gj(item, params):
-    """LHS field names and G_j data for the checked current-mode identities.
+    """The field and G_j data for the checked current-mode identities, each
+    bracketing the field with itself.
 
-    Returns (lhs_a, lhs_b, j_terms) for items 1, 3, 10, 14:
+    Returns (field, j_terms) for items 1, 3, 10, 14:
 
         1   [b_lambda b]           = -2 lambda kappa0
         3   [b1_lambda b1]         = -(2 P lambda + dP) kappa0
@@ -450,14 +398,14 @@ def pairs_gj(item, params):
     """
     k0 = params.kappa0
     if item == 1:
-        return "beta", "beta", [(1, -2 * k0, 0, "1", 0)]
+        return "beta", [(1, -2 * k0, 0, "1", 0)]
     if item == 3:
-        return "beta1", "beta1", [
+        return "beta1", [
             (0, -2 * k0, 1, "1", 0), (0, -4 * k0, 0, "1", 0),
             (1, -2 * k0, 2, "1", 0), (1, -8 * k0, 1, "1", 0),
         ]
     if item == 10:
-        return "P_dbeta", "P_dbeta", [
+        return "P_dbeta", [
             (1, 12 * k0, 2, "1", 0), (1, 48 * k0, 1, "1", 0),
             (2, 24 * k0, 3, "1", 0), (2, 144 * k0, 2, "1", 0),
             (2, 192 * k0, 1, "1", 0),
@@ -466,7 +414,7 @@ def pairs_gj(item, params):
         ]
     if item == 14:
         k2 = k0 * k0
-        return "no_beta1_sq", "no_beta1_sq", [
+        return "no_beta1_sq", [
             (0, -8 * k0, 1, "no_beta1_sq", 0),
             (0, -16 * k0, 0, "no_beta1_sq", 0),
             (0, -8 * k0, 2, "no_dbeta1_beta1", 0),

@@ -7,11 +7,16 @@ algebraic checks), a pass flag, and the exact residual when it fails.
 
 Each suite body is a generator of check dicts; run_suite sorts them by
 (lhs, rhs, state), so for a fixed config and seed the JSON rendering is
-byte-identical across runs.  The representation suites share one grid
-evaluator, _rep_checks, which checks the residual [A, B] s - R s on each
-state and builds each unordered pair's commutator once for both orders.
-It keeps one fock.ImageTable per state for the grid, so each operator,
-right-hand sides' bases included, is applied to each state once per run.
+byte-identical across runs.  The representation suites and the audit share
+one grid evaluator, _rep_checks, which checks the residual [A, B] s - R s
+on each state and builds each unordered pair's commutator once for both
+orders.  It keeps one fock.ImageTable per state for the grid, so each
+operator, right-hand sides' bases included, is applied to each state once
+per run.
+
+The audit re-runs two bracket identities on a small window and reports the
+integer mode shift that would repair any failure, so a convention drift
+surfaces as a loud diagnostic instead of a silent mismatch.
 """
 
 import itertools
@@ -41,13 +46,11 @@ from .fock import (FockState, ImageTable, RepParams, combine, commutator_apply,
                    seeded_states)
 from .realization import (
     AFFINE_GENERATORS,
-    AUDIT_SHIFTS,
     VirParams,
     WITT_REP_PAIRS,
     PAIRS_ITEMS,
     bracket_rhs_op,
     central_charge,
-    convention_audit,
     field_mode,
     pairs_gj,
     pi_vir_mode,
@@ -238,7 +241,7 @@ def _mode_pairs(window):
     return itertools.product(_modes(window), repeat=2)
 
 
-def _rep_checks(cfg, fam_pairs, mode, bracket):
+def _rep_checks(cfg, window, fam_pairs, mode, bracket, explain=None):
     """Checks of [A_m, B_n] s == R s on each labelled state of cfg, for each
     family pair (A, B) in fam_pairs and modes m, n in the window, where
     mode(A, m) is the operator A_m and bracket(A, m, B, n) is (lhs label,
@@ -247,25 +250,31 @@ def _rep_checks(cfg, fam_pairs, mode, bracket):
     commutator_apply call checks both orders, each against its own R.
     Each state's ImageTable lives for the grid, so every commutator reads
     the state's images under A, B and R's bases that an earlier one made.
+    A failing check's residual text is explain(A, m, B, n, table) for its
+    order and its state's table, or repr of the residual without explain;
+    a passing check builds none.
     """
     tables = [(label, ImageTable(s)) for label, s in build_states(cfg)]
     fam_pairs = tuple(fam_pairs)
     walked = set()
     for fA, fB in fam_pairs:
-        for m, n in _mode_pairs(cfg.window):
+        for m, n in _mode_pairs(window):
             if (fB, n, fA, m) in walked:
                 continue
             walked.add((fA, m, fB, n))
-            orders = [bracket(fA, m, fB, n)]
+            keys = [(fA, m, fB, n)]
             if (fB, fA) in fam_pairs and (fA, m) != (fB, n):
-                orders.append(bracket(fB, n, fA, m))
+                keys.append((fB, n, fA, m))
+            orders = [bracket(*key) for key in keys]
             A, B = mode(fA, m), mode(fB, n)
             for label, table in tables:
                 resids = commutator_apply(A, B, table, *[R for _, _, R in orders])
                 if len(orders) == 1:
                     resids = (resids,)
-                for (lhs, rhs, _), resid in zip(orders, resids):
-                    yield _check(lhs, rhs, label, resid.is_zero(), repr(resid))
+                for key, (lhs, rhs, _), resid in zip(keys, orders, resids):
+                    ok = resid.is_zero()
+                    yield _check(lhs, rhs, label, ok, None if ok else repr(resid)
+                                 if explain is None else explain(*key, table))
 
 
 def _suite_ring_witt(cfg):
@@ -406,7 +415,7 @@ def _suite_heisenberg_rep(cfg):
         return ("realized [%s_%d, %s_%d]" % (famA, m, famB, n),
                 "%s * id (one0 -> kappa0, one1 -> 0)" % rat_str(value),
                 combine(((value, unit),)))
-    return _rep_checks(cfg, itertools.product(_HEIS_FIELDS, repeat=2),
+    return _rep_checks(cfg, cfg.window, itertools.product(_HEIS_FIELDS, repeat=2),
                        lambda fam, m: field_mode(_HEIS_FIELDS[fam], m, params),
                        bracket)
 
@@ -419,7 +428,8 @@ def _suite_affine_rep(cfg):
         return ("realized [%s_%d, %s_%d]" % (gA, m, gB, n), rhs,
                 tau_realize(affine_bracket((gA, m), (gB, n)), params))
     pairs = itertools.combinations_with_replacement(AFFINE_GENERATORS, 2)
-    return _rep_checks(cfg, pairs, lambda g, m: tau_mode(g, m, params), bracket)
+    return _rep_checks(cfg, cfg.window, pairs, lambda g, m: tau_mode(g, m, params),
+                       bracket)
 
 
 def _suite_witt_rep(cfg):
@@ -430,7 +440,7 @@ def _suite_witt_rep(cfg):
         return ("[pi(%s)_%d, pi(%s)_%d]" % (kA, m, kB, n),
                 "mode expansion of the bracket fields",
                 bracket_rhs_op(j_terms[kA, kB], m, n, params))
-    return _rep_checks(cfg, WITT_REP_PAIRS,
+    return _rep_checks(cfg, cfg.window, WITT_REP_PAIRS,
                        lambda k, m: field_mode("pi_" + k, m, params), bracket)
 
 
@@ -456,7 +466,7 @@ def _suite_virasoro_rep(cfg):
         return ("[pi(%s)_%d, pi(%s)_%d]" % (kA, m, kB, n), rhs,
                 vir_realize(vir_bracket((kA.lower(), m + 1), (kB.lower(), n + 1)),
                             params, vparams))
-    yield from _rep_checks(cfg, _VIR_PAIRS,
+    yield from _rep_checks(cfg, cfg.window, _VIR_PAIRS,
                            lambda k, m: pi_vir_mode(k, m, params, vparams), bracket)
     zero = RepParams(r=params.r, kappa0=params.kappa0, B0=0, B1=((0, 0), (0, 0)))
     vacuum = ImageTable(FockState.vacuum())
@@ -473,15 +483,14 @@ def _suite_virasoro_rep(cfg):
 
 def _suite_pairs_subset(cfg):
     params = cfg.params
-    # each item brackets one field with itself
     gj = {item: pairs_gj(item, params) for item in PAIRS_ITEMS}
 
     def bracket(item, m, _item, n):
-        lhs_a, lhs_b, j_terms = gj[item]
-        return ("item %d: [%s_%d, %s_%d]" % (item, lhs_a, m, lhs_b, n),
+        field, j_terms = gj[item]
+        return ("item %d: [%s_%d, %s_%d]" % (item, field, m, field, n),
                 "mode expansion of the bracket fields",
                 bracket_rhs_op(j_terms, m, n, params))
-    return _rep_checks(cfg, ((item, item) for item in PAIRS_ITEMS),
+    return _rep_checks(cfg, cfg.window, ((item, item) for item in PAIRS_ITEMS),
                        lambda item, m: field_mode(gj[item][0], m, params), bracket)
 
 
@@ -508,42 +517,39 @@ def _suite_lambda_table(cfg):
             "class(t^%d u dt) = %r" % (j, got), "-", got, closed)
 
 
-# Deliberately small windows whose failures report the observed index shift:
-# a drifted mode convention shows up here as 'repaired by shift s' instead of
-# as a wall of unexplained representation failures.
-_AUDIT_LINES = (
-    ("weight-one current pair", "item-1"),
-    ("derivation family line", "d1-d1"),
-)
+# the uniform mode shifts the audit tries on a failed identity
+AUDIT_SHIFTS = (-2, -1, 1, 2)
 
 
 def _suite_audit(cfg):
+    # Deliberately small windows whose failures report the observed index
+    # shift: a drifted mode convention shows up here as 'repaired by shift s'
+    # instead of as a wall of unexplained representation failures.  Each
+    # line brackets one field with itself: field -> (line name, j_terms).
     params = cfg.params
-    labelled = build_states(cfg)
-    labels = [label for label, _ in labelled]
-    states = [s for _, s in labelled]
-    mn_pairs = list(_mode_pairs(min(cfg.window, 2)))
-    for name, key in _AUDIT_LINES:
-        if key == "item-1":
-            lhs_a, lhs_b, j_terms = pairs_gj(1, params)
-        else:
-            lhs_a, lhs_b = "pi_d1", "pi_d1"
-            j_terms = witt_rep_gj(("d1", "d1"), params.r)
-        for row in convention_audit(lhs_a, lhs_b, j_terms, params, mn_pairs,
-                                    states):
-            residual = None
-            if not row["pass"]:
-                if row["shift"] is None:
-                    residual = "no uniform mode shift in {%s} repairs it" % (
-                        ",".join(map(str, AUDIT_SHIFTS)))
-                else:
-                    residual = ("identity holds after the uniform mode shift "
-                                "K -> K + %d" % row["shift"])
-            yield _check(
-                "audit %s: [%s_%d, %s_%d]" % (name, lhs_a, row["m"],
-                                              lhs_b, row["n"]),
+    item_1, j_terms = pairs_gj(1, params)
+    lines = {item_1: ("weight-one current pair", j_terms),
+             "pi_d1": ("derivation family line",
+                       witt_rep_gj(("d1", "d1"), params.r))}
+
+    def mode(field, m):
+        return field_mode(field, m, params)
+
+    def bracket(field, m, _field, n):
+        return ("audit %s: [%s_%d, %s_%d]" % (lines[field][0], field, m, field, n),
                 "mode-translated bracket, no shift",
-                labels[row["state"]], row["pass"], residual)
+                bracket_rhs_op(lines[field][1], m, n, params))
+
+    def explain(field, m, _field, n, table):
+        for s in AUDIT_SHIFTS:
+            shifted = bracket_rhs_op(lines[field][1], m, n, params, shift=s)
+            if commutator_apply(mode(field, m), mode(field, n), table,
+                                shifted).is_zero():
+                return "identity holds after the uniform mode shift K -> K + %d" % s
+        return "no uniform mode shift in {%s} repairs it" % (
+            ",".join(map(str, AUDIT_SHIFTS)))
+    return _rep_checks(cfg, min(cfg.window, 2), ((f, f) for f in lines), mode,
+                       bracket, explain)
 
 
 _SUITES = {

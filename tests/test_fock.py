@@ -804,7 +804,12 @@ def test_a_zero_right_hand_side_adds_no_memo_entry(monkeypatch):
     params = RepParams(r=0, kappa0=QQ(3, 2))
     zero = tau_realize(affine_bracket(("e", 1), ("e", 2)), params)
     assert zero.parts == ()
-    assert field_mode("1", 0, params).parts == ()
+    # the identity field away from its mode is a whole operator with
+    # nothing in it, which combine drops
+    empty = field_mode("1", 0, params)
+    assert (empty.terms, empty.sums, empty.read) == ((), (), 0)
+    assert empty.params.key == params.key
+    assert combine(((2, empty),)).parts == ()
     A, B = tau_mode("e", 1, params), tau_mode("e", 2, params)
     states = [FockState.vacuum()] + seeded_states(5, 2)
     monkeypatch.setattr(fock, "_MEMO", {})
@@ -866,7 +871,7 @@ def _like_kind_brackets(params):
     a witt field, a Virasoro family and a pairs-subset item."""
     vparams = VirParams.standard(params.kappa0)
     j_dd = witt_rep_gj(("d", "d"), params.r)
-    field, _, j_14 = pairs_gj(14, params)
+    field, j_14 = pairs_gj(14, params)
     return [
         (lambda m: tau_mode("h", m, params),
          lambda m, n: tau_realize(affine_bracket(("h", m), ("h", n)), params)),

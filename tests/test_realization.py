@@ -3,10 +3,11 @@ bracket identities translated from the formal-parameter form, and frozen
 single-state evaluations."""
 
 import itertools
+import re
 
 import pytest
 
-from threepv import fock, realization
+from threepv import fock, realization, suites
 from threepv.scalars import QQ, Vec
 from threepv.fock import (
     CubicSum,
@@ -21,14 +22,12 @@ from threepv.fock import (
 from threepv.liealg import affine_bracket, phi1, phi2, vir_bracket
 from threepv.realization import (
     AFFINE_GENERATORS,
-    AUDIT_SHIFTS,
     PAIRS_ITEMS,
     WITT_REP_PAIRS,
     VirParams,
     bracket_rhs_op,
     central_charge,
     chi0,
-    convention_audit,
     field_mode,
     pairs_gj,
     pi_vir_mode,
@@ -344,6 +343,13 @@ def test_quad_sums_ignore_the_order_of_the_pieces():
             assert got.terms == want.terms and got.den == want.den, (perm, k)
 
 
+def _empty(op):
+    """op is a whole base operator with neither terms nor sums, which
+    combine drops, leaving the zero operator."""
+    return (op.parts is None and (op.terms, op.sums, op.den) == ((), (), 1)
+            and combine(((1, op),)).parts == ())
+
+
 def test_quad_sums_drop_zero_and_cancelling_pieces():
     def op(pieces, k):
         return realization._field_op(pieces, k, P0)
@@ -351,11 +357,11 @@ def test_quad_sums_drop_zero_and_cancelling_pieces():
     d = realization._FIELDS["pi_d"]
     negated = tuple((-c, *rest) for c, *rest in d)
     for k in range(-3, 4):
-        assert op(((0, 1, ("a", "a*"), 1), (0, 0, ("b", "b1"), None)), k).parts == ()
-        assert op(((1, 0, ("b", "b1"), None), (-1, 0, ("b", "b1"), None)), k).parts == ()
-        assert op(((2, 1, ("a", "a*", "a1*"), None), (1, 0, ("b",), None),
-                   (-2, 1, ("a", "a*", "a1*"), None), (-1, 0, ("b",), None)), k).parts == ()
-        assert op(d + negated, k).parts == ()
+        assert _empty(op(((0, 1, ("a", "a*"), 1), (0, 0, ("b", "b1"), None)), k))
+        assert _empty(op(((1, 0, ("b", "b1"), None), (-1, 0, ("b", "b1"), None)), k))
+        assert _empty(op(((2, 1, ("a", "a*", "a1*"), None), (1, 0, ("b",), None),
+                          (-2, 1, ("a", "a*", "a1*"), None), (-1, 0, ("b",), None)), k))
+        assert _empty(op(d + negated, k))
         assert op(d + ((0, 0, ("b", "b"), None),), k).sums == op(d, k).sums
         # k :a1 a1*: cancels the constant weight of w :a1 da1*: at mode k,
         # and the merged sum keeps its p-weight
@@ -395,13 +401,13 @@ def test_the_constant_piece_is_the_identity_at_total_mode_zero_only():
         if k == -1:
             assert (op.terms, op.sums) == (((1, ()),), ())
         else:
-            assert op.parts == ()
+            assert _empty(op)
         # at w^2 the identity moves to k = -3
         shifted = realization._field_op(((5, 2, (), None),), k, P0)
         if k == -3:
             assert (shifted.terms, shifted.sums) == (((5, ()),), ())
         else:
-            assert shifted.parts == ()
+            assert _empty(shifted)
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
@@ -442,10 +448,10 @@ def test_witt_rep_bracket_sign(params):
 def test_pairs_items(params):
     states = [FockState.vacuum()] + seeded_states(71, 2, max_degree=2)
     for item in PAIRS_ITEMS:
-        lhs_a, lhs_b, data = pairs_gj(item, params)
+        field, data = pairs_gj(item, params)
         for m in range(-3, 4):
             for n in range(-3, 4):
-                check = residual(lhs_a, lhs_b, data, m, n, params)
+                check = residual(field, field, data, m, n, params)
                 for s in states:
                     assert check(s).is_zero(), (item, m, n)
 
@@ -483,57 +489,93 @@ def test_identity_field_mode():
     assert bracket_rhs_op([(0, 5, 2, "1", 0)], -2, -1, P0).apply(s) == s.scale(5)
 
 
-def test_convention_audit_reports_shift():
-    vac = FockState.vacuum()
-    _, _, good = pairs_gj(1, P0)
-    res = convention_audit(
-        "beta", "beta", good, P0, [(0, 0), (1, -1), (2, -2)], [vac]
-    )
-    assert all(row["pass"] for row in res)
-    assert all(row["shift"] is None for row in res)
+_AUDIT_LHS = re.compile(r"audit (.*): \[(\w+)_(-?\d+), \w+_(-?\d+)\]$")
 
-    # same identity with the central term misplaced by one w-power: the
-    # audit must flag the failure and report the uniform repairing shift
+
+def _audit(monkeypatch, j_terms=None, witt_r=None, **kw):
+    """run_suite("audit") at P0's r and kappa0, the weight-one current
+    line's G_j data replaced by j_terms and the derivation line's taken at
+    witt_r if given: the report's rows as {(field, m, n, state): residual},
+    and the number of right-hand sides of each commutator_apply call."""
+    if j_terms is not None:
+        monkeypatch.setattr(suites, "pairs_gj", lambda item, params: ("beta", j_terms))
+    if witt_r is not None:
+        monkeypatch.setattr(suites, "witt_rep_gj", lambda pair, r: witt_rep_gj(pair, witt_r))
+    calls = []
+    commutator = suites.commutator_apply
+    monkeypatch.setattr(suites, "commutator_apply", lambda A, B, t, *rhs:
+                        calls.append(len(rhs)) or commutator(A, B, t, *rhs))
+    rep = suites.run_suite(suites.SuiteConfig("audit", r=P0.r, kappa0=P0.kappa0, **kw))
+    monkeypatch.undo()
+    rows = {}
+    for c in rep.checks:
+        _line, field, m, n = _AUDIT_LHS.match(c["lhs"]).groups()
+        assert c["rhs"] == "mode-translated bracket, no shift"
+        assert c["pass"] == (c["residual"] is None)
+        rows[field, int(m), int(n), c["state"]] = c["residual"]
+    return rows, calls
+
+
+def test_convention_audit_reports_shift(monkeypatch):
+    rows, _ = _audit(monkeypatch, window=2)
+    assert len(rows) == 2 * 25 and not any(rows.values())
+
+    # the central term misplaced by one w-power: where m + n = 0 the audit
+    # flags the failure and reports the uniform repairing shift, and where
+    # m + n = -1 the shift -2 moves the stray term off the window's modes
     bad = [(1, -2 * P0.kappa0, 1, "1", 0)]
-    res = convention_audit("beta", "beta", bad, P0, [(1, -1), (2, -2)], [vac])
-    assert all(not row["pass"] for row in res)
-    assert all(row["shift"] == -1 for row in res)
+    rows, _ = _audit(monkeypatch, bad, window=2)
+    for (field, m, n, _state), text in rows.items():
+        if field == "beta" and m and m + n in (0, -1):
+            assert text == ("identity holds after the uniform mode shift "
+                            "K -> K + %d" % (-1 if m + n == 0 else -2)), (m, n)
+        else:
+            assert text is None, (field, m, n)
+
+    # a doubled central term no shift repairs
+    rows, _ = _audit(monkeypatch, [(1, -4 * P0.kappa0, 0, "1", 0)], window=2)
+    for (field, m, n, _state), text in rows.items():
+        if field == "beta" and m and m + n == 0:
+            assert text == "no uniform mode shift in {-2,-1,1,2} repairs it"
+        else:
+            assert text is None, (field, m, n)
 
 
-@pytest.mark.parametrize("case", ["holds", "shifted", "anomaly", "two-fields"])
+@pytest.mark.parametrize("case", ["holds", "shifted", "anomaly"])
 def test_convention_audit_checks_each_unordered_pair_once(case, monkeypatch):
     """With one field on both sides, one commutator_apply call per unordered
-    (m, n) and state checks both orders; the rows, shifts included, are
-    those of one call per order."""
-    lhs_a, lhs_b, j_terms = {
-        "holds": pairs_gj(1, P0),
-        "shifted": ("beta", "beta", [(1, -2 * P0.kappa0, 1, "1", 0)]),
-        "anomaly": ("pi_d1", "pi_d1", witt_rep_gj(("d1", "d1"), 1)),
-        "two-fields": ("beta", "beta1", []),
+    (m, n) and state checks both orders, and a failing order alone retries
+    the shifts; the rows, shifts included, are those of one call per order
+    on the bare state."""
+    j_beta, witt_r = {
+        "holds": (pairs_gj(1, P0)[1], 0),
+        "shifted": ([(1, -2 * P0.kappa0, 1, "1", 0)], 0),
+        "anomaly": (pairs_gj(1, P0)[1], 1),
     }[case]
-    states = [FockState.vacuum()] + seeded_states(61, 2)
-    pairs = list(itertools.product(range(-2, 3), repeat=2))
-    calls = []
-    commutator = realization.commutator_apply
-    monkeypatch.setattr(realization, "commutator_apply",
-                        lambda A, B, s, *rhs: calls.append(len(rhs)) or commutator(A, B, s, *rhs))
-    got = convention_audit(lhs_a, lhs_b, j_terms, P0, pairs, states)
-    monkeypatch.undo()
-    paired = 0 if case == "two-fields" else 10
-    assert calls.count(2) == paired * len(states)
-    assert len(calls) - calls.count(2) >= (len(pairs) - 2 * paired) * len(states)
-    want = []
-    for m, n in pairs:
-        A, B = field_mode(lhs_a, m, P0), field_mode(lhs_b, n, P0)
-        for idx, s in enumerate(states):
-            ok = commutator_apply(A, B, s, bracket_rhs_op(j_terms, m, n, P0)).is_zero()
-            shift = None
-            if not ok:
-                shift = next((k for k in AUDIT_SHIFTS if commutator_apply(
+    rows, calls = _audit(monkeypatch, j_beta, witt_r, window=3,
+                         states="random:2:3", seed=61)
+    cfg = suites.SuiteConfig("audit", states="random:2:3", seed=61)
+    states = suites.build_states(cfg)
+    lines = {"beta": j_beta, "pi_d1": witt_rep_gj(("d1", "d1"), witt_r)}
+    want, retries = {}, 0
+    for (field, j_terms), (m, n) in itertools.product(
+            lines.items(), itertools.product(range(-2, 3), repeat=2)):
+        A, B = field_mode(field, m, P0), field_mode(field, n, P0)
+        for label, s in states:
+            text = None
+            if not commutator_apply(A, B, s, bracket_rhs_op(j_terms, m, n, P0)).is_zero():
+                shift = next((k for k in suites.AUDIT_SHIFTS if commutator_apply(
                     A, B, s, bracket_rhs_op(j_terms, m, n, P0, shift=k)).is_zero()), None)
-            want.append({"m": m, "n": n, "state": idx, "pass": ok, "shift": shift})
-    assert got == want
-    assert all(row["pass"] for row in got) == (case in ("holds", "two-fields"))
+                retries += 4 if shift is None else suites.AUDIT_SHIFTS.index(shift) + 1
+                text = ("no uniform mode shift in {-2,-1,1,2} repairs it" if shift is None
+                        else "identity holds after the uniform mode shift K -> K + %d" % shift)
+            want[field, m, n, label] = text
+    assert rows == want
+    assert all(text is None for text in rows.values()) == (case == "holds")
+    # two lines, 10 unordered pairs m != n and 5 pairs m == n, per state
+    assert calls.count(2) == 2 * 10 * len(states)
+    assert calls.count(1) == 2 * 5 * len(states) + retries
+    assert bool(retries) == (case != "holds")
 
 
 # ---------------------------------------------------------------------------

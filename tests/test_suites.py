@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from threepv import fock, realization, suites
+from threepv import fock, suites
 from threepv.fock import FockState, ModeOp, RepParams, seeded_states
 from threepv.scalars import QQ
 from threepv.suites import (
@@ -248,8 +248,10 @@ def test_virasoro_rep_like_kind_passes_mixed_fails():
 def test_rep_checks_residual_is_got_minus_want():
     # [b_m, b_n] = -2 m kappa0 delta_{m+n,0} = -3m, so against R = 0 the
     # check of (m, -m) fails on every state s with residual -3m s, and
-    # against R = -3m Id every check passes
-    cfg = SuiteConfig("heisenberg-rep", window=1, kappa0=QQ(3, 2),
+    # against R = -3m Id every check passes; the grid covers the window it
+    # is given, and explain, given, writes a failing check's residual from
+    # that order's modes and its state's table
+    cfg = SuiteConfig("heisenberg-rep", window=3, kappa0=QQ(3, 2),
                       states="random:3:3", seed=17)
     params = cfg.params
     states = build_states(cfg)
@@ -258,23 +260,36 @@ def test_rep_checks_residual_is_got_minus_want():
     def value(m, n):
         return -3 * m if m + n == 0 else 0
 
-    def against(right):
+    def against(right, explain=None):
         def bracket(_fam, m, _famB, n):
             v = right(m, n)
             return "[b_%d, b_%d]" % (m, n), str(v), ModeOp(((v, ()),), (), params)
-        checks = list(_rep_checks(cfg, [("b", "b")], lambda _fam, m: ops[m], bracket))
+        checks = list(_rep_checks(cfg, 1, [("b", "b")], lambda _fam, m: ops[m],
+                                  bracket, explain))
         assert len(checks) == 9 * len(states)
         return {(c["lhs"], c["state"]): c for c in checks}
 
-    wrong = against(lambda m, n: 0)
+    explained = []
+
+    def explain(fam, m, famB, n, table):
+        explained.append((fam, m, famB, n))
+        s = fock._state(table.packed)
+        return "%s_%d, %s_%d on %r" % (fam, m, famB, n, s)
+    wrong, told = against(lambda m, n: 0), against(lambda m, n: 0, explain)
     for m, n in itertools.product((-1, 0, 1), repeat=2):
         for label, s in states:
             c = wrong["[b_%d, b_%d]" % (m, n), label]
             assert c["pass"] == (not value(m, n))
             if value(m, n):
                 assert c["residual"] == repr(s.scale(value(m, n)))
-    for c in against(value).values():
+                assert told["[b_%d, b_%d]" % (m, n), label]["residual"] == (
+                    "b_%d, b_%d on %r" % (m, n, s))
+    assert sorted(explained) == sorted(
+        ("b", m, "b", -m) for m in (-1, 1) for _ in states)
+    explained.clear()
+    for c in list(against(value).values()) + list(against(value, explain).values()):
         assert c["pass"] and c["residual"] is None
+    assert not explained
 
 
 _FAMILY_PAIRS = {"heisenberg-rep": 4, "affine-rep": 21, "witt-rep": 3,
@@ -379,10 +394,9 @@ def test_no_table_outlives_its_run(suite, monkeypatch):
     """The tables a run makes, the audit's and the Virasoro probes' too, are
     freed when it returns: nothing in the program keeps one."""
     refs = []
-    for mod in (suites, realization):
-        commutator = mod.commutator_apply
-        monkeypatch.setattr(mod, "commutator_apply", lambda A, B, t, *rhs, _c=commutator:
-                            refs.append(weakref.ref(t)) or _c(A, B, t, *rhs))
+    commutator = suites.commutator_apply
+    monkeypatch.setattr(suites, "commutator_apply", lambda A, B, t, *rhs:
+                        refs.append(weakref.ref(t)) or commutator(A, B, t, *rhs))
     report(suite, window=1, states="random:2:2", seed=5)
     assert refs and all(ref() is None for ref in refs)
 
