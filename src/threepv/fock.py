@@ -70,12 +70,12 @@ or more is multiplied variable by variable, checked against the limit.
 A ModeOp keeps its term coefficients and sum weights multiplied by den,
 the lcm of their denominators, so they are ints, and _MEMO holds the
 images of den * op: the kernel and the memo multiply ints wherever kappa0,
-B0 and B1 allow, and only a per-call scale and a nonzero residual
-leaving commutator_apply are divided by den.  _MEMO keys an image by the
-operator and the part of the monomial its families read, by the walks'
-masks: an operator creates, differentiates and meets the field limit only
-in fields it reads, so each term of the read part's image takes back the
-unread rest in one addition.  _MEMO and _OPS, the operators built_once
+B0 and B1 allow, and only a combination's coefficients and a nonzero
+residual leaving commutator_apply are divided by den.  _MEMO keys an image
+by the operator and the part of the monomial its families read, by the
+walks' masks: an operator creates, differentiates and meets the field
+limit only in fields it reads, so each term of the read part's image takes
+back the unread rest in one addition.  _MEMO and _OPS, the operators built_once
 builders made, hold one parameter set: _use(params) clears them in place
 unless params equals the set they hold, so a repeated configuration gets
 its operators and their images back and any other frees the last one's
@@ -83,9 +83,9 @@ entries.  A walk depends on the set through r alone, unless its families
 include b or b1, whose actions read kappa0, B0 and B1: at a new set with
 the same r _use drops only those walks, and at another r it clears _WALKS
 and _PLANS.  _READ_SETS, like the intern tables, is parameter-free and
-lives for the process.  Linear combinations (combine) are their parts
-alone and apply through the parts' memo entries, under the parts'
-parameter set; the empty one, the zero operator, applies nothing.
+lives for the process.  A linear combination (combine) is a tuple of
+(coeff, op) pairs, each op a whole ModeOp, and adds through its operators'
+images; the empty one, the zero operator, adds nothing.
 An ImageTable is no module cache: it belongs to its caller, and an image
 in it stays valid whatever _use clears, as each operator keeps its own
 parameter set.
@@ -558,18 +558,14 @@ class ModeOp:
            weights given; terms and sums keep them multiplied by den, as ints
 
     apply takes and returns a FockState of tuple monomials; _apply and
-    apply_mono work on packed ones.  A base operator (parts None) keeps
-    read, the read set of its families (0 for the identity), and is its own
-    key in _MEMO for the images of den * op on the parts of packed
-    monomials it reads; _apply folds 1 / den into its scale.  ModeOp must keep identity equality:
-    equal operators share entries only by being one object, as built_once
-    makes them.  combine returns a combination, which has parts only: a
-    tuple of (coeff, base), and den 1, each base folding its own; apply
-    sums coeff * image over the parts, each under its base's parameter set,
-    reusing their entries and adding none; parts () is the zero operator.
+    apply_mono work on packed ones.  An operator keeps read, the read set
+    of its families (0 for the identity), and is its own key in _MEMO for
+    the images of den * op on the parts of packed monomials it reads.
+    ModeOp must keep identity equality: equal operators share entries only
+    by being one object, as built_once makes them.
     """
 
-    __slots__ = ("terms", "sums", "params", "parts", "den", "read")
+    __slots__ = ("terms", "sums", "params", "den", "read")
 
     def __init__(self, terms, sums, params):
         terms = [(qq(c), tuple(fs)) for c, fs in terms if c]
@@ -591,7 +587,6 @@ class ModeOp:
             raise ValueError("unknown mode family %r" % min(fams - ANNIHILATES.keys()))
         self.read = _read_set(fams)
         self.params = params
-        self.parts = None
 
     def apply_mono(self, mono):
         """The image of a packed monomial under den * self,
@@ -622,20 +617,15 @@ class ModeOp:
     def apply(self, state):
         return _state(ImageTable(state).image(self), self.den)
 
-    def _apply(self, packed_terms, out=None, scale=1):
-        """Add scale * the image of a packed dict under this base operator
-        into out (a new dict by default); return out.  The entries hold the
-        image of den * self, so scale / den joins the coefficients once per
-        call, an int when den divides an int product.  Each monomial is
-        looked up by the part self reads, and each image term takes back
-        the rest.  A combination applies through ImageTable.add instead."""
-        out = {} if out is None else out
+    def _apply(self, packed_terms, out, sign=1):
+        """Add sign (1 or -1) times the image of a packed dict under
+        den * self into out; return out.  Each monomial is looked up by the
+        part self reads, and each image term takes back the rest."""
         if self.params is not _MEMO_PARAMS:
             _use(self.params)
-        coeff = scale if self.den == 1 else _div(scale, self.den)
         items = packed_terms.items()
-        if coeff != 1:
-            items = [(mono, coeff * c) for mono, c in items]
+        if sign != 1:
+            items = [(mono, -c) for mono, c in items]
         mask = _READ_FIELDS[self.read]
         for mono, c in items:
             rel = mono & mask
@@ -652,31 +642,20 @@ class ModeOp:
 
 
 def combine(pairs):
-    """The operator sum of c * op over (c, op) in pairs, as a combination of
-    the ops' base operators, each once, with zero coefficients and zero
-    bases dropped.  A single base with coefficient 1 is returned as is,
-    and no base at all gives the zero operator, parts ().
-    """
+    """The operator sum of c * op over the (c, op) pairs, op a ModeOp, as a
+    tuple of (coeff, op) with each op once, in first-seen order, and zero
+    coefficients and empty operators dropped; () is the zero operator."""
     merged = {}
     for c, op in pairs:
-        for cc, base in ((1, op),) if op.parts is None else op.parts:
-            merged[base] = merged.get(base, 0) + c * cc
-    parts = tuple((qq(c), base) for base, c in merged.items()
-                  if c and (base.terms or base.sums))
-    if len(parts) == 1 and parts[0][0] == 1:
-        return parts[0][1]
-    op = ModeOp.__new__(ModeOp)
-    op.parts = parts
-    op.den = 1
-    return op
+        merged[op] = merged.get(op, 0) + c
+    return tuple((qq(c), op) for op, c in merged.items() if c and (op.terms or op.sums))
 
 
 class ImageTable:
-    """One FockState s, packed once, and per operator object op the packed
-    image of op.den * op(s), made once: a base's through _apply and its memo
-    entries, a combination's as its bases' images scaled by coeff / base.den.
-    A caller that keeps the table for a grid of commutators applies each
-    operator, right-hand sides' bases included, to s once."""
+    """One FockState s, packed once, and per ModeOp op the packed image of
+    op.den * op(s), made once through _apply and its memo entries.  A
+    caller that keeps the table for a grid of commutators applies each
+    operator, right-hand sides' included, to s once."""
 
     def __init__(self, state):
         self.packed = {_pack(mono): c for mono, c in state.terms.items()}
@@ -686,19 +665,15 @@ class ImageTable:
         """The packed image of op.den * op(s)."""
         img = self.images.get(op)
         if img is None:
-            if op.parts is None:
-                img = op._apply(self.packed, None, op.den)
-            else:
-                img = self.add(op, {}, 1)
-            self.images[op] = img
+            img = self.images[op] = op._apply(self.packed, {})
         return img
 
-    def add(self, op, out, scale):
-        """Add scale * op(s) into the packed dict out, from the images of
-        op's bases; return out."""
-        for coeff, base in ((1, op),) if op.parts is None else op.parts:
-            coeff = _div(coeff * scale, base.den)
-            for mo, c in self.image(base).items():
+    def add(self, pairs, out, scale):
+        """Add scale * the combination pairs applied to s into the packed
+        dict out, from its operators' images; return out."""
+        for coeff, op in pairs:
+            coeff = _div(coeff * scale, op.den)
+            for mo, c in self.image(op).items():
                 # Vec.add_term inlined: per term of every right-hand side
                 v = out.get(mo, 0) + coeff * c
                 if v:
@@ -713,20 +688,20 @@ def commutator_apply(opA, opB, state, rhs=None, rhs_ba=None):
     once and not at all when opA is opB; given rhs_ba, also the residual of
     the other order, the same commutator negated less rhs_ba(s), as a pair.
 
-    state is a FockState or the ImageTable of one, whose images the inner
-    operators and the right-hand sides' bases are read from; a FockState
-    gets a table for this call.  The dicts hold den_A * den_B times the
+    rhs and rhs_ba are combinations, tuples of (coeff, ModeOp).  state is
+    a FockState or the ImageTable of one, whose images the inner operators
+    and the right-hand sides' operators are read from; a FockState gets a
+    table for this call.  The dicts hold den_A * den_B times the
     residuals: the outer operators apply at the other's den to the inner
     images of den * op(s), and the right-hand sides add at -den_A * den_B,
     so operators kept over denominators add ints.  _state divides a
     nonzero residual back, and a zero one unpacks and divides nothing."""
     table = state if isinstance(state, ImageTable) else ImageTable(state)
-    den_a, den_b = opA.den, opB.den
     out = {}
     if opA is not opB:
-        opA._apply(table.image(opB), out, den_a)
-        opB._apply(table.image(opA), out, -den_b)
-    den = den_a * den_b
+        opA._apply(table.image(opB), out)
+        opB._apply(table.image(opA), out, -1)
+    den = opA.den * opB.den
     if rhs_ba is not None:
         out_ba = {mono: -c for mono, c in out.items()}
         table.add(rhs_ba, out_ba, -den)

@@ -23,6 +23,8 @@ signed Catalan numbers with two rational stragglers below zero:
 The closed form for them is lambda_{l-1} = (-1)^l 2^l (2l-1)!! / (l+1)!.
 """
 
+import math
+
 from .ring import RRingElem
 from .scalars import QQ, Vec, qq
 
@@ -145,18 +147,6 @@ def _odd_double_factorial(n):
     return QQ(1 if j % 2 == 0 else -1) / _odd_double_factorial(2 * j - 1)
 
 
-def _pow2(k):
-    """2^k as an exact rational, for k of either sign."""
-    return QQ(2) ** k if k >= 0 else QQ(1) / (QQ(2) ** (-k))
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def lambda_coeff(j):
     """lambda_j with class(t^j u dt) = lambda_j w1, in closed form.
 
@@ -167,7 +157,8 @@ def lambda_coeff(j):
         return 0
     l = j + 1
     sign = -1 if l % 2 else 1
-    return QQ(sign) * _pow2(l) * _odd_double_factorial(2 * l - 1) / _fact(l + 1)
+    return (QQ(sign) * QQ(2) ** l * _odd_double_factorial(2 * l - 1)
+            / math.factorial(l + 1))
 
 
 def pairing(f, g):

@@ -21,8 +21,9 @@ Only the Kassel route satisfies the Jacobi identity.
 
 import functools
 import itertools
+import math
 
-from .kaehler import _fact, _odd_double_factorial, _pow2, lambda_coeff, pairing
+from .kaehler import _odd_double_factorial, lambda_coeff, pairing
 from .ring import RRingElem
 from .scalars import QQ, Vec
 
@@ -78,10 +79,10 @@ def phi1(i, j):
         sign = -1 if (k + l) % 2 else 1
         return (
             QQ(6 * sign)
-            * _pow2(k + l)
+            * QQ(2) ** (k + l)
             * (k - 1) * k * l
             * _odd_double_factorial(2 * k + 2 * l - 3)
-            / _fact(k + l + 1)
+            / math.factorial(k + l + 1)
         )
     if ki == "d" and kj == "d1":
         return -phi1(j, i)

@@ -23,7 +23,7 @@ A bracket identity given against a formal parameter,
 where each G_j is a w-polynomial combination of registered fields (expanded
 as sum_K F_K w^{-K-1}, the constant field contributing at mode -1).
 field_mode builds A_m and B_n, and bracket_rhs_op the right-hand side as one
-operator.
+combination (fock.combine) of field modes, each named once.
 """
 
 from .scalars import QQ, binom, qq
@@ -40,7 +40,7 @@ def chi0(params):
 
 
 def _unit(params):
-    # every multiple of the identity goes through this one base
+    # every multiple of the identity goes through this one operator
     return field_mode("1", -1, params)
 
 
@@ -289,8 +289,17 @@ def vir_realize(vec, params, vparams=None):
 # bracket identities against a formal parameter, translated to modes
 # ---------------------------------------------------------------------------
 
-def _group_j_terms(j_terms):
-    grouped = {}
+def bracket_rhs_op(j_terms, m, n, params, shift=0):
+    """The translated right-hand side sum_j binom(m, j) (G_j)_{m+n-j+shift}
+    as one combination (shift is used by the suites' convention audit).
+
+    j_terms is an iterable of (j, coeff, p, name, nderiv) contributions, each
+    meaning that the order-j coefficient G_j contains
+    coeff * w^p * (d/dw)^nderiv of the named field.  By (w^p F)_k = F_{k+p}
+    and (w^p dF)_k = -(k+p) F_{k+p-1}, with K = m + n - j + shift + p, it
+    adds binom(m, j) coeff times F_K, or times -K F_{K-1} for a derivative.
+    """
+    pairs = []
     for j, coeff, p, name, nderiv in j_terms:
         if j < 0:
             raise ValueError("negative bracket order %r" % (j,))
@@ -298,40 +307,10 @@ def _group_j_terms(j_terms):
             raise ValueError("unsupported derivative order %r" % (nderiv,))
         if name not in _FIELDS:
             raise ValueError("unknown field %r" % (name,))
-        grouped.setdefault(j, []).append((coeff, p, name, nderiv))
-    return grouped
-
-
-def gj_mode_op(terms, k, params):
-    """Mode k of a field expression sum of coeff * w^p * (d/dw)^nd F.
-
-    Translation rules: (w^p F)_K = F_{K+p} and
-    (w^p dF)_K = -(K+p) F_{K+p-1}.
-    """
-    pairs = []
-    for coeff, p, name, nderiv in terms:
-        if not coeff:
-            continue
-        if nderiv == 0:
-            pairs.append((coeff, field_mode(name, k + p, params)))
-        else:
-            pairs.append((-coeff * (k + p), field_mode(name, k + p - 1, params)))
-    return combine(pairs)
-
-
-def bracket_rhs_op(j_terms, m, n, params, shift=0):
-    """The translated right-hand side sum_j binom(m, j) (G_j)_{m+n-j+shift}
-    as one operator (shift is used by the suites' convention audit).
-
-    j_terms is an iterable of (j, coeff, p, name, nderiv) contributions, each
-    meaning that the order-j coefficient G_j contains
-    coeff * w^p * (d/dw)^nderiv of the named field.
-    """
-    pairs = []
-    for j, terms in sorted(_group_j_terms(j_terms).items()):
-        bj = binom(m, j)
-        if bj:
-            pairs.append((bj, gj_mode_op(terms, m + n - j + shift, params)))
+        K = m + n - j + shift + p
+        c = binom(m, j) * coeff * (-K if nderiv else 1)
+        if c:
+            pairs.append((c, field_mode(name, K - nderiv, params)))
     return combine(pairs)
 
 

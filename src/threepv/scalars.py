@@ -21,6 +21,8 @@ combinations {key: coefficient} with no zero stored and every coefficient
 canonical under qq.
 """
 
+import math
+
 try:
     from gmpy2 import mpq as QQ
 except ImportError:  # pragma: no cover - exercised only without gmpy2
@@ -130,10 +132,6 @@ def binom(m, j):
     integer j >= 0, as an exact int."""
     if j < 0:
         return 0
-    num = 1
-    for i in range(j):
-        num *= m - i
-    den = 1
-    for i in range(2, j + 1):
-        den *= i
-    return num // den
+    if m >= 0:
+        return math.comb(m, j)
+    return (-1) ** j * math.comb(j - m - 1, j)

@@ -11,7 +11,7 @@ byte-identical across runs.  The representation suites and the audit share
 one grid evaluator, _rep_checks, which checks the residual [A, B] s - R s
 on each state and builds each unordered pair's commutator once for both
 orders.  It keeps one fock.ImageTable per state for the grid, so each
-operator, right-hand sides' bases included, is applied to each state once
+operator, right-hand sides' included, is applied to each state once
 per run.
 
 The audit re-runs two bracket identities on a small window and reports the
@@ -249,7 +249,7 @@ def _rep_checks(cfg, window, fam_pairs, mode, bracket, explain=None):
     is checked too, each unordered pair of modes is walked once: one
     commutator_apply call checks both orders, each against its own R.
     Each state's ImageTable lives for the grid, so every commutator reads
-    the state's images under A, B and R's bases that an earlier one made.
+    the state's images under A, B and R's operators that an earlier one made.
     A failing check's residual text is explain(A, m, B, n, table) for its
     order and its state's table, or repr of the residual without explain;
     a passing check builds none.

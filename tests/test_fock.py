@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from combination import apply_combination
 from threepv import fock, realization, suites
 from threepv.scalars import QQ
 from threepv.liealg import affine_bracket, heis_bracket, vir_bracket
@@ -26,6 +27,7 @@ from threepv.realization import (
 from threepv.fock import (
     RepParams,
     FockState,
+    ImageTable,
     ModeOp,
     QuadSum,
     CubicSum,
@@ -440,10 +442,7 @@ def test_every_realization_sum_matches_naive(params):
         ops += [pi_witt_mode(k, m, params) for k in ("d", "d1")]
         ops += [pi_vir_mode(k, m, params) for k in ("D", "D1")]
         ops += [field_mode(name, m, params) for name in realization._FIELDS]
-    # a combination's sums are its bases' sums, each scaled by a coefficient
-    sums = {s for op in ops
-            for _c, base in (((1, op),) if op.parts is None else op.parts)
-            for s in base.sums}
+    sums = {s for op in ops for s in op.sums}
     assert any(isinstance(s, CubicSum) for s in sums)
     states = [
         FockState.vacuum(),
@@ -576,10 +575,11 @@ def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_mode_op_addition_and_scaling():
-    three = combine(((3, single("a*", 0, P0)),))
-    op = combine(((1, single("a", -1, P0)), (1, three)))
+    a, a_star = single("a", -1, P0), single("a*", 0, P0)
+    op = combine(((1, a), (2, a_star), (1, a_star)))
+    assert op == ((1, a), (3, a_star))
     vac = FockState.vacuum()
-    out = op.apply(vac)
+    out = _added(op, vac)
     assert out.terms == {
         make_monomial({(X, -1): 1}): QQ(1),
         make_monomial({(X, 0): 1}): QQ(3),
@@ -618,6 +618,12 @@ def test_memoization_is_consistent(monkeypatch):
     # operator built later never reads another's entries
     op3 = ModeOp(op.terms, op.sums, RepParams(r=0, kappa0=2))
     assert op3 not in {key[0] for key in fock._MEMO}
+
+
+def _added(pairs, state):
+    """The combination pairs applied to state by ImageTable.add, the path
+    of commutator_apply's right-hand sides."""
+    return fock._state(ImageTable(state).add(pairs, {}, 1))
 
 
 def _brute_image(op, state):
@@ -681,29 +687,29 @@ def test_combinations_apply_as_their_flat_operator(r, kappa0):
     unit = ModeOp(((1, ()),), (), params)
     combos = [
         combine(((2, A), (-3, B), (5, unit))),
-        combine(((QQ(1, 2), A), (QQ(-1, 2), combine(((1, B), (1, A)))),
-                 (QQ(1, 2), B))),
-        combine(((3, combine(((1, A), (1, B)))), (-3, A))),
+        combine(((QQ(1, 2), A), (QQ(-1, 2), B), (QQ(-1, 2), A), (QQ(1, 2), B))),
+        combine(((3, A), (3, B), (-3, A))),
     ]
-    # parts merge by base and drop zero coefficients; none left is the zero
-    assert [op.parts for op in combos[1:]] == [(), ((3, B),)]
-    # a combination is its parts alone
-    for name in ("params", "terms", "sums"):
-        for op in combos:
-            with pytest.raises(AttributeError):
-                getattr(op, name)
+    # pairs merge by operator in first-seen order and drop zero
+    # coefficients; none left is the zero operator
+    assert combos == [((2, A), (-3, B), (5, unit)), (), ((3, B),)]
+    # each pair's op is a whole ModeOp
+    for op in combos:
+        for _c, base in op:
+            assert type(base) is ModeOp and base.params is params
+            assert base.terms or base.sums
     states = [FockState.vacuum()] + seeded_states(909, 3)
     for op in combos:
         for s in states:
-            assert op.apply(s) == _apply_by_parts(op, s, params)
+            assert _added(op, s) == _apply_by_parts(op, s, params)
 
 
 def _apply_by_parts(op, s, params):
     """The sum of c * (a fresh copy of base at params) applied to s over the
-    parts (c, base) of the combination op, each copy rebuilt from the
+    pairs (c, base) of the combination op, each copy rebuilt from the
     terms and sums its base keeps multiplied by den."""
     out = FockState()
-    for c, base in op.parts:
+    for c, base in op:
         out += ModeOp(base.terms, base.sums, params).apply(s).scale(QQ(c) / base.den)
     return out
 
@@ -715,15 +721,15 @@ def test_a_combination_applies_under_its_bases_parameter_set():
     combos = [tau_realize(affine_bracket(("e1", 1), ("f1", -3)), P),
               combine(((2, field_mode("beta", 1, P)),
                        (QQ(1, 2), field_mode("1", -1, P))))]
-    assert all(len(op.parts) > 1 for op in combos)
+    assert all(len(op) > 1 for op in combos)
     states = [FockState.vacuum()] + seeded_states(5, 2)
     for op in combos:
         tau_mode("e", 0, Q).apply(states[1])
         assert fock._MEMO_PARAMS is Q
-        got = [op.apply(s) for s in states]
-        # the caches moved back to P's set, and hold the parts' images alone
+        got = [_added(op, s) for s in states]
+        # the caches moved back to P's set, and hold the operators' images alone
         assert fock._MEMO_PARAMS.key == P.key
-        assert {base for base, _ in fock._MEMO} <= {b for _c, b in op.parts}
+        assert {base for base, _ in fock._MEMO} <= {b for _c, b in op}
         assert got == [_apply_by_parts(op, s, P) for s in states]
 
 
@@ -731,18 +737,18 @@ def test_right_hand_sides_reuse_their_generators_memo_entries(monkeypatch):
     params = RepParams(r=0, kappa0=QQ(3, 2))
     rhss = [tau_realize(affine_bracket(("e1", 1), ("f1", -3)), params),
             bracket_rhs_op(witt_rep_gj(("d", "d"), 0), 2, -1, params)]
-    assert all(len(rhs.parts) > 1 for rhs in rhss)
+    assert all(len(rhs) > 1 for rhs in rhss)
     states = [FockState.vacuum()] + seeded_states(5, 2)
     monkeypatch.setattr(fock, "_MEMO", {})
     for rhs in rhss:
-        for _c, base in rhs.parts:
+        for _c, base in rhs:
             for s in states:
                 base.apply(s)
     entries = len(fock._MEMO)
     calls = []
     for name in ("apply_quad_sum", "apply_cubic_sum"):
         monkeypatch.setattr(fock, name, lambda *args: calls.append(args))
-    got = [rhs.apply(s) for rhs in rhss for s in states]
+    got = [_added(rhs, s) for rhs in rhss for s in states]
     assert calls == [] and len(fock._MEMO) == entries
     monkeypatch.undo()
     assert got == [_apply_by_parts(rhs, s, params) for rhs in rhss for s in states]
@@ -803,18 +809,18 @@ def test_memo_holds_one_parameter_set(monkeypatch):
 def test_a_zero_right_hand_side_adds_no_memo_entry(monkeypatch):
     params = RepParams(r=0, kappa0=QQ(3, 2))
     zero = tau_realize(affine_bracket(("e", 1), ("e", 2)), params)
-    assert zero.parts == ()
+    assert zero == ()
     # the identity field away from its mode is a whole operator with
     # nothing in it, which combine drops
     empty = field_mode("1", 0, params)
     assert (empty.terms, empty.sums, empty.read) == ((), (), 0)
     assert empty.params.key == params.key
-    assert combine(((2, empty),)).parts == ()
+    assert combine(((2, empty),)) == ()
     A, B = tau_mode("e", 1, params), tau_mode("e", 2, params)
     states = [FockState.vacuum()] + seeded_states(5, 2)
     monkeypatch.setattr(fock, "_MEMO", {})
     for s in states:
-        assert zero.apply(s).is_zero()
+        assert _added(zero, s).is_zero()
     assert fock._MEMO == {}
     for s in states:
         assert commutator_apply(A, B, s, zero) == commutator_apply(A, B, s)
@@ -827,7 +833,7 @@ def test_use_of_another_parameter_set_empties_every_cache():
     table _SHIFT and the families' read sets _READ_SETS."""
     params = RepParams(r=0, kappa0=QQ(3, 2))
     for s in [FockState.vacuum()] + seeded_states(5, 2):
-        tau_realize(affine_bracket(("e1", 1), ("f1", -3)), params).apply(s)
+        apply_combination(tau_realize(affine_bracket(("e1", 1), ("f1", -3)), params), s)
     exempt = {"CREATES", "ANNIHILATES", "_SHIFT", "_READ_SETS"}
     caches = {name: value for name, value in vars(fock).items()
               if isinstance(value, dict) and not name.startswith("__")
@@ -861,9 +867,9 @@ def test_commutator_residual_is_the_commutator_less_the_right_hand_side(r, kappa
     for (A, B, R), holds in [(ops, True) for ops in holding] + [(failing, False)]:
         for s in states:
             resid = commutator_apply(A, B, s, R)
-            assert resid == commutator_apply(A, B, s) - R.apply(s)
+            assert resid == commutator_apply(A, B, s) - apply_combination(R, s)
             assert resid.is_zero() == holds
-        assert any(not R.apply(s).is_zero() for s in states)
+        assert any(not apply_combination(R, s).is_zero() for s in states)
 
 
 def _like_kind_brackets(params):
@@ -896,7 +902,7 @@ def test_paired_residuals_equal_two_single_order_calls(r, kappa0):
     states = [FockState.vacuum()] + seeded_states(41, 2)
     for mode, formula in _like_kind_brackets(params):
         def wrong(m, n):
-            return combine(((1, formula(m, n)), (1, unit)))
+            return combine(formula(m, n) + ((1, unit),))
         for m, n in [(1, -1), (2, -3), (0, 2), (-2, -1)]:
             A, B = mode(m), mode(n)
             R_ab, R_ba = wrong(m, n), wrong(n, m)
@@ -908,7 +914,7 @@ def test_paired_residuals_equal_two_single_order_calls(r, kappa0):
                     assert got == want and repr(got) == repr(want)
         A, R = mode(1), wrong(1, 1)
         for s in states:
-            minus_r = R.apply(s).scale(-1)
+            minus_r = apply_combination(R, s).scale(-1)
             got = commutator_apply(A, A, s, R)
             assert got == minus_r and repr(got) == repr(minus_r)
             assert commutator_apply(A, A, s, R, R) == (minus_r, minus_r)
@@ -993,7 +999,7 @@ def test_nonzero_residuals_divide_exactly(r, kappa0):
     def wrong(kA, m, kB, n):
         right = vir_realize(vir_bracket((kA.lower(), m + 1), (kB.lower(), n + 1)),
                             params, vparams)
-        return combine(((1, right), (QQ(1, 7), unit)))
+        return combine(right + ((QQ(1, 7), unit),))
 
     states = [FockState.vacuum()] + [s.scale(QQ(3, 5)) for s in seeded_states(59, 2)]
     for kA, m, kB, n in [("D", 1, "D", -2), ("D", 0, "D1", 1), ("D1", -1, "D1", 2)]:
@@ -1002,7 +1008,8 @@ def test_nonzero_residuals_divide_exactly(r, kappa0):
         R_ab, R_ba = wrong(kA, m, kB, n), wrong(kB, n, kA, m)
         for s in states:
             ab = A.apply(B.apply(s)) - B.apply(A.apply(s))
-            want_ab, want_ba = ab - R_ab.apply(s), -ab - R_ba.apply(s)
+            want_ab = ab - apply_combination(R_ab, s)
+            want_ba = -ab - apply_combination(R_ba, s)
             single_ab = commutator_apply(A, B, s, R_ab)
             pair_ab, pair_ba = commutator_apply(A, B, s, R_ab, R_ba)
             for got, want in [(single_ab, want_ab), (pair_ab, want_ab),
@@ -1010,7 +1017,7 @@ def test_nonzero_residuals_divide_exactly(r, kappa0):
                 assert not want.is_zero()
                 assert got == want and repr(got) == repr(want)
         for s in states:
-            minus_r = R_ab.apply(s).scale(-1)
+            minus_r = apply_combination(R_ab, s).scale(-1)
             got = commutator_apply(A, A, s, R_ab)
             assert got == minus_r and repr(got) == repr(minus_r)
 
@@ -1035,7 +1042,7 @@ def test_images_and_residuals_keep_integral_coefficients_as_ints(kappa0):
     for op in ops:
         for s in states:
             assert _integral_coefficients_are_ints(op.apply(s))
-    unit = field_mode("1", -1, params)
+    unit = combine(((1, field_mode("1", -1, params)),))
     for s in states:
         for A, B in itertools.combinations(ops, 2):
             resids = commutator_apply(A, B, s, unit, unit)

@@ -7,8 +7,9 @@ import re
 
 import pytest
 
+from combination import apply_combination
 from threepv import fock, realization, suites
-from threepv.scalars import QQ, Vec
+from threepv.scalars import QQ, Vec, binom
 from threepv.fock import (
     CubicSum,
     FockState,
@@ -48,7 +49,7 @@ def residual(lhs_a, lhs_b, j_terms, m, n, params):
     op_a = field_mode(lhs_a, m, params)
     op_b = field_mode(lhs_b, n, params)
     rhs = bracket_rhs_op(j_terms, m, n, params)
-    return lambda s: commutator_apply(op_a, op_b, s) - rhs.apply(s)
+    return lambda s: commutator_apply(op_a, op_b, s) - apply_combination(rhs, s)
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +71,6 @@ def test_rejects_bad_arguments():
         central_charge(2)
     with pytest.raises(ValueError):
         field_mode("gamma", 0, P0)
-    with pytest.raises(ValueError):
-        bracket_rhs_op([(0, 1, 0, "gamma", 0)], 0, 0, P0)
-    with pytest.raises(ValueError):
-        bracket_rhs_op([(-1, 1, 0, "1", 0)], 0, 0, P0)
-    with pytest.raises(ValueError):
-        bracket_rhs_op([(0, 1, 0, "1", 2)], 0, 0, P0)
     with pytest.raises(ValueError):
         witt_rep_gj(("d1", "d"), 0)
     with pytest.raises(ValueError):
@@ -181,8 +176,8 @@ def test_tau_e_f_commutator_on_vacuum(r, kappa0):
 def test_tau_realize_classes():
     s = seeded_states(31, 1, max_degree=2)[0]
     vec = Vec({("w0", 0): QQ(2), ("w1", 0): QQ(7)})
-    assert tau_realize(vec, P0).apply(s) == s.scale(2 * chi0(P0))
-    assert tau_realize(Vec({("w1", 0): QQ(3)}), P1).apply(s).is_zero()
+    assert apply_combination(tau_realize(vec, P0), s) == s.scale(2 * chi0(P0))
+    assert tau_realize(Vec({("w1", 0): QQ(3)}), P1) == ()
 
 
 def _tau_closed_form(gen, m, x0):
@@ -245,7 +240,7 @@ def test_affine_commutators_small_window(r):
                     )
                     for s in states:
                         lhs_val = commutator_apply(op_x, op_y, s)
-                        assert lhs_val == rhs.apply(s), (x, y, m, n, r)
+                        assert lhs_val == apply_combination(rhs, s), (x, y, m, n, r)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +339,10 @@ def test_quad_sums_ignore_the_order_of_the_pieces():
 
 
 def _empty(op):
-    """op is a whole base operator with neither terms nor sums, which
-    combine drops, leaving the zero operator."""
-    return (op.parts is None and (op.terms, op.sums, op.den) == ((), (), 1)
-            and combine(((1, op),)).parts == ())
+    """op is a whole operator with neither terms nor sums, which combine
+    drops, leaving the zero operator."""
+    return (type(op) is ModeOp and (op.terms, op.sums, op.den) == ((), (), 1)
+            and combine(((1, op),)) == ())
 
 
 def test_quad_sums_drop_zero_and_cancelling_pieces():
@@ -484,9 +479,75 @@ def test_residual_follows_the_modes_of_each_call(params):
 
 def test_identity_field_mode():
     s = seeded_states(91, 1)[0]
-    assert bracket_rhs_op([(0, 5, 0, "1", 0)], -1, 0, P0).apply(s) == s.scale(5)
-    assert bracket_rhs_op([(0, 5, 0, "1", 0)], 0, 0, P0).apply(s).is_zero()
-    assert bracket_rhs_op([(0, 5, 2, "1", 0)], -2, -1, P0).apply(s) == s.scale(5)
+    unit = field_mode("1", -1, P0)
+    assert bracket_rhs_op([(0, 5, 0, "1", 0)], -1, 0, P0) == ((5, unit),)
+    assert bracket_rhs_op([(0, 5, 0, "1", 0)], 0, 0, P0) == ()
+    rhs = bracket_rhs_op([(0, 5, 2, "1", 0)], -2, -1, P0)
+    assert apply_combination(rhs, s) == s.scale(5)
+
+
+@pytest.mark.parametrize("term, message", [
+    ((-1, 0, 0, "1", 0), "negative bracket order -1"),
+    ((0, 0, 0, "1", 2), "unsupported derivative order 2"),
+    ((0, 0, 0, "gamma", 0), "unknown field 'gamma'"),
+], ids=["negative-j", "second-derivative", "unknown-field"])
+def test_bracket_rhs_op_checks_every_term(term, message):
+    # a term with a zero coefficient, as r = 1 makes witt_rep_gj's anomaly
+    # terms 2*d0, or with a zero binom(m, j) builds nothing, but is checked
+    good = witt_rep_gj(("d1", "d1"), 1)
+    assert any(not coeff for _j, coeff, _p, _name, _nd in good)
+    j, _coeff, *rest = term
+    cases = [([term], 0), (good + [term], 1), ([term] + good, -2),
+             ([(j, 7, *rest)], 0)]
+    if j >= 0:  # binom(1, 3) = 0
+        cases += [([(3, 7, *rest)], 1)]
+    for j_terms, m in cases:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            bracket_rhs_op(j_terms, m, 0, P0)
+
+
+def _rhs_term_by_term(j_terms, m, n, s, params, shift):
+    """sum_j binom(m, j) (G_j)_{m+n-j+shift} on s, each term of G_j applied
+    apart: (w^p F)_k = F_{k+p} and (w^p dF)_k = -(k+p) F_{k+p-1}."""
+    out = FockState()
+    for j, coeff, p, name, nderiv in j_terms:
+        K = m + n - j + shift + p
+        if nderiv:
+            image = field_mode(name, K - 1, params).apply(s).scale(-K)
+        else:
+            image = field_mode(name, K, params).apply(s)
+        out += image.scale(binom(m, j) * coeff)
+    return out
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("kappa0", [1, QQ(3, 2)], ids=["k1", "k3/2"])
+def test_bracket_rhs_op_names_each_field_mode_once(r, kappa0):
+    params = RepParams(r=r, kappa0=kappa0)
+    data = [witt_rep_gj(pair, r) for pair in WITT_REP_PAIRS]
+    data += [pairs_gj(item, params)[1] for item in PAIRS_ITEMS]
+    states = [FockState.vacuum()] + seeded_states(97, 2, max_degree=2)
+    merged = 0
+    for j_terms in data:
+        for m, n, shift in [(2, -1, 0), (-1, -2, 0), (3, 0, 0), (0, 1, 1), (-2, 2, -2)]:
+            rhs = bracket_rhs_op(j_terms, m, n, params, shift)
+            ops = [op for _c, op in rhs]
+            assert len(set(ops)) == len(ops)
+            assert all(c and type(op) is ModeOp and (op.terms or op.sums)
+                       for c, op in rhs)
+            # the field modes the nonzero terms name, each with the orders j
+            # whose terms name it
+            named = {}
+            for j, coeff, p, name, nderiv in j_terms:
+                if binom(m, j) * coeff:
+                    key = (name, m + n - j + shift + p - nderiv)
+                    named.setdefault(key, set()).add(j)
+            merged += sum(len(js) > 1 for js in named.values())
+            assert set(ops) <= {field_mode(name, k, params) for name, k in named}
+            for s in states:
+                assert apply_combination(rhs, s) == _rhs_term_by_term(
+                    j_terms, m, n, s, params, shift), (j_terms, m, n, shift)
+    assert merged
 
 
 _AUDIT_LHS = re.compile(r"audit (.*): \[(\w+)_(-?\d+), \w+_(-?\d+)\]$")
@@ -597,7 +658,7 @@ def test_vir_like_kind_brackets(r, kappa0):
                 )
                 for s in states:
                     lhs_val = commutator_apply(op_m, op_n, s)
-                    assert lhs_val == rhs.apply(s), (kind, m, n)
+                    assert lhs_val == apply_combination(rhs, s), (kind, m, n)
 
 
 def _alternative_realization(vec, params, c2):
@@ -605,8 +666,8 @@ def _alternative_realization(vec, params, c2):
     and c2 by c2, as the central-free realization plus (c2 part) * unit."""
     free = Vec({k: c for k, c in vec.terms.items() if k[0] not in ("c1", "c2")})
     unit = field_mode("1", -1, params)
-    return combine(((1, vir_realize(free, params)),
-                    (vec.terms.get(("c2", 0), 0) * c2, unit)))
+    return combine(vir_realize(free, params)
+                   + ((vec.terms.get(("c2", 0), 0) * c2, unit),))
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -625,7 +686,7 @@ def test_vir_mixed_bracket_central_mismatch(r):
         rhs = vir_realize(vec, params)
         gap = -expect_phi * central_charge(r)
         for s in states:
-            resid = commutator_apply(op_m, op_n, s) - rhs.apply(s)
+            resid = commutator_apply(op_m, op_n, s) - apply_combination(rhs, s)
             assert resid == s.scale(gap), (m, n)
         # the alternative central assignment (zero on the first class,
         # (2 delta_{r,0}+1)/12 on the second) reproduces the measurement
@@ -633,7 +694,7 @@ def test_vir_mixed_bracket_central_mismatch(r):
             vec, params, QQ(2 * (1 if r == 0 else 0) + 1, 12)
         )
         for s in states:
-            assert commutator_apply(op_m, op_n, s) == alt.apply(s)
+            assert commutator_apply(op_m, op_n, s) == apply_combination(alt, s)
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -648,7 +709,7 @@ def test_vir_alt_central_like_kind(r):
         assert any(key[0] == "c1" for key in vec.terms)
         std = vir_realize(vec, params)
         alt = _alternative_realization(vec, params, c2)
-        assert std.apply(s) == alt.apply(s)
+        assert apply_combination(std, s) == apply_combination(alt, s)
 
 
 @pytest.mark.parametrize("r", [0, 1])

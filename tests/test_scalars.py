@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from combination import apply_combination
 from threepv.fock import FockState, RepParams, seeded_states
 from threepv.liealg import affine_bracket, heis_bracket, witt_bracket
 from threepv.realization import (
@@ -59,14 +60,13 @@ def test_integer_parameters_keep_every_coefficient_int(r):
     for pair in WITT_REP_PAIRS:
         for m in range(-2, 3):
             rhs = bracket_rhs_op(witt_rep_gj(pair, r), m, 1 - m, params)
-            parts = ((1, rhs),) if rhs.parts is None else rhs.parts
-            coeffs = {type(c) for c, _ in parts}
-            coeffs |= {type(c) for _, base in parts for c, _ in base.terms}
-            coeffs |= {type(w) for _, base in parts for q in base.sums
+            coeffs = {type(c) for c, _ in rhs}
+            coeffs |= {type(c) for _, op in rhs for c, _ in op.terms}
+            coeffs |= {type(w) for _, op in rhs for q in op.sums
                        for w in (q.c0, q.c1)}
             assert coeffs <= {int}
             for s in states:
-                assert _coeff_types(rhs.apply(s)) <= {int}
+                assert _coeff_types(apply_combination(rhs, s)) <= {int}
 
 
 def _mono(pairs, vpart):

@@ -9,8 +9,9 @@ from collections import Counter
 
 import pytest
 
+from combination import apply_combination
 from threepv import fock, suites
-from threepv.fock import FockState, ModeOp, RepParams, seeded_states
+from threepv.fock import FockState, ModeOp, RepParams, combine, seeded_states
 from threepv.scalars import QQ
 from threepv.suites import (
     SUITE_NAMES,
@@ -256,6 +257,7 @@ def test_rep_checks_residual_is_got_minus_want():
     params = cfg.params
     states = build_states(cfg)
     ops = {m: ModeOp(((1, (("b", m),)),), (), params) for m in (-1, 0, 1)}
+    unit = ModeOp(((1, ()),), (), params)
 
     def value(m, n):
         return -3 * m if m + n == 0 else 0
@@ -263,7 +265,7 @@ def test_rep_checks_residual_is_got_minus_want():
     def against(right, explain=None):
         def bracket(_fam, m, _famB, n):
             v = right(m, n)
-            return "[b_%d, b_%d]" % (m, n), str(v), ModeOp(((v, ()),), (), params)
+            return "[b_%d, b_%d]" % (m, n), str(v), combine(((v, unit),))
         checks = list(_rep_checks(cfg, 1, [("b", "b")], lambda _fam, m: ops[m],
                                   bracket, explain))
         assert len(checks) == 9 * len(states)
@@ -306,12 +308,12 @@ def test_each_unordered_commutator_is_built_once(suite, built, checks, monkeypat
     on_state, outer = Counter(), []
     apply = ModeOp._apply
 
-    def recording(op, terms, *a):
+    def recording(op, terms, out, sign=1):
         if id(terms) in tables:
             on_state[op, id(terms)] += 1
         else:
             outer.append(op)
-        return apply(op, terms, *a)
+        return apply(op, terms, out, sign)
     monkeypatch.setattr(ModeOp, "_apply", recording)
     calls, met = [], set()
     commutator = suites.commutator_apply
@@ -321,9 +323,8 @@ def test_each_unordered_commutator_is_built_once(suite, built, checks, monkeypat
         del outer[:]
         out = commutator(opA, opB, table, *rhs)
         calls.append((opA is opB, outer == ([] if opA is opB else [opA, opB])))
-        for op in (opA, opB) + rhs:
-            for _c, base in ((1, op),) if op.parts is None else op.parts:
-                met.add((base, id(table.packed)))
+        for op in (opA, opB) + tuple(op for pairs in rhs for _c, op in pairs):
+            met.add((op, id(table.packed)))
         return out
     monkeypatch.setattr(suites, "commutator_apply", counting)
     rep = report(suite, window=1, kappa0=QQ(3, 2))
@@ -346,9 +347,9 @@ def test_a_shared_table_changes_no_residual(suite, monkeypatch):
         shared = commutator(A, B, table, *rhs)
         s = fock._state(table.packed)
         c = A.apply(B.apply(s)) - B.apply(A.apply(s))
-        want = [c - rhs[0].apply(s)] if rhs else [c]
+        want = [c - apply_combination(rhs[0], s)] if rhs else [c]
         if len(rhs) == 2:
-            want.append(c.scale(-1) - rhs[1].apply(s))
+            want.append(c.scale(-1) - apply_combination(rhs[1], s))
         assert commutator(A, B, s, *rhs) == shared == (
             tuple(want) if len(rhs) == 2 else want[0])
         seen["pairs"] += len(rhs) == 2
