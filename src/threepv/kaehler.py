@@ -20,13 +20,14 @@ signed Catalan numbers with two rational stragglers below zero:
     j       -3   -2    -1    0    1    2    3     4
     lambda   0   1/2    1   -1    2   -5   14   -42
 
-The closed form for them is lambda_{l-1} = (-1)^l 2^l (2l-1)!! / (l+1)!.
+The closed form for them is lambda_j = (-1)^(j+1) C_(j+1) for j >= -1,
+with C_n = binom(2n, n) / (n+1) the Catalan numbers.
 """
 
 import math
 
 from .ring import RRingElem
-from .scalars import QQ, Vec, qq
+from .scalars import QQ, Vec
 
 
 class OneForm:
@@ -52,26 +53,21 @@ class OneForm:
         return "(%r) dt + (%r) du" % (self.ft, self.fu)
 
 
-class CohomClass:
-    """Element q0 * w0 + q1 * w1 of H = Omega^1_R / dR."""
+class CohomClass(Vec):
+    """Element q0 * w0 + q1 * w1 of H = Omega^1_R / dR, on the keys "w0", "w1"."""
 
-    __slots__ = ("q0", "q1")
+    __slots__ = ()
 
     def __init__(self, q0=0, q1=0):
-        self.q0 = qq(q0)
-        self.q1 = qq(q1)
+        super().__init__({"w0": q0, "w1": q1})
 
-    def is_zero(self):
-        return not self.q0 and not self.q1
+    @property
+    def q0(self):
+        return self.terms.get("w0", 0)
 
-    def __eq__(self, other):
-        return isinstance(other, CohomClass) and self.q0 == other.q0 and self.q1 == other.q1
-
-    def __add__(self, other):
-        return CohomClass(self.q0 + other.q0, self.q1 + other.q1)
-
-    def __sub__(self, other):
-        return CohomClass(self.q0 - other.q0, self.q1 - other.q1)
+    @property
+    def q1(self):
+        return self.terms.get("w1", 0)
 
     def __repr__(self):
         return "%s*w0 + %s*w1" % (self.q0, self.q1)
@@ -130,35 +126,14 @@ def reduce_mod_dR(form):
     return CohomClass(q0, q1)
 
 
-def _odd_double_factorial(n):
-    """(n)!! for odd integer n, extended by (-1)!! = 1 and
-    (-2j-1)!! = (-1)^j / (2j-1)!! for j >= 1."""
-    if n % 2 == 0:
-        raise ValueError("odd n only")
-    if n >= 1:
-        out = 1
-        while n >= 1:
-            out *= n
-            n -= 2
-        return out
-    if n == -1:
-        return 1
-    j = (-n - 1) // 2
-    return QQ(1 if j % 2 == 0 else -1) / _odd_double_factorial(2 * j - 1)
-
-
 def lambda_coeff(j):
-    """lambda_j with class(t^j u dt) = lambda_j w1, in closed form.
-
-    lambda_{l-1} = (-1)^l 2^l (2l-1)!! / (l+1)!  for l = j+1 >= -1,
-    and lambda_j = 0 for j <= -3.
-    """
-    if j <= -3:
-        return 0
-    l = j + 1
-    sign = -1 if l % 2 else 1
-    return (QQ(sign) * QQ(2) ** l * _odd_double_factorial(2 * l - 1)
-            / math.factorial(l + 1))
+    """lambda_j with class(t^j u dt) = lambda_j w1, in closed form: the
+    signed Catalan number (-1)^(j+1) C_(j+1) for j >= -1, 1/2 at j = -2
+    and 0 below.  An int wherever integral."""
+    if j >= -1:
+        catalan = math.comb(2 * j + 2, j + 1) // (j + 2)
+        return -catalan if j % 2 == 0 else catalan
+    return QQ(1, 2) if j == -2 else 0
 
 
 def pairing(f, g):

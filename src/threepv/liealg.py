@@ -21,18 +21,17 @@ Only the Kassel route satisfies the Jacobi identity.
 
 import functools
 import itertools
-import math
 
-from .kaehler import _odd_double_factorial, lambda_coeff, pairing
+from .kaehler import lambda_coeff, pairing
 from .ring import RRingElem
-from .scalars import QQ, Vec
+from .scalars import QQ, Vec, qq
 
 CENTRAL_FAMILIES = frozenset(["w0", "w1", "one0", "one1", "c1", "c2"])
 
 
 def mu_closed_form(m, n):
-    """mu_{m,n} = m (-1)^(m+n+1) 2^(m+n) (2(m+n)-1)!! / (m+n+1)!
-    = -m lambda_{m+n-1}, zero whenever m + n <= -2."""
+    """mu_{m,n} = -m lambda_{m+n-1}: m (-1)^(m+n+1) C_(m+n) for m + n >= 0,
+    -m/2 at m + n = -1 and zero whenever m + n <= -2."""
     return -m * lambda_coeff(m + n - 1)
 
 
@@ -74,16 +73,11 @@ def phi1(i, j):
             out += l ** 3 - l
         return out
     if ki == "d1" and kj == "d":
-        if k + l <= -2:
-            return 0
-        sign = -1 if (k + l) % 2 else 1
-        return (
-            QQ(6 * sign)
-            * QQ(2) ** (k + l)
-            * (k - 1) * k * l
-            * _odd_double_factorial(2 * k + 2 * l - 3)
-            / math.factorial(k + l + 1)
-        )
+        # (k-1) k l times the pairing's term lambda_{s-2}, zero for s <= -2
+        s = k + l
+        if s == -1:
+            return -(k - 1) * k * l
+        return qq(QQ(-12 * (k - 1) * k * l * lambda_coeff(s - 2), s + 1))
     if ki == "d" and kj == "d1":
         return -phi1(j, i)
     if ki == "d" and kj == "d":

@@ -91,6 +91,14 @@ CASES = (
      "--states", "random:1:2", "--seed", "8"),
     ("virasoro-rep", "--r", "1", "--kappa0", "5/4", "--B0=-1", "--window", "1",
      "--states", "random:2:3", "--seed", "9"),
+    # Wide windows over the pairing's hypergeometric term: lambda_j, mu
+    # (the w1 residuals of kassel-vs-table) and the mixed phi1, which
+    # criterion 08's failing residuals print as -phi1*c1.
+    ("lambda-table", "--window", "30"),
+    ("mu-compare", "--window", "8"),
+    ("cocycle-identity", "--window", "8"),
+    ("kassel-vs-table", "--window", "4"),
+    ("virasoro-rep", "--r", "0", "--kappa0", "1", "--window", "3"),
 )
 
 

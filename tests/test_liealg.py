@@ -99,6 +99,33 @@ def test_phi1_mixed_vanishes_low():
                 assert phi1(("d1", k), ("d", l)) == 0
 
 
+def test_phi1_mixed_follows_its_hypergeometric_recurrence():
+    # phi1(d1_k, d_l) = (k-1) k l H(k+l), with H built by its term ratio
+    # H(s+1) / H(s) = -2(2s-1)/(s+2) from H(-1) = -1 and H = 0 below,
+    # independently of the closed form through lambda
+    H = {s: 0 for s in range(-20, -1)}
+    H[-1] = QQ(-1)
+    for s in range(-1, 20):
+        H[s + 1] = H[s] * QQ(-2 * (2 * s - 1), s + 2)
+    for k in range(-10, 11):
+        for l in range(-10, 11):
+            assert phi1(("d1", k), ("d", l)) == (k - 1) * k * l * H[k + l], (k, l)
+    # the ratio read off phi1 itself, at k = 40 so that (k-1) k l != 0
+    h = {s: QQ(phi1(("d1", 40), ("d", s - 40)), 39 * 40 * (s - 40))
+         for s in range(-5, 32)}
+    assert all(h[s] == 0 for s in range(-5, -1)) and h[-1] == -1
+    for s in range(-1, 31):
+        assert (s + 2) * h[s + 1] == -2 * (2 * s - 1) * h[s], s
+
+
+def test_lambda_and_mu_are_ints_where_integral():
+    for j in range(-1, 40):
+        assert type(lambda_coeff(j)) is int, j
+    for m in range(-12, 13):
+        for n in range(-m, 13):
+            assert type(mu_closed_form(m, n)) is int, (m, n)
+
+
 def test_cocycle_identity_window_6():
     assert check_cocycle_identity(phi1, 6) == []
     assert check_cocycle_identity(phi2, 6) == []

@@ -15,6 +15,8 @@ The same holds for parameters: a parameter with a default counts as set
 when a call in src/threepv or a perfbench script passes it, so that no
 parameter exists only for the tests.  ALLOWED_DEFAULTS names the
 exceptions, as "function(parameter)", on the same terms.
+
+No module of src/threepv imports another module's _-prefixed name.
 """
 
 import ast
@@ -62,6 +64,19 @@ def test_every_top_level_name_is_reached_outside_the_tests():
     # an entry stays in ALLOWED only while it names an unreached definition
     stale = sorted(set(ALLOWED) - (defined - loaded))
     assert not stale, "ALLOWED names a reached or undefined name: " + ", ".join(stale)
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a _-prefixed name belongs to its own module; a second reader makes
+    # it a shared helper, which should be public and live in one place
+    found = []
+    for path in sorted((ROOT / "src" / "threepv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "threepv"):
+                found += ["%s imports %s" % (path.name, a.name) for a in node.names
+                          if a.name.startswith("_") and not a.name.endswith("__")]
+    assert not found, "private names imported across modules: " + ", ".join(found)
 
 
 def _is_method(node):
