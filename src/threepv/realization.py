@@ -1,9 +1,9 @@
 """Mode operators realizing the three-point algebras on polynomial Fock spaces.
 
-Every realized operator is a field, listed as pieces coeff * w^p * :F ...:
-(zero to three families, d/dw on at most one) in _FIELDS or _TAU_PIECES, and
-one rule, _field_op, makes the pieces into the field's modes, merged on
-(families, total mode).  Three operator families are assembled so:
+Every realized operator is a field, listed as pieces coeff * f(w) * :F ...:
+(f a w-polynomial, zero to three families, d/dw on at most one) in _FIELDS or
+_TAU_PIECES, and one rule, _field_op, makes the pieces into the field's modes,
+merged on (families, total mode).  Three operator families are assembled so:
 
 * tau_mode -- the affine generators e, f, h, e1, f1, h1; the first central
   class acts by the scalar chi0 = kappa0 + 4 (for r = 0) or kappa0 (for
@@ -28,6 +28,7 @@ combination (fock.combine) of field modes, each named once.
 
 from .scalars import QQ, binom, qq
 from .fock import CubicSum, ModeOp, QuadSum, built_once, combine
+from .ring import RRingElem
 
 AFFINE_GENERATORS = ("e", "f", "h", "e1", "f1", "h1")
 WITT_REP_PAIRS = (("d", "d"), ("d1", "d1"), ("d", "d1"))
@@ -51,54 +52,49 @@ def _unit(params):
 # the weight wF of each family: its field is the sum of F_n w^{-n-wF}
 _FAMILY_WEIGHT = {"a": 1, "a1": 1, "b": 1, "b1": 1, "a*": 0, "a1*": 0}
 
-# every registered field as pieces (coeff, p, fams, i), each meaning
-# coeff * w^p * :F_0 ... F_j: over the 0 to 3 families fams, with d = d/dw
-# on slot i (None for none; only with one or two families).  With
-# P = w^2 + 4w, pi_d is P (:a da*: + :a1 da1*:) + (dP/2) :a1 a1*:, pi_d1 is
+# every registered field as pieces (coeff, f, fams, i), each meaning
+# coeff * f(w) * :F_0 ... F_j: over the 0 to 3 families fams, with d = d/dw
+# on slot i (None for none; only with one or two families).  Each f is a
+# ring element in t = w, made of 1, P = u^2 = w^2 + 4w and dP = dP/dw: pi_d
+# is P (:a da*: + :a1 da1*:) + (dP/2) :a1 a1*:, pi_d1 is
 # :a1 da*: + P :a da1*: + (dP/2) :a a1*: and P_dbeta is P db
+_ONE = RRingElem.t_pow(0)
+_P = RRingElem.monomial(0, 1) * RRingElem.monomial(0, 1)
+_DP = RRingElem({(p - 1, 0): p * c for (p, _u), c in _P.terms.items() if p})
 _FIELDS = {
-    "1": ((1, 0, (), None),),
-    "beta": ((1, 0, ("b",), None),),
-    "beta1": ((1, 0, ("b1",), None),),
-    "P_dbeta": ((1, 2, ("b",), 0), (4, 1, ("b",), 0)),
-    "no_beta1_sq": ((1, 0, ("b1", "b1"), None),),
-    "no_dbeta1_beta1": ((1, 0, ("b1", "b1"), 0),),
-    "pi_d": (
-        (1, 2, ("a", "a*"), 1), (4, 1, ("a", "a*"), 1),
-        (1, 2, ("a1", "a1*"), 1), (4, 1, ("a1", "a1*"), 1),
-        (1, 1, ("a1", "a1*"), None), (2, 0, ("a1", "a1*"), None),
-    ),
-    "pi_d1": (
-        (1, 0, ("a1", "a*"), 1),
-        (1, 2, ("a", "a1*"), 1), (4, 1, ("a", "a1*"), 1),
-        (1, 1, ("a", "a1*"), None), (2, 0, ("a", "a1*"), None),
-    ),
+    "1": ((1, _ONE, (), None),),
+    "beta": ((1, _ONE, ("b",), None),),
+    "beta1": ((1, _ONE, ("b1",), None),),
+    "P_dbeta": ((1, _P, ("b",), 0),),
+    "no_beta1_sq": ((1, _ONE, ("b1", "b1"), None),),
+    "no_dbeta1_beta1": ((1, _ONE, ("b1", "b1"), 0),),
+    "pi_d": ((1, _P, ("a", "a*"), 1), (1, _P, ("a1", "a1*"), 1),
+             (1, _DP.scale(QQ(1, 2)), ("a1", "a1*"), None)),
+    "pi_d1": ((1, _ONE, ("a1", "a*"), 1), (1, _P, ("a", "a1*"), 1),
+              (1, _DP.scale(QQ(1, 2)), ("a", "a1*"), None)),
 }
 
 # each affine generator as (pieces, pieces that chi0 multiplies), in the
 # format of _FIELDS; tau_mode gives the fields they spell
 _TAU_PIECES = {
-    "f": (((-1, 0, ("a",), None),), ()),
-    "f1": (((-1, 0, ("a1",), None),), ()),
-    "h": (((1, 0, ("b",), None), (2, 0, ("a", "a*"), None),
-           (2, 0, ("a1", "a1*"), None)), ()),
-    "h1": (((1, 0, ("b1",), None), (2, 0, ("a1", "a*"), None),
-            (2, 2, ("a", "a1*"), None), (8, 1, ("a", "a1*"), None)), ()),
+    "f": (((-1, _ONE, ("a",), None),), ()),
+    "f1": (((-1, _ONE, ("a1",), None),), ()),
+    "h": (((1, _ONE, ("b",), None), (2, _ONE, ("a", "a*"), None),
+           (2, _ONE, ("a1", "a1*"), None)), ()),
+    "h1": (((1, _ONE, ("b1",), None), (2, _ONE, ("a1", "a*"), None),
+            (2, _P, ("a", "a1*"), None)), ()),
     "e": (
-        ((1, 0, ("a", "a*", "a*"), None),
-         (1, 2, ("a", "a1*", "a1*"), None), (4, 1, ("a", "a1*", "a1*"), None),
-         (2, 0, ("a1", "a*", "a1*"), None),
-         (1, 0, ("b", "a*"), None), (1, 0, ("b1", "a1*"), None)),
-        ((1, 0, ("a*",), 0),),
+        ((1, _ONE, ("a", "a*", "a*"), None),
+         (1, _P, ("a", "a1*", "a1*"), None),
+         (2, _ONE, ("a1", "a*", "a1*"), None),
+         (1, _ONE, ("b", "a*"), None), (1, _ONE, ("b1", "a1*"), None)),
+        ((1, _ONE, ("a*",), 0),),
     ),
     "e1": (
-        ((1, 0, ("a1", "a*", "a*"), None),
-         (1, 2, ("a1", "a1*", "a1*"), None), (4, 1, ("a1", "a1*", "a1*"), None),
-         (2, 2, ("a", "a*", "a1*"), None), (8, 1, ("a", "a*", "a1*"), None),
-         (1, 0, ("b1", "a*"), None),
-         (1, 2, ("b", "a1*"), None), (4, 1, ("b", "a1*"), None)),
-        ((1, 2, ("a1*",), 0), (4, 1, ("a1*",), 0),
-         (1, 1, ("a1*",), None), (2, 0, ("a1*",), None)),
+        ((1, _ONE, ("a1", "a*", "a*"), None),
+         (1, _P, ("a1", "a1*", "a1*"), None), (2, _P, ("a", "a*", "a1*"), None),
+         (1, _ONE, ("b1", "a*"), None), (1, _P, ("b", "a1*"), None)),
+        ((1, _P, ("a1*",), 0), (1, _DP.scale(QQ(1, 2)), ("a1*",), None)),
     ),
 }
 
@@ -106,28 +102,30 @@ _TAU_PIECES = {
 def _field_op(pieces, k, params):
     """Mode k (weight-one indexing) of a sum of field pieces, as one operator.
 
-    A piece's mode k sums the normal-ordered products of its families' modes
-    over the mode tuples adding up to M = k + p + 1 - (their weights) - (1 if
-    i is set), weighted by coeff, times -(mode_i + w_i) if i is set.  Pieces
-    merge on (fams, M) in first-seen order and zero weights drop; then no
-    family gives the identity at M = 0, one family a term, two a QuadSum,
-    three a CubicSum, and nothing left an operator with neither, which
-    combine drops.
+    Each term c w^p of a piece's f sums, at mode k, the normal-ordered
+    products of the families' modes over the mode tuples adding up to
+    M = k + p + 1 - (their weights) - (1 if i is set), weighted by coeff c,
+    times -(mode_i + w_i) if i is set.  These merge on (fams, M) in
+    first-seen order and zero weights drop; then no family gives the
+    identity at M = 0, one family a term, two a QuadSum, three a CubicSum,
+    and nothing left an operator with neither, which combine drops.
     """
     merged = {}
-    for coeff, p, fams, i in pieces:
+    for coeff, f, fams, i in pieces:
         weights = [_FAMILY_WEIGHT[fam] for fam in fams]
-        total = k + p + 1 - sum(weights) - (i is not None)
-        # the weight as c0 + c1 * (mode of slot 0), slot 1's being total less it
-        if i is None:
-            c0, c1 = coeff, 0
-        elif i == 0:
-            c0, c1 = -coeff * weights[0], -coeff
-        else:
-            c0, c1 = -coeff * (total + weights[1]), coeff
-        if fams or not total:   # the constant field has no other mode
-            w0, w1 = merged.get((fams, total), (0, 0))
-            merged[fams, total] = (w0 + c0, w1 + c1)
+        for (p, _u), c in f.terms.items():
+            c *= coeff
+            total = k + p + 1 - sum(weights) - (i is not None)
+            # the weight as c0 + c1 * (mode of slot 0), slot 1's total less it
+            if i is None:
+                c0, c1 = c, 0
+            elif i == 0:
+                c0, c1 = -c * weights[0], -c
+            else:
+                c0, c1 = -c * (total + weights[1]), c
+            if fams or not total:   # the constant field has no other mode
+                w0, w1 = merged.get((fams, total), (0, 0))
+                merged[fams, total] = (w0 + c0, w1 + c1)
     terms, sums = [], []
     for (fams, total), (c0, c1) in merged.items():
         if len(fams) < 2 and c0 + c1 * total:
@@ -255,11 +253,10 @@ def pi_vir_mode(kind, m, params, vparams=None):
 def _vir_mode(kind, m, nu, gamma1, gammaP, params):
     # D_m and D1_m: the fields VirParams describes, at weight-one mode m + 1
     if kind == "D":
-        pieces = _FIELDS["pi_d"] + ((gammaP, 2, ("b", "b"), None),
-                                    (4 * gammaP, 1, ("b", "b"), None),
-                                    (gamma1, 0, ("b1", "b1"), None))
+        pieces = _FIELDS["pi_d"] + ((gammaP, _P, ("b", "b"), None),
+                                    (gamma1, _ONE, ("b1", "b1"), None))
     elif kind == "D1":
-        pieces = _FIELDS["pi_d1"] + ((nu, 0, ("b", "b1"), None),)
+        pieces = _FIELDS["pi_d1"] + ((nu, _ONE, ("b", "b1"), None),)
     else:
         raise ValueError("unknown extended family %r" % (kind,))
     return _field_op(pieces, m + 1, params)
@@ -293,24 +290,27 @@ def bracket_rhs_op(j_terms, m, n, params, shift=0):
     """The translated right-hand side sum_j binom(m, j) (G_j)_{m+n-j+shift}
     as one combination (shift is used by the suites' convention audit).
 
-    j_terms is an iterable of (j, coeff, p, name, nderiv) contributions, each
+    j_terms is an iterable of (j, coeff, f, name, nderiv) contributions, each
     meaning that the order-j coefficient G_j contains
-    coeff * w^p * (d/dw)^nderiv of the named field.  By (w^p F)_k = F_{k+p}
-    and (w^p dF)_k = -(k+p) F_{k+p-1}, with K = m + n - j + shift + p, it
-    adds binom(m, j) coeff times F_K, or times -K F_{K-1} for a derivative.
+    coeff * f(w) * (d/dw)^nderiv of the named field.  By (w^p F)_k = F_{k+p}
+    and (w^p dF)_k = -(k+p) F_{k+p-1}, each term c w^p of f, with
+    K = m + n - j + shift + p, adds binom(m, j) coeff c times F_K, or times
+    -K F_{K-1} for a derivative.
     """
     pairs = []
-    for j, coeff, p, name, nderiv in j_terms:
+    for j, coeff, f, name, nderiv in j_terms:
         if j < 0:
             raise ValueError("negative bracket order %r" % (j,))
         if nderiv not in (0, 1):
             raise ValueError("unsupported derivative order %r" % (nderiv,))
         if name not in _FIELDS:
             raise ValueError("unknown field %r" % (name,))
-        K = m + n - j + shift + p
-        c = binom(m, j) * coeff * (-K if nderiv else 1)
-        if c:
-            pairs.append((c, field_mode(name, K - nderiv, params)))
+        scale = binom(m, j) * coeff
+        for (p, _u), c in f.terms.items():
+            K = m + n - j + shift + p
+            c *= scale * (-K if nderiv else 1)
+            if c:
+                pairs.append((c, field_mode(name, K - nderiv, params)))
     return combine(pairs)
 
 
@@ -334,29 +334,18 @@ def witt_rep_gj(pair, r):
     d0 = 1 if r == 0 else 0
     if pair == ("d", "d"):
         return [
-            (0, 1, 2, "pi_d", 1), (0, 4, 1, "pi_d", 1),
-            (0, 2, 1, "pi_d", 0), (0, 4, 0, "pi_d", 0),
-            (1, 2, 2, "pi_d", 0), (1, 8, 1, "pi_d", 0),
-            (1, 2 * d0, 2, "1", 0), (1, 8 * d0, 1, "1", 0),
-            (1, 4 * d0, 0, "1", 0),
-            (2, 4 * d0, 3, "1", 0), (2, 24 * d0, 2, "1", 0),
-            (2, 32 * d0, 1, "1", 0),
-            (3, 2 * d0, 4, "1", 0), (3, 16 * d0, 3, "1", 0),
-            (3, 32 * d0, 2, "1", 0),
+            (0, 1, _P, "pi_d", 1), (0, 1, _DP, "pi_d", 0),
+            (1, 2, _P, "pi_d", 0), (1, d0, _P.scale(2) + _ONE.scale(4), "1", 0),
+            (2, 2 * d0, _P * _DP, "1", 0), (3, 2 * d0, _P * _P, "1", 0),
         ]
     if pair == ("d1", "d1"):
         return [
-            (0, 1, 0, "pi_d", 1),
-            (1, 2, 0, "pi_d", 0),
-            (2, 2 * d0, 1, "1", 0), (2, 4 * d0, 0, "1", 0),
-            (3, 2 * d0, 2, "1", 0), (3, 8 * d0, 1, "1", 0),
+            (0, 1, _ONE, "pi_d", 1), (1, 2, _ONE, "pi_d", 0),
+            (2, d0, _DP, "1", 0), (3, 2 * d0, _P, "1", 0),
         ]
     if pair == ("d", "d1"):
-        return [
-            (0, 1, 2, "pi_d1", 1), (0, 4, 1, "pi_d1", 1),
-            (0, 3, 1, "pi_d1", 0), (0, 6, 0, "pi_d1", 0),
-            (1, 2, 2, "pi_d1", 0), (1, 8, 1, "pi_d1", 0),
-        ]
+        return [(0, 1, _P, "pi_d1", 1), (0, 3, _DP.scale(QQ(1, 2)), "pi_d1", 0),
+                (1, 2, _P, "pi_d1", 0)]
     raise ValueError("unknown pair %r" % (pair,))
 
 
@@ -377,34 +366,19 @@ def pairs_gj(item, params):
     """
     k0 = params.kappa0
     if item == 1:
-        return "beta", [(1, -2 * k0, 0, "1", 0)]
+        return "beta", [(1, -2 * k0, _ONE, "1", 0)]
     if item == 3:
-        return "beta1", [
-            (0, -2 * k0, 1, "1", 0), (0, -4 * k0, 0, "1", 0),
-            (1, -2 * k0, 2, "1", 0), (1, -8 * k0, 1, "1", 0),
-        ]
+        return "beta1", [(0, -k0, _DP, "1", 0), (1, -2 * k0, _P, "1", 0)]
     if item == 10:
-        return "P_dbeta", [
-            (1, 12 * k0, 2, "1", 0), (1, 48 * k0, 1, "1", 0),
-            (2, 24 * k0, 3, "1", 0), (2, 144 * k0, 2, "1", 0),
-            (2, 192 * k0, 1, "1", 0),
-            (3, 12 * k0, 4, "1", 0), (3, 96 * k0, 3, "1", 0),
-            (3, 192 * k0, 2, "1", 0),
-        ]
+        return "P_dbeta", [(1, 12 * k0, _P, "1", 0),
+                           (2, 12 * k0, _P * _DP, "1", 0),
+                           (3, 12 * k0, _P * _P, "1", 0)]
     if item == 14:
         k2 = k0 * k0
         return "no_beta1_sq", [
-            (0, -8 * k0, 1, "no_beta1_sq", 0),
-            (0, -16 * k0, 0, "no_beta1_sq", 0),
-            (0, -8 * k0, 2, "no_dbeta1_beta1", 0),
-            (0, -32 * k0, 1, "no_dbeta1_beta1", 0),
-            (1, -8 * k0, 2, "no_beta1_sq", 0),
-            (1, -32 * k0, 1, "no_beta1_sq", 0),
-            (1, 8 * k2, 2, "1", 0), (1, 32 * k2, 1, "1", 0),
-            (1, 32 * k2, 0, "1", 0),
-            (2, 16 * k2, 3, "1", 0), (2, 96 * k2, 2, "1", 0),
-            (2, 128 * k2, 1, "1", 0),
-            (3, 8 * k2, 4, "1", 0), (3, 64 * k2, 3, "1", 0),
-            (3, 128 * k2, 2, "1", 0),
+            (0, -4 * k0, _DP, "no_beta1_sq", 0),
+            (0, -8 * k0, _P, "no_dbeta1_beta1", 0),
+            (1, -8 * k0, _P, "no_beta1_sq", 0), (1, 2 * k2, _DP * _DP, "1", 0),
+            (2, 8 * k2, _P * _DP, "1", 0), (3, 8 * k2, _P * _P, "1", 0),
         ]
     raise ValueError("unknown item %r" % (item,))

@@ -99,6 +99,20 @@ CASES = (
     ("cocycle-identity", "--window", "8"),
     ("kassel-vs-table", "--window", "4"),
     ("virasoro-rep", "--r", "0", "--kappa0", "1", "--window", "3"),
+    # The realization's w-polynomial tables: pairs-subset where 2*kappa0 is
+    # not an integer (item 14's kappa0^2 rows rational), witt-rep's r = 0
+    # anomaly rows (P^2, P dP) at window 3, and the audit and virasoro-rep
+    # at kappa0 = 2/3.
+    ("pairs-subset", "--r", "0", "--kappa0", "2/3", "--B0", "3/2",
+     "--window", "3", "--states", "random:1:2", "--seed", "11"),
+    ("pairs-subset", "--r", "1", "--kappa0", "5/4", "--window", "3",
+     "--states", "random:1:2", "--seed", "6"),
+    ("witt-rep", "--r", "0", "--kappa0", "1", "--window", "3",
+     "--states", "random:1:2", "--seed", "12"),
+    ("audit", "--r", "0", "--kappa0", "2/3", "--window", "2",
+     "--states", "random:2:3", "--seed", "2"),
+    ("virasoro-rep", "--r", "1", "--kappa0", "2/3", "--window", "3",
+     "--states", "random:1:2", "--seed", "8"),
 )
 
 

@@ -21,6 +21,7 @@ from threepv.fock import (
     seeded_states,
 )
 from threepv.liealg import affine_bracket, phi1, phi2, vir_bracket
+from threepv.ring import RRingElem
 from threepv.realization import (
     AFFINE_GENERATORS,
     PAIRS_ITEMS,
@@ -42,6 +43,7 @@ from threepv.realization import (
 P0 = RepParams(r=0, kappa0=1)
 P1 = RepParams(r=1, kappa0=1)
 PARAMS = [P0, P1]
+W = RRingElem.t_pow  # W(p) is the w-polynomial w^p
 
 
 def residual(lhs_a, lhs_b, j_terms, m, n, params):
@@ -300,21 +302,35 @@ def test_vir_sums_pin_the_closed_forms(r, kappa0):
 # the piece tables and the one rule behind every realized operator
 # ---------------------------------------------------------------------------
 
+def _is_w_polynomial(f):
+    """f is a nonzero ring element in t = w alone: every key (p, u) has
+    u = 0, the u-power the rules unpack and ignore, and p >= 0."""
+    return (type(f) is RRingElem and not f.is_zero()
+            and all(type(p) is int and p >= 0 and u == 0 for p, u in f.terms))
+
+
 def test_every_table_piece_fits_the_rule():
-    # what _field_op assumes of a piece (coeff, p, fams, i): known families,
-    # 0 to 3 of them, and a derivative only on a slot of a one- or
-    # two-family piece, where a weight can carry the slot's mode
+    # what _field_op assumes of a piece (coeff, f, fams, i): a w-polynomial
+    # f, known families, 0 to 3 of them, and a derivative only on a slot of
+    # a one- or two-family piece, where a weight can carry the slot's mode
     assert realization._FAMILY_WEIGHT.keys() == fock.ANNIHILATES.keys()
     assert set(realization._TAU_PIECES) == set(AFFINE_GENERATORS)
     assert not set(realization._TAU_PIECES) & set(realization._FIELDS)
     lists = list(realization._FIELDS.values())
     lists += [part for parts in realization._TAU_PIECES.values() for part in parts]
     for pieces in lists:
-        for coeff, p, fams, i in pieces:
-            assert coeff and type(p) is int and p >= 0, pieces
+        for coeff, f, fams, i in pieces:
+            assert coeff and _is_w_polynomial(f), pieces
             assert type(fams) is tuple and len(fams) <= 3, pieces
             assert set(fams) <= realization._FAMILY_WEIGHT.keys(), pieces
             assert i is None or 1 <= len(fams) <= 2 and i in range(len(fams)), pieces
+    # and what bracket_rhs_op assumes of a G_j row (j, coeff, f, name, nderiv)
+    rows = [row for r in (0, 1) for pair in WITT_REP_PAIRS
+            for row in witt_rep_gj(pair, r)]
+    rows += [row for kappa0 in (1, QQ(3, 2)) for item in PAIRS_ITEMS
+             for row in pairs_gj(item, RepParams(r=0, kappa0=kappa0))[1]]
+    for row in rows:
+        assert _is_w_polynomial(row[2]), row
 
 
 def test_one_identity_base_and_no_generator_as_a_field():
@@ -324,12 +340,12 @@ def test_one_identity_base_and_no_generator_as_a_field():
         with pytest.raises(ValueError):
             field_mode(gen, 0, P0)
         with pytest.raises(ValueError):
-            bracket_rhs_op([(0, 1, 0, gen, 0)], 0, 0, P0)
+            bracket_rhs_op([(0, 1, W(0), gen, 0)], 0, 0, P0)
 
 
 def test_quad_sums_ignore_the_order_of_the_pieces():
-    pieces = realization._FIELDS["pi_d1"] + ((QQ(1, 3), 0, ("b1", "b1"), 0),
-                                             (2, 1, ("b",), 0))
+    pieces = realization._FIELDS["pi_d1"] + ((QQ(1, 3), W(0), ("b1", "b1"), 0),
+                                             (2, W(1), ("b",), 0))
     for k in (-2, 0, 3):
         want = realization._field_op(pieces, k, P0)
         for perm in itertools.permutations(pieces):
@@ -352,15 +368,18 @@ def test_quad_sums_drop_zero_and_cancelling_pieces():
     d = realization._FIELDS["pi_d"]
     negated = tuple((-c, *rest) for c, *rest in d)
     for k in range(-3, 4):
-        assert _empty(op(((0, 1, ("a", "a*"), 1), (0, 0, ("b", "b1"), None)), k))
-        assert _empty(op(((1, 0, ("b", "b1"), None), (-1, 0, ("b", "b1"), None)), k))
-        assert _empty(op(((2, 1, ("a", "a*", "a1*"), None), (1, 0, ("b",), None),
-                          (-2, 1, ("a", "a*", "a1*"), None), (-1, 0, ("b",), None)), k))
+        assert _empty(op(((0, W(1), ("a", "a*"), 1), (0, W(0), ("b", "b1"), None)), k))
+        assert _empty(op(((1, W(0), ("b", "b1"), None), (-1, W(0), ("b", "b1"), None)), k))
+        assert _empty(op(((2, W(1), ("a", "a*", "a1*"), None), (1, W(0), ("b",), None),
+                          (-2, W(1), ("a", "a*", "a1*"), None), (-1, W(0), ("b",), None)), k))
         assert _empty(op(d + negated, k))
-        assert op(d + ((0, 0, ("b", "b"), None),), k).sums == op(d, k).sums
+        # P's w-powers cancel against the same powers written out
+        assert _empty(op(((1, realization._P, ("b", "b1"), None),
+                          (-1, W(2), ("b", "b1"), None), (-4, W(1), ("b", "b1"), None)), k))
+        assert op(d + ((0, W(0), ("b", "b"), None),), k).sums == op(d, k).sums
         # k :a1 a1*: cancels the constant weight of w :a1 da1*: at mode k,
         # and the merged sum keeps its p-weight
-        cut = op(((1, 1, ("a1", "a1*"), 1), (k, 0, ("a1", "a1*"), None)), k)
+        cut = op(((1, W(1), ("a1", "a1*"), 1), (k, W(0), ("a1", "a1*"), None)), k)
         assert cut.sums == (QuadSum("a1", "a1*", k, 0, 1),)
 
 
@@ -370,19 +389,20 @@ def test_quad_sums_derivative_on_either_side(params):
     # two different mode sums
     states = [FockState.vacuum()] + seeded_states(43, 3, max_degree=2)
     for k in range(-3, 4):
-        op_l = realization._field_op(((1, 0, ("b1", "b1"), 0),), k, params)
-        op_r = realization._field_op(((1, 0, ("b1", "b1"), 1),), k, params)
+        op_l = realization._field_op(((1, W(0), ("b1", "b1"), 0),), k, params)
+        op_r = realization._field_op(((1, W(0), ("b1", "b1"), 1),), k, params)
         assert op_l.sums != op_r.sums
         for s in states:
             assert op_l.apply(s) == op_r.apply(s), k
 
 
 def test_one_family_pieces_merge_into_terms():
-    # chi0 (P da1* + (dP/2) a1*), e1's four chi0 pieces, is two terms
+    # chi0 (P da1* + (dP/2) a1*), e1's two chi0 pieces of four w-powers in
+    # all, is two terms
     params = RepParams(r=0, kappa0=QQ(3, 2))
     x0 = chi0(params)
     pieces = tuple((x0 * c, *rest) for c, *rest in realization._TAU_PIECES["e1"][1])
-    assert len(pieces) == 4
+    assert len(pieces) == 2 and sum(len(f.terms) for _c, f, *_ in pieces) == 4
     for m in range(-4, 4):
         op = realization._field_op(pieces, m, params)
         want = [(-(m + 1) * x0, (("a1*", m + 2),)), (-(4 * m + 2) * x0, (("a1*", m + 1),))]
@@ -392,17 +412,104 @@ def test_one_family_pieces_merge_into_terms():
 
 def test_the_constant_piece_is_the_identity_at_total_mode_zero_only():
     for k in range(-4, 3):
-        op = realization._field_op(((1, 0, (), None),), k, P0)
+        op = realization._field_op(((1, W(0), (), None),), k, P0)
         if k == -1:
             assert (op.terms, op.sums) == (((1, ()),), ())
         else:
             assert _empty(op)
         # at w^2 the identity moves to k = -3
-        shifted = realization._field_op(((5, 2, (), None),), k, P0)
+        shifted = realization._field_op(((5, W(2), (), None),), k, P0)
         if k == -3:
             assert (shifted.terms, shifted.sums) == (((5, ()),), ())
         else:
             assert _empty(shifted)
+
+
+# the tables as written out by hand, one w-power per entry: (j, coeff, p,
+# name, nderiv) rows and (coeff, p, fams, i) pieces meaning coeff * w^p * ...
+
+def _hand_witt_gj(pair, r):
+    d0 = 1 if r == 0 else 0
+    return {
+        ("d", "d"): [
+            (0, 1, 2, "pi_d", 1), (0, 4, 1, "pi_d", 1),
+            (0, 2, 1, "pi_d", 0), (0, 4, 0, "pi_d", 0),
+            (1, 2, 2, "pi_d", 0), (1, 8, 1, "pi_d", 0),
+            (1, 2 * d0, 2, "1", 0), (1, 8 * d0, 1, "1", 0),
+            (1, 4 * d0, 0, "1", 0),
+            (2, 4 * d0, 3, "1", 0), (2, 24 * d0, 2, "1", 0),
+            (2, 32 * d0, 1, "1", 0),
+            (3, 2 * d0, 4, "1", 0), (3, 16 * d0, 3, "1", 0),
+            (3, 32 * d0, 2, "1", 0),
+        ],
+        ("d1", "d1"): [
+            (0, 1, 0, "pi_d", 1),
+            (1, 2, 0, "pi_d", 0),
+            (2, 2 * d0, 1, "1", 0), (2, 4 * d0, 0, "1", 0),
+            (3, 2 * d0, 2, "1", 0), (3, 8 * d0, 1, "1", 0),
+        ],
+        ("d", "d1"): [
+            (0, 1, 2, "pi_d1", 1), (0, 4, 1, "pi_d1", 1),
+            (0, 3, 1, "pi_d1", 0), (0, 6, 0, "pi_d1", 0),
+            (1, 2, 2, "pi_d1", 0), (1, 8, 1, "pi_d1", 0),
+        ],
+    }[pair]
+
+
+def _hand_pairs_gj(item, k0):
+    k2 = k0 * k0
+    return {
+        1: [(1, -2 * k0, 0, "1", 0)],
+        3: [
+            (0, -2 * k0, 1, "1", 0), (0, -4 * k0, 0, "1", 0),
+            (1, -2 * k0, 2, "1", 0), (1, -8 * k0, 1, "1", 0),
+        ],
+        10: [
+            (1, 12 * k0, 2, "1", 0), (1, 48 * k0, 1, "1", 0),
+            (2, 24 * k0, 3, "1", 0), (2, 144 * k0, 2, "1", 0),
+            (2, 192 * k0, 1, "1", 0),
+            (3, 12 * k0, 4, "1", 0), (3, 96 * k0, 3, "1", 0),
+            (3, 192 * k0, 2, "1", 0),
+        ],
+        14: [
+            (0, -8 * k0, 1, "no_beta1_sq", 0),
+            (0, -16 * k0, 0, "no_beta1_sq", 0),
+            (0, -8 * k0, 2, "no_dbeta1_beta1", 0),
+            (0, -32 * k0, 1, "no_dbeta1_beta1", 0),
+            (1, -8 * k0, 2, "no_beta1_sq", 0),
+            (1, -32 * k0, 1, "no_beta1_sq", 0),
+            (1, 8 * k2, 2, "1", 0), (1, 32 * k2, 1, "1", 0),
+            (1, 32 * k2, 0, "1", 0),
+            (2, 16 * k2, 3, "1", 0), (2, 96 * k2, 2, "1", 0),
+            (2, 128 * k2, 1, "1", 0),
+            (3, 8 * k2, 4, "1", 0), (3, 64 * k2, 3, "1", 0),
+            (3, 128 * k2, 2, "1", 0),
+        ],
+    }[item]
+
+
+_HAND_P_DBETA = ((1, 2, ("b",), 0), (4, 1, ("b",), 0))
+
+
+@pytest.mark.parametrize("r", [0, 1])
+@pytest.mark.parametrize("kappa0", [1, QQ(3, 2), QQ(2, 3)], ids=["k1", "k3/2", "k2/3"])
+def test_tables_pin_the_hand_expanded_forms(r, kappa0):
+    # the w-polynomial tables give the right-hand sides, pairs in order, and
+    # the P db modes of the tables written one w-power per entry
+    params = RepParams(r=r, kappa0=kappa0)
+    data = [(witt_rep_gj(pair, r), _hand_witt_gj(pair, r)) for pair in WITT_REP_PAIRS]
+    data += [(pairs_gj(item, params)[1], _hand_pairs_gj(item, params.kappa0))
+             for item in PAIRS_ITEMS]
+    for j_terms, hand in data:
+        hand = [(j, c, W(p), name, nderiv) for j, c, p, name, nderiv in hand]
+        for m, n, shift in itertools.product(range(-5, 6), range(-5, 6), range(-2, 3)):
+            want = bracket_rhs_op(hand, m, n, params, shift)
+            assert bracket_rhs_op(j_terms, m, n, params, shift) == want, (m, n, shift)
+    pieces = tuple((c, W(p), fams, i) for c, p, fams, i in _HAND_P_DBETA)
+    for k in range(-12, 13):
+        got = field_mode("P_dbeta", k, params)
+        want = realization._field_op(pieces, k, params)
+        assert (got.terms, got.sums, got.den) == (want.terms, want.sums, want.den), k
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
@@ -480,22 +587,22 @@ def test_residual_follows_the_modes_of_each_call(params):
 def test_identity_field_mode():
     s = seeded_states(91, 1)[0]
     unit = field_mode("1", -1, P0)
-    assert bracket_rhs_op([(0, 5, 0, "1", 0)], -1, 0, P0) == ((5, unit),)
-    assert bracket_rhs_op([(0, 5, 0, "1", 0)], 0, 0, P0) == ()
-    rhs = bracket_rhs_op([(0, 5, 2, "1", 0)], -2, -1, P0)
+    assert bracket_rhs_op([(0, 5, W(0), "1", 0)], -1, 0, P0) == ((5, unit),)
+    assert bracket_rhs_op([(0, 5, W(0), "1", 0)], 0, 0, P0) == ()
+    rhs = bracket_rhs_op([(0, 5, W(2), "1", 0)], -2, -1, P0)
     assert apply_combination(rhs, s) == s.scale(5)
 
 
 @pytest.mark.parametrize("term, message", [
-    ((-1, 0, 0, "1", 0), "negative bracket order -1"),
-    ((0, 0, 0, "1", 2), "unsupported derivative order 2"),
-    ((0, 0, 0, "gamma", 0), "unknown field 'gamma'"),
+    ((-1, 0, W(0), "1", 0), "negative bracket order -1"),
+    ((0, 0, W(0), "1", 2), "unsupported derivative order 2"),
+    ((0, 0, W(0), "gamma", 0), "unknown field 'gamma'"),
 ], ids=["negative-j", "second-derivative", "unknown-field"])
 def test_bracket_rhs_op_checks_every_term(term, message):
     # a term with a zero coefficient, as r = 1 makes witt_rep_gj's anomaly
     # terms 2*d0, or with a zero binom(m, j) builds nothing, but is checked
     good = witt_rep_gj(("d1", "d1"), 1)
-    assert any(not coeff for _j, coeff, _p, _name, _nd in good)
+    assert any(not coeff for _j, coeff, _f, _name, _nd in good)
     j, _coeff, *rest = term
     cases = [([term], 0), (good + [term], 1), ([term] + good, -2),
              ([(j, 7, *rest)], 0)]
@@ -507,16 +614,18 @@ def test_bracket_rhs_op_checks_every_term(term, message):
 
 
 def _rhs_term_by_term(j_terms, m, n, s, params, shift):
-    """sum_j binom(m, j) (G_j)_{m+n-j+shift} on s, each term of G_j applied
-    apart: (w^p F)_k = F_{k+p} and (w^p dF)_k = -(k+p) F_{k+p-1}."""
+    """sum_j binom(m, j) (G_j)_{m+n-j+shift} on s, each w-power of each term
+    of G_j applied apart: (w^p F)_k = F_{k+p} and
+    (w^p dF)_k = -(k+p) F_{k+p-1}."""
     out = FockState()
-    for j, coeff, p, name, nderiv in j_terms:
-        K = m + n - j + shift + p
-        if nderiv:
-            image = field_mode(name, K - 1, params).apply(s).scale(-K)
-        else:
-            image = field_mode(name, K, params).apply(s)
-        out += image.scale(binom(m, j) * coeff)
+    for j, coeff, f, name, nderiv in j_terms:
+        for (p, _u), c in f.terms.items():
+            K = m + n - j + shift + p
+            if nderiv:
+                image = field_mode(name, K - 1, params).apply(s).scale(-K)
+            else:
+                image = field_mode(name, K, params).apply(s)
+            out += image.scale(binom(m, j) * coeff * c)
     return out
 
 
@@ -538,10 +647,11 @@ def test_bracket_rhs_op_names_each_field_mode_once(r, kappa0):
             # the field modes the nonzero terms name, each with the orders j
             # whose terms name it
             named = {}
-            for j, coeff, p, name, nderiv in j_terms:
-                if binom(m, j) * coeff:
-                    key = (name, m + n - j + shift + p - nderiv)
-                    named.setdefault(key, set()).add(j)
+            for j, coeff, f, name, nderiv in j_terms:
+                for (p, _u), c in f.terms.items():
+                    if binom(m, j) * coeff * c:
+                        key = (name, m + n - j + shift + p - nderiv)
+                        named.setdefault(key, set()).add(j)
             merged += sum(len(js) > 1 for js in named.values())
             assert set(ops) <= {field_mode(name, k, params) for name, k in named}
             for s in states:
@@ -584,7 +694,7 @@ def test_convention_audit_reports_shift(monkeypatch):
     # the central term misplaced by one w-power: where m + n = 0 the audit
     # flags the failure and reports the uniform repairing shift, and where
     # m + n = -1 the shift -2 moves the stray term off the window's modes
-    bad = [(1, -2 * P0.kappa0, 1, "1", 0)]
+    bad = [(1, -2 * P0.kappa0, W(1), "1", 0)]
     rows, _ = _audit(monkeypatch, bad, window=2)
     for (field, m, n, _state), text in rows.items():
         if field == "beta" and m and m + n in (0, -1):
@@ -594,7 +704,7 @@ def test_convention_audit_reports_shift(monkeypatch):
             assert text is None, (field, m, n)
 
     # a doubled central term no shift repairs
-    rows, _ = _audit(monkeypatch, [(1, -4 * P0.kappa0, 0, "1", 0)], window=2)
+    rows, _ = _audit(monkeypatch, [(1, -4 * P0.kappa0, W(0), "1", 0)], window=2)
     for (field, m, n, _state), text in rows.items():
         if field == "beta" and m and m + n == 0:
             assert text == "no uniform mode shift in {-2,-1,1,2} repairs it"
@@ -610,7 +720,7 @@ def test_convention_audit_checks_each_unordered_pair_once(case, monkeypatch):
     on the bare state."""
     j_beta, witt_r = {
         "holds": (pairs_gj(1, P0)[1], 0),
-        "shifted": ([(1, -2 * P0.kappa0, 1, "1", 0)], 0),
+        "shifted": ([(1, -2 * P0.kappa0, W(1), "1", 0)], 0),
         "anomaly": (pairs_gj(1, P0)[1], 1),
     }[case]
     rows, calls = _audit(monkeypatch, j_beta, witt_r, window=3,
