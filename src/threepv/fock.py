@@ -54,36 +54,36 @@ the later slots share; or it is left to create.  The creating slots then
 take up the rest of the total mode, each within its half-line.  A sum
 with an unbounded creating slot beside another creating slot has no finite
 range and raises AssertionError.  The annihilation stage depends only on the
-families and the part of the monomial they read (the fields of the codes
-they create or annihilate through, and the auxiliary component for b1's
-zero mode, by masks that _shift keeps current), so _WALKS keeps it per
-(families, read part): every total mode and weight, and every monomial
-differing only in unread variables, reuses it, each term taking the unread
-part back in the addition that creates.  The creation stage
-does not depend on the monomial: a creation plan, kept per (creating slots,
-mode left) in a record that _PLANS shares among walks, lists each way to
-fill the mode as the last slot's mode, one packed delta adding every
-created variable, and a guard of the fields it touches.  A term clear of the
-guard takes the delta in one addition; one with a touched exponent at 128
-or more is multiplied variable by variable, checked against the limit.
+families and the monomial, which ModeOp passes as the part the families
+read, so _WALKS keeps it per (families, monomial) for every total mode and
+weight.  The creation stage does not depend on the monomial: a creation
+plan, kept per (creating slots, mode left) in a record that _PLANS shares
+among walks, lists each way to fill the mode as the last slot's mode, one
+packed delta adding every created variable, and a guard of the fields it
+touches.  A term clear of the guard takes the delta in one addition; one
+with a touched exponent at 128 or more is multiplied variable by variable,
+checked against the limit.
 
 A ModeOp keeps its term coefficients and sum weights multiplied by den,
 the lcm of their denominators, so they are ints, and _MEMO holds the
 images of den * op: the kernel and the memo multiply ints wherever kappa0,
 B0 and B1 allow, and only a combination's coefficients and a nonzero
-residual leaving commutator_apply are divided by den.  _MEMO keys an image
-by the operator and the part of the monomial its families read, by the
-walks' masks: an operator creates, differentiates and meets the field
-limit only in fields it reads, so each term of the read part's image takes
-back the unread rest in one addition.  _MEMO and _OPS, the operators built_once
-builders made, hold one parameter set: _use(params) clears them in place
-unless params equals the set they hold, so a repeated configuration gets
-its operators and their images back and any other frees the last one's
-entries.  A walk depends on the set through r alone, unless its families
-include b or b1, whose actions read kappa0, B0 and B1: at a new set with
-the same r _use drops only those walks, and at another r it clears _WALKS
-and _PLANS.  _READ_SETS, like the intern tables, is parameter-free and
-lives for the process.  A linear combination (combine) is a tuple of
+residual leaving commutator_apply are divided by den.  An operator applies
+part by part, a part holding its terms and sums of one read set: the
+fields of the codes their families create or annihilate through, and the
+auxiliary component for b1's zero mode, by masks that _shift keeps
+current.  _MEMO keys an image by the part and the part of the monomial it
+reads: a part creates, differentiates and meets the field limit only in
+fields it reads, so each term of the read part's image takes back the
+unread rest in one addition, and monomials differing only in unread
+fields share the entry and its sums' walks.  _MEMO and _OPS, the operators
+built_once builders made, hold one parameter set: _use(params) clears them
+in place unless params equals the set they hold, so a repeated
+configuration gets its operators and their images back and any other
+frees the last one's entries.  A walk depends on the set through r alone,
+unless its families include b or b1, whose actions read kappa0, B0 and B1:
+at a new set with the same r _use drops only those walks, and at another r
+it clears _WALKS and _PLANS.  A linear combination (combine) is a tuple of
 (coeff, op) pairs, each op a whole ModeOp, and adds through its operators'
 images; the empty one, the zero operator, adds nothing.
 An ImageTable is no module cache: it belongs to its caller, and an image
@@ -369,12 +369,10 @@ def _read_set(fams):
     return i
 
 
-# fams -> their read set, for the process; (fams, read part of a packed
-# monomial) -> the branches of _walk, for the r of _MEMO's parameter set, and
-# for the set itself when fams include b or b1; (creators, highs) -> the
-# record (creators, highs, {rest: plan}) that branches share, parameter-free
-# but cleared with the walks at another r.
-_READ_SETS = {}
+# (fams, packed monomial) -> the branches of _walk, for the r of _MEMO's
+# parameter set, and for the set itself when fams include b or b1;
+# (creators, highs) -> the record (creators, highs, {rest: plan}) that
+# branches share, parameter-free but cleared with the walks at another r.
 _WALKS = {}
 _PLANS = {}
 
@@ -421,22 +419,18 @@ def _apply_sum(fams, M, c0, c1, mono, params, acc):
     (c0 + c1 m_0) :prod_i fam_i(m_i): applied to mono into the dict acc.
 
     Each term is creators(annihilators(mono)).  The annihilation branches
-    come from _walk, once per fams and the part rel of mono they read; the
-    creating slots of each then fill the rest of M within their half-lines,
-    slot 0 being the last of them when it creates, by the plan _plan makes
-    once per (slots, rest), and each term takes back the unread part
-    mono - rel, in which no walk or plan reads or writes a bit.
+    come from _walk, once per fams and mono; the creating slots of each
+    then fill the rest of M within their half-lines, slot 0 being the last
+    of them when it creates, by the plan _plan makes once per (slots, rest).
+    ModeOp.apply_mono passes a part's read part, which is what each of the
+    part's sums reads, so the walks are shared by every monomial that
+    differs from it only in unread fields.
     """
     if params is not _MEMO_PARAMS:  # say, a call from outside ModeOp._apply
         _use(params)
-    read = _READ_SETS.get(fams)
-    if read is None:
-        read = _READ_SETS[fams] = _read_set(fams)
-    rel = mono & _READ_FIELDS[read]
-    off = mono - rel
-    branches = _WALKS.get((fams, rel))
+    branches = _WALKS.get((fams, mono))
     if branches is None:
-        branches = _WALKS[(fams, rel)] = _walk(fams, rel, params)
+        branches = _WALKS[(fams, mono)] = _walk(fams, mono, params)
     for terms, total, slots, top, p in branches:
         rest = M - total
         if rest > top:
@@ -450,15 +444,13 @@ def _apply_sum(fams, M, c0, c1, mono, params, acc):
             w = c0 + c1 * (last if p is None else p)
             if not w:
                 continue
-            step = delta + off
             for mo, c in terms:
                 if mo & guard:  # an exponent at 128 or more: add unit by unit
                     for var, k in _fields(delta):
                         for _ in range(k):
                             mo = _mono_mul(mo, var)
-                    mo += off
                 else:
-                    mo += step
+                    mo += delta
                 # Vec.add_term inlined: the kernel's per-term loop
                 v = acc.get(mo, 0) + w * c
                 if v:
@@ -559,13 +551,16 @@ class ModeOp:
 
     apply takes and returns a FockState of tuple monomials; _apply and
     apply_mono work on packed ones.  An operator keeps read, the read set
-    of its families (0 for the identity), and is its own key in _MEMO for
-    the images of den * op on the parts of packed monomials it reads.
-    ModeOp must keep identity equality: equal operators share entries only
-    by being one object, as built_once makes them.
+    of its families (0 for the identity), and parts: its terms and sums
+    grouped by the read sets of their own families, in first-seen order,
+    each group a ModeOp over the weights already multiplied by den, so of
+    den 1.  An operator of one group is its own only part.  A part is its
+    own key in _MEMO for its images on the parts of packed monomials it
+    reads.  ModeOp must keep identity equality: equal operators share
+    entries only by being one object, as built_once makes them.
     """
 
-    __slots__ = ("terms", "sums", "params", "den", "read")
+    __slots__ = ("terms", "sums", "params", "den", "read", "parts")
 
     def __init__(self, terms, sums, params):
         terms = [(qq(c), tuple(fs)) for c, fs in terms if c]
@@ -581,18 +576,26 @@ class ModeOp:
                          for s in sums)
         self.terms = tuple(terms)
         self.sums = sums
-        fams = {f for _c, fs in self.terms for f, _m in fs}
-        fams.update(f for s in self.sums for f in s[:2 if isinstance(s, QuadSum) else 3])
+        used = [{f for f, _m in fs} for _c, fs in self.terms]
+        used += [set(s[:2 if isinstance(s, QuadSum) else 3]) for s in sums]
+        fams = set().union(*used)
         if not fams <= ANNIHILATES.keys():
             raise ValueError("unknown mode family %r" % min(fams - ANNIHILATES.keys()))
         self.read = _read_set(fams)
         self.params = params
+        groups = {}
+        for i, item in enumerate(self.terms + sums):
+            groups.setdefault(_read_set(used[i]), ([], []))[i >= len(terms)].append(item)
+        self.parts = (self,) if len(groups) < 2 else tuple(
+            ModeOp(group_terms, group_sums, params)
+            for group_terms, group_sums in groups.values())
 
     def apply_mono(self, mono):
         """The image of a packed monomial under den * self,
-        ((packed monomial, coeff), ...), through _MEMO.  _apply passes the
-        part of each monomial that self reads, so monomials differing only
-        in unread fields share one entry."""
+        ((packed monomial, coeff), ...), through _MEMO.  _apply calls it on
+        each part with the part of each monomial that the part reads, so
+        monomials differing only in fields a part does not read share its
+        entry."""
         key = (self, mono)
         cached = _MEMO.get(key)
         if cached is None:
@@ -619,25 +622,27 @@ class ModeOp:
 
     def _apply(self, packed_terms, out, sign=1):
         """Add sign (1 or -1) times the image of a packed dict under
-        den * self into out; return out.  Each monomial is looked up by the
-        part self reads, and each image term takes back the rest."""
+        den * self into out; return out.  Part by part, each monomial is
+        looked up by what the part reads, and each image term takes back
+        the rest."""
         if self.params is not _MEMO_PARAMS:
             _use(self.params)
         items = packed_terms.items()
         if sign != 1:
             items = [(mono, -c) for mono, c in items]
-        mask = _READ_FIELDS[self.read]
-        for mono, c in items:
-            rel = mono & mask
-            off = mono - rel
-            for mo, cc in self.apply_mono(rel):
-                mo += off
-                # Vec.add_term inlined: per term of every apply
-                s = out.get(mo, 0) + c * cc
-                if s:
-                    out[mo] = s
-                else:
-                    out.pop(mo, None)
+        for part in self.parts:
+            mask = _READ_FIELDS[part.read]
+            for mono, c in items:
+                rel = mono & mask
+                off = mono - rel
+                for mo, cc in part.apply_mono(rel):
+                    mo += off
+                    # Vec.add_term inlined: per term of every apply
+                    s = out.get(mo, 0) + c * cc
+                    if s:
+                        out[mo] = s
+                    else:
+                        out.pop(mo, None)
         return out
 
 

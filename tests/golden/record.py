@@ -113,6 +113,12 @@ CASES = (
      "--states", "random:2:3", "--seed", "2"),
     ("virasoro-rep", "--r", "1", "--kappa0", "2/3", "--window", "3",
      "--states", "random:1:2", "--seed", "8"),
+    # Degree-4 states, where the read parts of e and e1 share the most
+    # images: rational kappa0 with B1, and r = 1 with a negative B0.
+    ("affine-rep", "--r", "0", "--kappa0", "5/4", "--B1", "1,2,-1,1", "--window", "2",
+     "--states", "random:2:4", "--seed", "7"),
+    ("affine-rep", "--r", "1", "--kappa0", "2/3", "--B0=-2", "--window", "3",
+     "--states", "random:2:4", "--seed", "19"),
 )
 
 
