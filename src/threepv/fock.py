@@ -76,19 +76,28 @@ current.  _MEMO keys an image by the part and the part of the monomial it
 reads: a part creates, differentiates and meets the field limit only in
 fields it reads, so each term of the read part's image takes back the
 unread rest in one addition, and monomials differing only in unread
-fields share the entry and its sums' walks.  _MEMO and _OPS, the operators
-built_once builders made, hold one parameter set: _use(params) clears them
-in place unless params equals the set they hold, so a repeated
-configuration gets its operators and their images back and any other
-frees the last one's entries.  A walk depends on the set through r alone,
-unless its families include b or b1, whose actions read kappa0, B0 and B1:
-at a new set with the same r _use drops only those walks, and at another r
-it clears _WALKS and _PLANS.  A linear combination (combine) is a tuple of
-(coeff, op) pairs, each op a whole ModeOp, and adds through its operators'
-images; the empty one, the zero operator, adds nothing.
-An ImageTable is no module cache: it belongs to its caller, and an image
-in it stays valid whatever _use clears, as each operator keeps its own
-parameter set.
+fields share the entry and its sums' walks.  A part whose families
+exclude b and b1 has an image that depends on r and its weights alone:
+_PARTS keeps it by r and the weights given, with the den it was made at,
+and an operator of those weights whose den that one divides applies it at
+the int multiplier of their quotient, so the operators of one gauge at
+every kappa0, B0 and B1 share it and its entries.
+
+One rule keeps the caches: _MEMO, _PARTS, _WALKS, _PLANS and _OPS, the
+operators built_once builders made, hold one parameter set.  _use(params)
+leaves them as they are when params equals the set they hold, so a
+repeated configuration gets its operators and their images back.  At a new
+set with the same r it drops exactly the entries whose families include b
+or b1, whose actions read kappa0, B0 and B1: their parts' memo entries and
+their walks (no part in _PARTS has them); at another r it clears them all,
+and at any change _OPS.  A shared part is applied under the set the caches
+hold, not the older one it was made with.
+
+A linear combination (combine) is a tuple of (coeff, op) pairs, each op a
+whole ModeOp, and adds through its operators' images; the empty one, the
+zero operator, adds nothing.  An ImageTable is no module cache: it belongs
+to its caller, and an image in it stays valid whatever _use clears, as
+each operator keeps its own parameter set.
 """
 
 import functools
@@ -169,6 +178,8 @@ _FIELD_VAR = []             # field number -> (code, idx)
 # bit _AUX for the auxiliary component, read as bit 0
 _AUX = 1 << 4
 _READ_FIELDS = [1 if i & _AUX else 0 for i in range(2 * _AUX)]
+# the read sets of b and b1, the families whose actions read kappa0, B0, B1
+_CURRENT = 1 << Y | 1 << Y1 | _AUX
 
 
 def _shift(var):
@@ -357,15 +368,20 @@ def _plan(creators, highs, rest):
     return [entry[:3] for entry in plan if not entry[3]]
 
 
+# family -> the bits of the codes it creates or annihilates through (a sum
+# of distinct bits), and for b1, whose zero mode acts on it, the auxiliary
+# component
+_FAMILY_READ = {
+    fam: sum({1 << CREATES[fam][0]} | {1 << code for code, _s, _t, _c in ANNIHILATES[fam]})
+    | (_AUX if fam == "b1" else 0)
+    for fam in CREATES}
+
+
 def _read_set(fams):
-    """The read set of fams: the codes they create or annihilate through,
-    and the auxiliary component when one of them is b1, whose zero mode
-    acts on it."""
-    i = _AUX if "b1" in fams else 0
+    """The read set of fams: the union of their families' read sets."""
+    i = 0
     for fam in fams:
-        i |= 1 << CREATES[fam][0]
-        for code, _s, _t, _coeff in ANNIHILATES[fam]:
-            i |= 1 << code
+        i |= _FAMILY_READ[fam]
     return i
 
 
@@ -499,26 +515,31 @@ def naive_sum_apply(sum_op, state, params, box):
 # composite operators
 # ---------------------------------------------------------------------------
 
-_MEMO = {}              # (operator, packed monomial) -> image
+_MEMO = {}              # (part, packed monomial) -> image
+_PARTS = {}             # (r, weights given) -> (part reading no b or b1, den)
 _OPS = {}               # (build, args) -> the operator built_once kept
 _MEMO_PARAMS = None     # the RepParams of every cache, as _use keeps it
 
 
 def _use(params):
-    """Make params the parameter set of _MEMO, _OPS, _WALKS and _PLANS.
-    Unless it equals the one they hold, clear _MEMO and _OPS in place, and
-    drop the walks that read it: at the same r those over b or b1, whose
-    actions read kappa0, B0 and B1, and at another r every walk and plan.
+    """Make params the parameter set of _MEMO, _PARTS, _WALKS, _PLANS and
+    _OPS.  Unless it equals the one they hold, clear _OPS, and drop what
+    reads the difference, in place: at the same r the memo entries and
+    walks whose families include b or b1, whose actions read kappa0, B0
+    and B1 (no part in _PARTS reads them), and at another r everything.
     An equal set leaves them the object they already hold."""
     global _MEMO_PARAMS
     held = _MEMO_PARAMS
     if held is None or params.key != held.key:
-        _MEMO.clear()
         _OPS.clear()
         if held is None or params.r != held.r:
+            _MEMO.clear()
+            _PARTS.clear()
             _WALKS.clear()
             _PLANS.clear()
         else:
+            for key in [key for key in _MEMO if key[0].read & _CURRENT]:
+                del _MEMO[key]
             for key in [key for key in _WALKS if "b" in key[0] or "b1" in key[0]]:
                 del _WALKS[key]
         _MEMO_PARAMS = params
@@ -553,18 +574,25 @@ class ModeOp:
     apply_mono work on packed ones.  An operator keeps read, the read set
     of its families (0 for the identity), and parts: its terms and sums
     grouped by the read sets of their own families, in first-seen order,
-    each group a ModeOp over the weights already multiplied by den, so of
-    den 1.  An operator of one group is its own only part.  A part is its
+    each group a ModeOp of den 1 over the weights multiplied by den, applied
+    at the int multiplier kept beside it in mults (scaled pairs them for
+    _apply).  An operator of one group is its own only part, unless the
+    group reads no b or b1: such a part's image depends on r and its
+    weights alone, so _PARTS keeps it by r and the weights given, with the
+    den it was made at, and an operator of the same weights at that r, at
+    any kappa0, B0 and B1, whose den that one divides gets it back at the
+    multiplier of their quotient; any other makes its own.  A part is its
     own key in _MEMO for its images on the parts of packed monomials it
-    reads.  ModeOp must keep identity equality: equal operators share
-    entries only by being one object, as built_once makes them.
+    reads.  ModeOp keeps identity equality: equal operators share entries
+    by sharing parts, through _PARTS or built_once.
     """
 
-    __slots__ = ("terms", "sums", "params", "den", "read", "parts")
+    __slots__ = ("terms", "sums", "params", "den", "read", "parts", "mults", "scaled")
 
     def __init__(self, terms, sums, params):
         terms = [(qq(c), tuple(fs)) for c, fs in terms if c]
         sums = tuple(sums)
+        given = terms + list(sums)
         # the weights follow each sum's families and its total mode, an int
         loose = [w for s in sums for w in s[3:] if type(w) is not int]
         loose += [c for c, _fs in terms if type(c) is not int]
@@ -584,24 +612,57 @@ class ModeOp:
         self.read = _read_set(fams)
         self.params = params
         groups = {}
-        for i, item in enumerate(self.terms + sums):
-            groups.setdefault(_read_set(used[i]), ([], []))[i >= len(terms)].append(item)
-        self.parts = (self,) if len(groups) < 2 else tuple(
-            ModeOp(group_terms, group_sums, params)
-            for group_terms, group_sums in groups.values())
+        for i, fs in enumerate(used):
+            groups.setdefault(_read_set(fs), []).append(i)
+        if len(groups) < 2 and self.read & _CURRENT:
+            self.parts, self.mults = (self,), (1,)
+        else:
+            one, n, items = len(groups) < 2, len(terms), self.terms + sums
+            parts, mults = [], []
+            # the zero operator is one empty group, which reads nothing
+            for read, group in groups.items() or [(0, [])]:
+                key = None if read & _CURRENT else (params.r, tuple([given[i] for i in group]))
+                held = key and _PARTS.get(key)
+                if held and not den % held[1]:
+                    # made at a den that divides this one: shared at the quotient
+                    parts.append(held[0])
+                    mults.append(den // held[1])
+                    continue
+                part = self if one else ModeOp._part([items[i] for i in group if i < n],
+                                                     [items[i] for i in group if i >= n],
+                                                     params, read)
+                if key and not held:
+                    _PARTS[key] = (part, den)
+                parts.append(part)
+                mults.append(1)
+            self.parts, self.mults = tuple(parts), tuple(mults)
+        self.scaled = tuple(zip(self.parts, self.mults))
+
+    @classmethod
+    def _part(cls, terms, sums, params, read):
+        """The part of an operator's int terms and sums of one read set:
+        of den 1, and its own only part."""
+        part = object.__new__(cls)
+        part.terms, part.sums, part.params, part.den, part.read = (
+            tuple(terms), tuple(sums), params, 1, read)
+        part.parts, part.mults, part.scaled = (part,), (1,), ((part, 1),)
+        return part
 
     def apply_mono(self, mono):
         """The image of a packed monomial under den * self,
-        ((packed monomial, coeff), ...), through _MEMO.  _apply calls it on
-        each part with the part of each monomial that the part reads, so
+        ((packed monomial, coeff), ...), through _MEMO, made under the set
+        the caches hold: _apply has made it equal to its operator's, and a
+        part shared across sets reads r alone.  _apply calls it on each
+        part with the part of each monomial that the part reads, so
         monomials differing only in fields a part does not read share its
         entry."""
         key = (self, mono)
         cached = _MEMO.get(key)
         if cached is None:
+            params = _MEMO_PARAMS
             acc = {}
             for coeff, factors in self.terms:
-                for mo, c in apply_product(factors, mono, self.params):
+                for mo, c in apply_product(factors, mono, params):
                     # Vec.add_term inlined: per term of a miss
                     s = acc.get(mo, 0) + coeff * c
                     if s:
@@ -610,9 +671,9 @@ class ModeOp:
                         acc.pop(mo, None)
             for sum_op in self.sums:
                 if isinstance(sum_op, QuadSum):
-                    apply_quad_sum(sum_op, mono, self.params, acc)
+                    apply_quad_sum(sum_op, mono, params, acc)
                 else:
-                    apply_cubic_sum(sum_op, mono, self.params, acc)
+                    apply_cubic_sum(sum_op, mono, params, acc)
             cached = tuple(acc.items())
             _MEMO[key] = cached
         return cached
@@ -623,16 +684,22 @@ class ModeOp:
     def _apply(self, packed_terms, out, sign=1):
         """Add sign (1 or -1) times the image of a packed dict under
         den * self into out; return out.  Part by part, each monomial is
-        looked up by what the part reads, and each image term takes back
-        the rest."""
+        looked up by what the part reads, each coefficient taken at the
+        part's multiplier, and each image term takes back the rest."""
         if self.params is not _MEMO_PARAMS:
             _use(self.params)
         items = packed_terms.items()
         if sign != 1:
             items = [(mono, -c) for mono, c in items]
-        for part in self.parts:
+        scaled, at = items, 1
+        for part, mult in self.scaled:
+            # the coefficients at the multiplier, made once for a run of
+            # parts at one multiplier
+            if mult != at:
+                scaled = items if mult == 1 else [(mono, mult * c) for mono, c in items]
+                at = mult
             mask = _READ_FIELDS[part.read]
-            for mono, c in items:
+            for mono, c in scaled:
                 rel = mono & mask
                 off = mono - rel
                 for mo, cc in part.apply_mono(rel):

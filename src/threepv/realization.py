@@ -131,9 +131,9 @@ def _field_op(pieces, k, params):
         if len(fams) < 2 and c0 + c1 * total:
             terms.append((c0 + c1 * total, tuple((fam, total) for fam in fams)))
         elif len(fams) == 2 and (c0 or c1):
-            sums.append(QuadSum(*fams, total, c0, c1))
+            sums.append(QuadSum(*fams, total, qq(c0), qq(c1)))
         elif len(fams) == 3 and c0:
-            sums.append(CubicSum(*fams, total, c0))
+            sums.append(CubicSum(*fams, total, qq(c0)))
     return ModeOp(terms, sums, params)
 
 

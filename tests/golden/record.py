@@ -119,6 +119,12 @@ CASES = (
      "--states", "random:2:4", "--seed", "7"),
     ("affine-rep", "--r", "1", "--kappa0", "2/3", "--B0=-2", "--window", "3",
      "--states", "random:2:4", "--seed", "19"),
+    # One gauge at two kappa0 back to back: the second row reads the
+    # oscillator images the first one left.
+    ("affine-rep", "--r", "0", "--kappa0", "2", "--window", "2",
+     "--states", "random:2:3", "--seed", "23"),
+    ("affine-rep", "--r", "0", "--kappa0", "4/3", "--window", "2",
+     "--states", "random:2:3", "--seed", "23"),
 )
 
 

@@ -1,6 +1,7 @@
 """Fock-space engine: mode actions, normal ordering, exact sum enumeration."""
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -554,12 +555,14 @@ def test_the_unit_by_unit_creation_keeps_the_unread_variables():
 
 def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
     """ModeOp.apply_mono looks up apply_quad_sum / apply_cubic_sum in the
-    module and passes them exactly (sum, monomial, params, acc)."""
+    module and passes them exactly (sum, monomial, params, acc), params
+    being the set the caches hold."""
     st = FockState({make_monomial({(X, 1): 2, (X, -1): 1}): 1})
     for name, sum_op in (("apply_quad_sum", QuadSum("a", "a*", 0, 1, 0)),
                          ("apply_cubic_sum", CubicSum("a", "a*", "a*", 0, 1))):
         calls = []
         monkeypatch.setattr(fock, "_MEMO", {})
+        monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
         assert not ModeOp((), (sum_op,), P0).apply(st).is_zero()
         monkeypatch.setattr(fock, "_MEMO", {})
         monkeypatch.setattr(
@@ -607,17 +610,25 @@ def test_memoization_is_consistent(monkeypatch):
     monkeypatch.setattr(fock, "_MEMO", {})
     third = op.apply(st)  # recomputed
     assert first == third
-    # an equal operator built apart is another key with entries of its own,
-    # with the same images; the builders keep one object per operator instead
-    op2 = ModeOp(op.terms, op.sums, P0)
-    assert op2 != op
+    # op reads no b or b1, so an equal operator built apart, here at
+    # another kappa0, gets op back as its part and reads op's entries
+    op2 = ModeOp(op.terms, op.sums, RepParams(r=0, kappa0=2))
+    assert op2 is not op and (op2.parts, op2.mults) == ((op,), (1,))
     assert op2.apply(st) == first
-    assert len(fock._MEMO) == 2 * len(read)
-    assert set(fock._MEMO) == {(o, rel) for o in (op, op2) for rel in read}
-    # a key is the operator object, which its entries keep alive, so an
-    # operator built later never reads another's entries
-    op3 = ModeOp(op.terms, op.sums, RepParams(r=0, kappa0=2))
-    assert op3 not in {key[0] for key in fock._MEMO}
+    assert set(fock._MEMO) == {(o, rel) for o in (op,) for rel in read}
+    # in the other gauge it is a part of its own
+    other = ModeOp(op.terms, op.sums, P1)
+    assert other.parts == (other,)
+    # an operator reading b acts through kappa0, B0 and B1: one built
+    # apart is another key with entries of its own, with the same images,
+    # and the builders keep one object per operator instead; over den 2
+    # both apply op at multiplier 2
+    given = op.terms + ((QQ(1, 2), (("b", -1),)),)
+    opb, opb2 = ModeOp(given, op.sums, P0), ModeOp(given, op.sums, P0)
+    assert opb.parts[0] is opb2.parts[0] is op and opb.mults == (2, 1)
+    assert opb.parts[1] is not opb2.parts[1]
+    assert opb.apply(st) == opb2.apply(st) == _brute_image(opb, st) != first
+    assert {base for base, _mono in fock._MEMO} == {op, opb.parts[1], opb2.parts[1]}
 
 
 def _added(pairs, state):
@@ -670,6 +681,8 @@ def test_images_are_kept_per_read_part(r, monkeypatch):
             assert {mono for base, mono in fock._MEMO if base is part} == {
                 fock._pack(mono) & mask for mono in monos}
         assert (op in {base for base, _ in fock._MEMO}) == (op.parts == (op,))
+    # within one parameter set every part is made at its operator's den
+    assert {k for op in ops for k in op.mults} == {1}
     # the identity reads nothing, and b1's zero mode reads vpart
     assert _unit(params).read == 0
     assert fock._READ_FIELDS[field_mode("no_beta1_sq", 1, params).read] & 1
@@ -683,22 +696,51 @@ def test_images_are_kept_per_read_part(r, monkeypatch):
 
 def test_e_and_e1_have_four_parts_by_read_set():
     """e and e1 split by the read sets of their pieces' families, and every
-    other operator of one read set is its own only part."""
+    other operator of one read set has one part, itself or an equal one."""
     x, x1, y, y1 = (1 << code for code in (X, X1, Y, Y1))
     want = {"e": {x, x | x1, x | y, x1 | y1 | fock._AUX},
             "e1": {x1, x | x1, x | y1 | fock._AUX, x1 | y}}
+    dens = set()
     for params in (P0, RepParams(r=1, kappa0=QQ(3, 2))):
         for m in (-1, 0, 2):
             for g, reads in want.items():
                 op = tau_mode(g, m, params)
+                dens.add(op.den)
                 assert len(op.parts) == 4 and {p.read for p in op.parts} == reads
-                # the parts split the operator's terms and sums, at its den
-                assert Counter(t for p in op.parts for t in p.terms) == Counter(op.terms)
-                assert Counter(s for p in op.parts for s in p.sums) == Counter(op.sums)
-                for part in op.parts:
-                    assert (part.den, part.params, part.parts) == (1, params, (part,))
+                # the parts at their multipliers split the operator's terms
+                # and sums, at its den
+                scaled = list(zip(op.parts, op.mults))
+                assert Counter((k * c, fs) for p, k in scaled for c, fs in p.terms) \
+                    == Counter(op.terms)
+                assert Counter(_scaled_sum(s, k) for p, k in scaled for s in p.sums) \
+                    == Counter(op.sums)
+                for part, mult in scaled:
+                    assert (part.parts, part.mults, part.den, mult) == ((part,), (1,), 1, 1)
+                    assert part.params.r == params.r
+                    # a part over b or b1 is the operator's own; any other
+                    # is kept by its gauge and weights
+                    if part.read & fock._CURRENT:
+                        assert part.params is params
+                    else:
+                        assert part in _held_parts()
             for op in (tau_mode("f", m, params), tau_mode("f1", m, params), _unit(params)):
-                assert op.parts == (op,)
+                (part,) = op.parts
+                assert (part.terms, part.sums, op.mults) == (op.terms, op.sums, (1,))
+                assert part in _held_parts()
+    # chi0 = 11/2 at r = 1, kappa0 = 3/2 puts e and e1 over den 2
+    assert dens == {1, 2}
+
+
+def _held_parts():
+    """The parts _PARTS holds."""
+    return {part for part, _den in fock._PARTS.values()}
+
+
+def _scaled_sum(s, k):
+    """The sum s with its weights multiplied by k."""
+    if isinstance(s, QuadSum):
+        return s._replace(c0=k * s.c0, c1=k * s.c1)
+    return s._replace(c=k * s.c)
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
@@ -822,55 +864,108 @@ def test_right_hand_sides_reuse_their_generators_memo_entries(monkeypatch):
 
 
 def test_memo_holds_one_parameter_set(monkeypatch):
-    memo, ops, walks, plans = {}, {}, {}, {}
+    memo, parts, ops, walks, plans = {}, {}, {}, {}, {}
     monkeypatch.setattr(fock, "_MEMO", memo)
+    monkeypatch.setattr(fock, "_PARTS", parts)
     monkeypatch.setattr(fock, "_OPS", ops)
     monkeypatch.setattr(fock, "_WALKS", walks)
     monkeypatch.setattr(fock, "_PLANS", plans)
     # and the set they belong to, so the caches put back match it
     monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
-    P, Q = RepParams(r=0, kappa0=QQ(3, 2)), RepParams(r=0, kappa0=2)
+    # P at den 1 first, so Q at den 2 shares P's parts at multiplier 2
+    P, Q = RepParams(r=0, kappa0=2), RepParams(r=0, kappa0=QQ(3, 2))
     states = [FockState.vacuum()] + seeded_states(17, 2)
-    opP = tau_mode("e", 0, P)
+    # at mode 1 chi0 weighs e's {x} part, so P and Q share only {x, x1}
+    opP = tau_mode("e", 1, P)
     for s in states:
         opP.apply(s)
     assert len(opP.parts) == 4 and {op for op, _ in memo} == set(opP.parts)
     assert list(ops.values()) == [opP]
+    # b and b1 act through kappa0, B0 and B1, the oscillators through r alone
+    osc = [part for part in opP.parts if not part.read & fock._CURRENT]
+    assert len(osc) == 2 and _held_parts() == set(osc)
+    entries_P = {key: image for key, image in memo.items() if key[0] in osc}
     walks_P, plans_P = dict(walks), dict(plans)
     assert any(slots[2] for slots in plans_P.values())
-    # b and b1 act through kappa0, B0 and B1, the oscillators through r alone
-    osc = {key for key in walks_P if not {"b", "b1"} & set(key[0])}
-    assert osc and osc != walks_P.keys()
-    opQ = tau_mode("e", 0, Q)
+    osc_walks = {key for key in walks_P if not {"b", "b1"} & set(key[0])}
+    assert osc_walks and osc_walks != walks_P.keys()
+    opQ = tau_mode("e", 1, Q)
     for s in states:
         opQ.apply(s)
-    # cleared in place: the same dicts, now with Q's entries only
+    # kept in place: the same dicts, with Q's operator and the entries of
+    # Q's parts and of P's parts that read no b or b1
     assert fock._MEMO is memo and fock._WALKS is walks and fock._PLANS is plans
     assert fock._OPS is ops and list(ops.values()) == [opQ]
-    assert {op for op, _ in memo} == set(opQ.parts)
+    assert fock._PARTS is parts
+    assert {op for op, _ in memo} == set(opQ.parts) | set(osc)
+    assert set(opQ.parts) & set(opP.parts) == {osc[1]}
+    assert opQ.mults[opQ.parts.index(osc[1])] == 2
+    assert all(memo[key] is image for key, image in entries_P.items())
+    assert {part for part in opQ.parts if not part.read & fock._CURRENT} < _held_parts()
     # at the same r the oscillator walks and every plan are kept, and the
     # walks of b and b1 are made anew
     assert walks.keys() == walks_P.keys()
-    assert all((walks[key] is walk) == (key in osc) for key, walk in walks_P.items())
+    assert all((walks[key] is walk) == (key in osc_walks) for key, walk in walks_P.items())
     assert all(plans[key] is plan for key, plan in plans_P.items())
     # the walks reach plans through _PLANS alone
     reached = {id(branch[2]) for w in walks.values() for branch in w}
     assert reached <= {id(p) for p in plans.values()}
     # equal parameters in a new object keep them, and get Q's operator back
-    entries, walked, planned = dict(memo), dict(walks), dict(plans)
-    assert tau_mode("e", 0, RepParams(r=0, kappa0=2)) is opQ
+    entries, walked, planned, interned = dict(memo), dict(walks), dict(plans), dict(parts)
+    assert tau_mode("e", 1, RepParams(r=0, kappa0=QQ(3, 2))) is opQ
     opQ.apply(states[1])
-    assert memo == entries and walks == walked and plans == planned
+    assert memo == entries and walks == walked and plans == planned and parts == interned
     assert all(plans[k] is planned[k] for k in plans)
-    # another r clears every cache, so the two gauges never share walks,
-    # though their keys are the same
+    # another r clears every cache, so the two gauges never share parts
+    # or walks, though their keys are the same
     fock._use(P1)
-    assert not (memo or ops or walks or plans)
+    assert not (memo or parts or ops or walks or plans)
     sum_op = QuadSum("a", "a*", 1, 1, 1)
     for params in (P0, P1, P0):
         before = list(walks.values())
         _assert_sum_matches_naive(sum_op, states, params)
         assert walks and not {id(w) for w in before} & {id(w) for w in walks.values()}
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_oscillator_parts_are_shared_across_kappa0(r, monkeypatch):
+    """A part that reads no b or b1 and no chi0 is one object at every
+    kappa0 of a gauge, with its memo entries, and each operator applies it
+    at its own multiplier: after every switch of kappa0 the images equal
+    the brute-force ones at the new kappa0."""
+    for name in ("_MEMO", "_PARTS", "_OPS", "_WALKS", "_PLANS"):
+        monkeypatch.setattr(fock, name, {})
+    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
+    x, x1 = 1 << X, 1 << X1
+    # e's {x} and e1's {x1} parts carry chi0, which reads kappa0
+    free = {"e": {x | x1}, "e1": {x | x1}, "h": {x, x1}, "f": {x}, "f1": {x1}}
+    states = [FockState.vacuum(), FockState({
+        make_monomial({(X, -1): 1, (X1, 1): 1, (Y, -1): 1}, 1): 2,
+        make_monomial({(X, 1): 1, (X1, -2): 1, (Y1, -1): 1}): -3})]
+    shared, mults, kept = {}, set(), None
+    for i, kappa0 in enumerate((1, 2, QQ(3, 2), QQ(4, 3), QQ(5, 4))):
+        params = RepParams(r=r, kappa0=kappa0)
+        ops = {(g, m): tau_mode(g, m, params) for g in free for m in (-1, 0, 1)}
+        for (g, m), op in ops.items():
+            for part, mult in zip(op.parts, op.mults):
+                if part.read in free[g]:
+                    assert shared.setdefault((g, m, part.read), part) is part, (g, m)
+                mults.add(mult)
+            for s in states:
+                assert op.apply(s) == _brute_image(op, s), (g, m, kappa0)
+        # the shared parts kept their entries and made no new one
+        keys = {key for key in fock._MEMO if key[0] in shared.values()}
+        assert kept is None or keys == kept
+        # on a new monomial they miss, and walk under the caches' set
+        new = FockState({make_monomial({(X, -2): 1, (X1, i - 2): 1}): 1})
+        for (g, m), op in ops.items():
+            assert op.apply(new) == _brute_image(op, new), (g, m, kappa0)
+            assert fock._MEMO_PARAMS.key == params.key
+        kept = {key for key in fock._MEMO if key[0] in shared.values()}
+        assert kept > keys
+    assert len(shared) == 18
+    # den is 2, 3 and 4 at kappa0 3/2, 4/3 and 5/4, through chi0
+    assert mults == {1, 2, 3, 4}
 
 
 def test_a_zero_right_hand_side_adds_no_memo_entry(monkeypatch):
@@ -901,11 +996,11 @@ def test_use_of_another_parameter_set_empties_every_cache():
     params = RepParams(r=0, kappa0=QQ(3, 2))
     for s in [FockState.vacuum()] + seeded_states(5, 2):
         apply_combination(tau_realize(affine_bracket(("e1", 1), ("f1", -3)), params), s)
-    exempt = {"CREATES", "ANNIHILATES", "_SHIFT"}
+    exempt = {"CREATES", "ANNIHILATES", "_FAMILY_READ", "_SHIFT"}
     caches = {name: value for name, value in vars(fock).items()
               if isinstance(value, dict) and not name.startswith("__")
               and name not in exempt}
-    assert all(caches[name] for name in ("_MEMO", "_OPS", "_WALKS", "_PLANS"))
+    assert all(caches[name] for name in ("_MEMO", "_PARTS", "_OPS", "_WALKS", "_PLANS"))
     fock._use(RepParams(r=1, kappa0=2))
     assert not any(caches.values())
     assert all(vars(fock)[name] is value for name, value in caches.items())

@@ -506,6 +506,16 @@ def test_reports_do_not_depend_on_the_configs_run_before(monkeypatch):
     cold = emit_report(report("witt-rep", **witt), "json")
     report("affine-rep", r=1, kappa0=2, window=1, states="random:1:2", seed=7)
     assert emit_report(report("witt-rep", **witt), "json") == cold
+    # a predecessor at the same r leaves its oscillator images, which the
+    # next kappa0 reads at its own multipliers (den 2 at 3/2)
+    affine = dict(r=0, window=1, states="random:1:3", seed=7)
+    _fresh_fock_tables(monkeypatch)
+    cold = emit_report(report("affine-rep", kappa0=QQ(3, 2), **affine), "json")
+    _fresh_fock_tables(monkeypatch)
+    report("affine-rep", kappa0=2, **affine)
+    kept = len(fock._MEMO)
+    assert emit_report(report("affine-rep", kappa0=QQ(3, 2), **affine), "json") == cold
+    assert kept and fock._PARTS
 
 
 # fock's packing tables, and the caches that hold packed monomials, each
@@ -514,7 +524,7 @@ def test_reports_do_not_depend_on_the_configs_run_before(monkeypatch):
 _FRESH_TABLES = {
     "_SHIFT": dict, "_FIELD_VAR": list,
     "_READ_FIELDS": lambda: [mask & 1 for mask in fock._READ_FIELDS],
-    "_MEMO": dict, "_WALKS": dict, "_PLANS": dict, "_OPS": dict,
+    "_MEMO": dict, "_PARTS": dict, "_WALKS": dict, "_PLANS": dict, "_OPS": dict,
 }
 
 
@@ -578,22 +588,31 @@ def test_a_repeated_config_enumerates_no_sum(monkeypatch):
 
 def test_a_repeated_virasoro_config_walks_no_oscillator_sum_again(monkeypatch):
     # virasoro-rep runs its probes under B0 = 0, B1 = 0 after the main grid,
-    # so a re-run finds the memo holding the probes' set and starts it cold;
-    # only b and b1 act through kappa0, B0 and B1, so the walks of the
-    # other families, kept per gauge, are all found
+    # so a re-run finds the caches holding the probes' set; only b and b1
+    # act through kappa0, B0 and B1, so the walks of the other families and
+    # the images of the parts that read neither, kept per gauge, are all
+    # found, and only the parts over b or b1 miss
     for r in (0, 1):
         kw = dict(r=r, kappa0=1, window=2, states="random:3:3", seed=1)
         first = emit_report(report("virasoro-rep", **kw), "json")
         walk, walked = fock._walk, []
+        apply_mono, missed = ModeOp.apply_mono, []
 
         def counted(fams, *args):
             walked.append(fams)
             return walk(fams, *args)
 
+        def looked_up(part, mono):
+            if (part, mono) not in fock._MEMO:
+                missed.append(part.read)
+            return apply_mono(part, mono)
+
         monkeypatch.setattr(fock, "_walk", counted)
+        monkeypatch.setattr(ModeOp, "apply_mono", looked_up)
         assert emit_report(report("virasoro-rep", **kw), "json") == first
         monkeypatch.undo()
         assert walked and all({"b", "b1"} & set(fams) for fams in walked), r
+        assert missed and all(read & fock._CURRENT for read in missed), r
 
 
 def test_a_kept_operator_holds_the_parameter_set_the_caches_hold(monkeypatch):
