@@ -66,22 +66,23 @@ checked against the limit.
 
 A ModeOp keeps its term coefficients and sum weights multiplied by den,
 the lcm of their denominators, so they are ints, and _MEMO holds the
-images of den * op: the kernel and the memo multiply ints wherever kappa0,
-B0 and B1 allow, and only a combination's coefficients and a nonzero
-residual leaving commutator_apply are divided by den.  An operator applies
-part by part, a part holding its terms and sums of one read set: the
-fields of the codes their families create or annihilate through, and the
-auxiliary component for b1's zero mode, by masks that _shift keeps
-current.  _MEMO keys an image by the part and the part of the monomial it
-reads: a part creates, differentiates and meets the field limit only in
-fields it reads, so each term of the read part's image takes back the
-unread rest in one addition, and monomials differing only in unread
-fields share the entry and its sums' walks.  A part whose families
-exclude b and b1 has an image that depends on r and its weights alone:
-_PARTS keeps it by r and the weights given, with the den it was made at,
-and an operator of those weights whose den that one divides applies it at
-the int multiplier of their quotient, so the operators of one gauge at
-every kappa0, B0 and B1 share it and its entries.
+images of its parts at those ints: the kernel and the memo multiply ints
+wherever kappa0, B0 and B1 allow, and only a combination's coefficients
+and a nonzero residual leaving commutator_apply are divided by den.  An
+operator applies part by part at the parts' int multipliers, a part
+being a bare ModeOp, never the operator itself, that holds its terms and
+sums of one read set: the fields of the codes their families create or
+annihilate through, and the auxiliary component for b1's zero mode, by
+masks that _shift keeps current.  _MEMO keys an image by the part and the
+part of the monomial it reads: a part creates, differentiates and meets
+the field limit only in fields it reads, so each term of the read part's
+image takes back the unread rest in one addition, and monomials differing
+only in unread fields share the entry and its sums' walks.  A part whose
+families exclude b and b1 has an image that depends on r and its weights
+alone: _PARTS keeps it by r and the weights given, with the den it was
+made at, and an operator of those weights whose den that one divides
+applies it at the int multiplier of their quotient, so the operators of
+one gauge at every kappa0, B0 and B1 share it and its entries.
 
 One rule keeps the caches: _MEMO, _PARTS, _WALKS, _PLANS and _OPS, the
 operators built_once builders made, hold one parameter set.  _use(params)
@@ -516,7 +517,7 @@ def naive_sum_apply(sum_op, state, params, box):
 # ---------------------------------------------------------------------------
 
 _MEMO = {}              # (part, packed monomial) -> image
-_PARTS = {}             # (r, weights given) -> (part reading no b or b1, den)
+_PARTS = {}             # (r, weights given) -> part reading no b or b1
 _OPS = {}               # (build, args) -> the operator built_once kept
 _MEMO_PARAMS = None     # the RepParams of every cache, as _use keeps it
 
@@ -571,23 +572,23 @@ class ModeOp:
            weights given; terms and sums keep them multiplied by den, as ints
 
     apply takes and returns a FockState of tuple monomials; _apply and
-    apply_mono work on packed ones.  An operator keeps read, the read set
-    of its families (0 for the identity), and parts: its terms and sums
-    grouped by the read sets of their own families, in first-seen order,
-    each group a ModeOp of den 1 over the weights multiplied by den, applied
-    at the int multiplier kept beside it in mults (scaled pairs them for
-    _apply).  An operator of one group is its own only part, unless the
-    group reads no b or b1: such a part's image depends on r and its
-    weights alone, so _PARTS keeps it by r and the weights given, with the
-    den it was made at, and an operator of the same weights at that r, at
-    any kappa0, B0 and B1, whose den that one divides gets it back at the
-    multiplier of their quotient; any other makes its own.  A part is its
-    own key in _MEMO for its images on the parts of packed monomials it
-    reads.  ModeOp keeps identity equality: equal operators share entries
-    by sharing parts, through _PARTS or built_once.
+    apply_mono work on packed ones.  parts is ((part, mult), ...): the
+    operator's terms and sums grouped by the read sets of their own
+    families, in first-seen order, each group a part applied at the int
+    multiplier mult.  A part is a bare ModeOp with terms, sums, den and
+    read alone: den is that of the operator that made it, so that
+    part.den * mult == den, and read is the read set of its families.  A
+    part over b or b1 is its operator's own.  Any other has an image that
+    depends on r and its weights alone, so _PARTS keeps it by r and the
+    weights given, and an operator of the same weights at that r, at any
+    kappa0, B0 and B1, whose den the part's divides shares it at the
+    quotient; any other makes its own.  A part is its own key in _MEMO for
+    its images on the parts of packed monomials it reads, and an operator
+    is never one.  ModeOp keeps identity equality: equal operators share
+    entries by sharing parts, through _PARTS or built_once.
     """
 
-    __slots__ = ("terms", "sums", "params", "den", "read", "parts", "mults", "scaled")
+    __slots__ = ("terms", "sums", "params", "den", "read", "parts")
 
     def __init__(self, terms, sums, params):
         terms = [(qq(c), tuple(fs)) for c, fs in terms if c]
@@ -604,58 +605,38 @@ class ModeOp:
                          for s in sums)
         self.terms = tuple(terms)
         self.sums = sums
+        self.params = params
         used = [{f for f, _m in fs} for _c, fs in self.terms]
         used += [set(s[:2 if isinstance(s, QuadSum) else 3]) for s in sums]
         fams = set().union(*used)
         if not fams <= ANNIHILATES.keys():
             raise ValueError("unknown mode family %r" % min(fams - ANNIHILATES.keys()))
-        self.read = _read_set(fams)
-        self.params = params
         groups = {}
         for i, fs in enumerate(used):
             groups.setdefault(_read_set(fs), []).append(i)
-        if len(groups) < 2 and self.read & _CURRENT:
-            self.parts, self.mults = (self,), (1,)
-        else:
-            one, n, items = len(groups) < 2, len(terms), self.terms + sums
-            parts, mults = [], []
-            # the zero operator is one empty group, which reads nothing
-            for read, group in groups.items() or [(0, [])]:
-                key = None if read & _CURRENT else (params.r, tuple([given[i] for i in group]))
-                held = key and _PARTS.get(key)
-                if held and not den % held[1]:
-                    # made at a den that divides this one: shared at the quotient
-                    parts.append(held[0])
-                    mults.append(den // held[1])
-                    continue
-                part = self if one else ModeOp._part([items[i] for i in group if i < n],
-                                                     [items[i] for i in group if i >= n],
-                                                     params, read)
-                if key and not held:
-                    _PARTS[key] = (part, den)
-                parts.append(part)
-                mults.append(1)
-            self.parts, self.mults = tuple(parts), tuple(mults)
-        self.scaled = tuple(zip(self.parts, self.mults))
-
-    @classmethod
-    def _part(cls, terms, sums, params, read):
-        """The part of an operator's int terms and sums of one read set:
-        of den 1, and its own only part."""
-        part = object.__new__(cls)
-        part.terms, part.sums, part.params, part.den, part.read = (
-            tuple(terms), tuple(sums), params, 1, read)
-        part.parts, part.mults, part.scaled = (part,), (1,), ((part, 1),)
-        return part
+        n, items, parts = len(terms), self.terms + sums, []
+        for read, group in groups.items():
+            key = None if read & _CURRENT else (params.r, tuple([given[i] for i in group]))
+            part = key and _PARTS.get(key)
+            if not part or den % part.den:
+                # none kept, or made at a den that does not divide this one
+                part = object.__new__(ModeOp)
+                part.terms = tuple([items[i] for i in group if i < n])
+                part.sums = tuple([items[i] for i in group if i >= n])
+                part.read, part.den = read, den
+                if key:
+                    _PARTS.setdefault(key, part)
+            parts.append((part, den // part.den))
+        self.parts = tuple(parts)
 
     def apply_mono(self, mono):
-        """The image of a packed monomial under den * self,
-        ((packed monomial, coeff), ...), through _MEMO, made under the set
-        the caches hold: _apply has made it equal to its operator's, and a
-        part shared across sets reads r alone.  _apply calls it on each
-        part with the part of each monomial that the part reads, so
-        monomials differing only in fields a part does not read share its
-        entry."""
+        """The image of a packed monomial under the part self at the int
+        weights it keeps, ((packed monomial, coeff), ...), through _MEMO,
+        made under the set the caches hold: _apply has made it equal to
+        its operator's, and a part shared across sets reads r alone.
+        _apply calls it on each part with the part of each monomial that
+        the part reads, so monomials differing only in fields a part does
+        not read share its entry."""
         key = (self, mono)
         cached = _MEMO.get(key)
         if cached is None:
@@ -692,7 +673,7 @@ class ModeOp:
         if sign != 1:
             items = [(mono, -c) for mono, c in items]
         scaled, at = items, 1
-        for part, mult in self.scaled:
+        for part, mult in self.parts:
             # the coefficients at the multiplier, made once for a run of
             # parts at one multiplier
             if mult != at:

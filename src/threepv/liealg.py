@@ -19,7 +19,6 @@ the exact differences (all in the w1 coefficients of the mixed pairs).
 Only the Kassel route satisfies the Jacobi identity.
 """
 
-import functools
 import itertools
 
 from .kaehler import lambda_coeff, pairing
@@ -306,36 +305,23 @@ def check_jacobi(bracket, gens):
     return bad
 
 
-def _phi_on_vector(phi, x, vec):
-    out = 0
-    for w, c in vec.terms.items():
-        if w[0] in CENTRAL_FAMILIES:
-            continue
-        out += c * phi(x, w)
-    return out
-
-
-def check_cocycle_identity(phi, window):
-    """Violations of phi(x,[y,z]) + phi(y,[z,x]) + phi(z,[x,y]) = 0 over
-    the Witt basis with |modes| <= window (also checks phi antisymmetry).
-    Each bracket and each value of phi is computed once per check."""
-    bracket = functools.cache(witt_bracket)
-    phi_once = functools.cache(phi)
+def check_cocycle_identity(window):
+    """Violations of the 2-cocycle identities of phi1 and phi2 over the Witt
+    basis with |modes| <= window, read off vir_bracket: as the Witt bracket
+    is antisymmetric and satisfies Jacobi, the c1 and c2 coefficients of the
+    residuals of check_antisymmetry and check_jacobi on vir_bracket are
+    phi(x,y) + phi(y,x) and phi(x,[y,z]) + phi(y,[z,x]) + phi(z,[x,y]) for
+    phi1 and phi2.  Each violation is (("antisym", x, y) or ("jacobi", x, y,
+    z), central family, value)."""
     gens = [(k, m) for k in ("d", "d1") for m in range(-window, window + 1)]
     bad = []
-    for a in range(len(gens)):
-        for b in range(a, len(gens)):
-            s = phi_once(gens[a], gens[b]) + phi_once(gens[b], gens[a])
-            if s:
-                bad.append((("antisym", gens[a], gens[b]), s))
-    for x, y, z in itertools.combinations(gens, 3):
-        total = (
-            _phi_on_vector(phi_once, x, bracket(y, z))
-            + _phi_on_vector(phi_once, y, bracket(z, x))
-            + _phi_on_vector(phi_once, z, bracket(x, y))
-        )
-        if total:
-            bad.append((("jacobi", x, y, z), total))
+    for kind, found in (("antisym", check_antisymmetry(vir_bracket, gens)),
+                        ("jacobi", check_jacobi(vir_bracket, gens))):
+        for where, res in found:
+            for fam in ("c1", "c2"):
+                value = res.terms.get((fam, 0))
+                if value:
+                    bad.append(((kind,) + where, fam, value))
     return bad
 
 

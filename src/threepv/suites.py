@@ -363,15 +363,15 @@ def _suite_kassel_vs_table(cfg):
 
 
 def _suite_cocycle_identity(cfg):
-    for name, phi in (("phi1", phi1), ("phi2", phi2)):
-        bad = check_cocycle_identity(phi, cfg.window)
+    bad = check_cocycle_identity(cfg.window)
+    for name, fam in (("phi1", "c1"), ("phi2", "c2")):
         for label, kind in (("antisymmetry", "antisym"),
                             ("cocycle identity", "jacobi")):
-            hits = [b for b in bad if b[0][0] == kind]
+            hits = [b for b in bad if b[1] == fam and b[0][0] == kind]
             residual = None
             if hits:
                 residual = "%d violations; first %r -> %s" % (
-                    len(hits), hits[0][0], rat_str(hits[0][1]))
+                    len(hits), hits[0][0], rat_str(hits[0][2]))
             yield _check("%s %s, |modes| <= %d" % (name, label, cfg.window),
                          "0", "-", not hits, residual)
 

@@ -590,7 +590,10 @@ def test_mode_op_addition_and_scaling():
 
 
 def test_memoization_is_consistent(monkeypatch):
-    monkeypatch.setattr(fock, "_MEMO", {})
+    for name in ("_MEMO", "_PARTS", "_OPS", "_WALKS", "_PLANS"):
+        monkeypatch.setattr(fock, name, {})
+    # the caches hold P0's set, so the first apply clears no part built here
+    monkeypatch.setattr(fock, "_MEMO_PARAMS", P0)
     op = ModeOp(
         ((1, (("a", -1), ("a", 0))),),
         (QuadSum("a", "a*", 0, QQ(1), QQ(1)),),
@@ -601,7 +604,8 @@ def test_memoization_is_consistent(monkeypatch):
     st = seeded_states(606, 1)[0] + FockState({
         make_monomial({(X, -2): 1, (Y, -2): 1}): 2,
         make_monomial({(X, -2): 1}, 1): 3})
-    read = {fock._pack(mono) & fock._READ_FIELDS[op.read] for mono in st.terms}
+    ((part, _mult),) = op.parts
+    read = {fock._pack(mono) & fock._READ_FIELDS[part.read] for mono in st.terms}
     assert len(read) == 2 < len(st.terms)
     first = op.apply(st)
     assert not first.is_zero()
@@ -611,24 +615,26 @@ def test_memoization_is_consistent(monkeypatch):
     third = op.apply(st)  # recomputed
     assert first == third
     # op reads no b or b1, so an equal operator built apart, here at
-    # another kappa0, gets op back as its part and reads op's entries
+    # another kappa0, gets op's part back and reads its entries, which op
+    # itself never keys
     op2 = ModeOp(op.terms, op.sums, RepParams(r=0, kappa0=2))
-    assert op2 is not op and (op2.parts, op2.mults) == ((op,), (1,))
+    assert op2 is not op and op2.parts == op.parts == ((part, 1),)
     assert op2.apply(st) == first
-    assert set(fock._MEMO) == {(o, rel) for o in (op,) for rel in read}
-    # in the other gauge it is a part of its own
+    assert set(fock._MEMO) == {(part, rel) for rel in read}
+    # in the other gauge it makes a part of its own
     other = ModeOp(op.terms, op.sums, P1)
-    assert other.parts == (other,)
+    assert other.parts[0][0] is not part
     # an operator reading b acts through kappa0, B0 and B1: one built
     # apart is another key with entries of its own, with the same images,
     # and the builders keep one object per operator instead; over den 2
-    # both apply op at multiplier 2
+    # both apply op's part at multiplier 2
     given = op.terms + ((QQ(1, 2), (("b", -1),)),)
     opb, opb2 = ModeOp(given, op.sums, P0), ModeOp(given, op.sums, P0)
-    assert opb.parts[0] is opb2.parts[0] is op and opb.mults == (2, 1)
-    assert opb.parts[1] is not opb2.parts[1]
+    assert opb.parts[0] == opb2.parts[0] == (part, 2) and opb.parts[1][1] == 1
+    (b_part, _), (b_part2, _) = opb.parts[1], opb2.parts[1]
+    assert b_part is not b_part2
     assert opb.apply(st) == opb2.apply(st) == _brute_image(opb, st) != first
-    assert {base for base, _mono in fock._MEMO} == {op, opb.parts[1], opb2.parts[1]}
+    assert {base for base, _mono in fock._MEMO} == {part, b_part, b_part2}
 
 
 def _added(pairs, state):
@@ -675,17 +681,18 @@ def test_images_are_kept_per_read_part(r, monkeypatch):
         for s in states:
             assert op.apply(s) == _brute_image(op, s), (op.terms, op.sums, s)
         # one entry per part and read part, the unread variables and vpart
-        # dropped, and none for an operator of several parts
-        for part in op.parts:
+        # dropped, and none for the operator itself
+        for part, _mult in op.parts:
             mask = fock._READ_FIELDS[part.read]
             assert {mono for base, mono in fock._MEMO if base is part} == {
                 fock._pack(mono) & mask for mono in monos}
-        assert (op in {base for base, _ in fock._MEMO}) == (op.parts == (op,))
+        assert op not in {base for base, _ in fock._MEMO}
     # within one parameter set every part is made at its operator's den
-    assert {k for op in ops for k in op.mults} == {1}
+    assert {k for op in ops for _part, k in op.parts} == {1}
     # the identity reads nothing, and b1's zero mode reads vpart
-    assert _unit(params).read == 0
-    assert fock._READ_FIELDS[field_mode("no_beta1_sq", 1, params).read] & 1
+    assert [part.read for part, _k in _unit(params).parts] == [0]
+    assert any(fock._READ_FIELDS[part.read] & 1
+               for part, _k in field_mode("no_beta1_sq", 1, params).parts)
     # a read field past the limit still raises; an unread one is carried
     full = FockState({make_monomial({(X, -1): 255, (Y, -2): 255}): 1})
     with pytest.raises(OverflowError):
@@ -694,46 +701,60 @@ def test_images_are_kept_per_read_part(r, monkeypatch):
         tau_mode("f", -2, params), full)
 
 
-def test_e_and_e1_have_four_parts_by_read_set():
+def test_e_and_e1_have_four_parts_by_read_set(monkeypatch):
     """e and e1 split by the read sets of their pieces' families, and every
-    other operator of one read set has one part, itself or an equal one."""
+    other operator of one read set has one part.  A part is never its
+    operator, nor any operator a builder returns a _MEMO key; each part at
+    its multiplier is over its operator's den, and the parts' weights, each
+    times its multiplier, recompose the operator's terms and sums."""
     x, x1, y, y1 = (1 << code for code in (X, X1, Y, Y1))
     want = {"e": {x, x | x1, x | y, x1 | y1 | fock._AUX},
             "e1": {x1, x | x1, x | y1 | fock._AUX, x1 | y}}
+    for name in ("_MEMO", "_PARTS", "_OPS", "_WALKS", "_PLANS"):
+        monkeypatch.setattr(fock, name, {})
+    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
     dens = set()
+    states = [FockState.vacuum()] + seeded_states(41, 2)
     for params in (P0, RepParams(r=1, kappa0=QQ(3, 2))):
+        built = []
         for m in (-1, 0, 2):
             for g, reads in want.items():
                 op = tau_mode(g, m, params)
+                built.append(op)
                 dens.add(op.den)
-                assert len(op.parts) == 4 and {p.read for p in op.parts} == reads
-                # the parts at their multipliers split the operator's terms
-                # and sums, at its den
-                scaled = list(zip(op.parts, op.mults))
-                assert Counter((k * c, fs) for p, k in scaled for c, fs in p.terms) \
+                assert len(op.parts) == 4 and {p.read for p, _k in op.parts} == reads
+                # the parts at their multipliers recompose the operator's
+                # terms and sums, at its den
+                assert Counter((k * c, fs) for p, k in op.parts for c, fs in p.terms) \
                     == Counter(op.terms)
-                assert Counter(_scaled_sum(s, k) for p, k in scaled for s in p.sums) \
+                assert Counter(_scaled_sum(s, k) for p, k in op.parts for s in p.sums) \
                     == Counter(op.sums)
-                for part, mult in scaled:
-                    assert (part.parts, part.mults, part.den, mult) == ((part,), (1,), 1, 1)
-                    assert part.params.r == params.r
+                for part, mult in op.parts:
+                    # a bare part, made at its operator's den in this set
+                    assert not hasattr(part, "params") and not hasattr(part, "parts")
+                    assert part.den * mult == op.den and mult == 1
                     # a part over b or b1 is the operator's own; any other
                     # is kept by its gauge and weights
-                    if part.read & fock._CURRENT:
-                        assert part.params is params
-                    else:
-                        assert part in _held_parts()
+                    assert (part in _held_parts()) == (not part.read & fock._CURRENT)
             for op in (tau_mode("f", m, params), tau_mode("f1", m, params), _unit(params)):
-                (part,) = op.parts
-                assert (part.terms, part.sums, op.mults) == (op.terms, op.sums, (1,))
+                built.append(op)
+                ((part, mult),) = op.parts
+                assert (part.terms, part.sums, mult) == (op.terms, op.sums, 1)
+                assert part.den * mult == op.den
                 assert part in _held_parts()
+        for op in built:
+            for s in states:
+                op.apply(s)
+        keys = {base for base, _mono in fock._MEMO}
+        assert keys and not keys & set(built)
+        assert keys <= {part for op in built for part, _k in op.parts}
     # chi0 = 11/2 at r = 1, kappa0 = 3/2 puts e and e1 over den 2
     assert dens == {1, 2}
 
 
 def _held_parts():
     """The parts _PARTS holds."""
-    return {part for part, _den in fock._PARTS.values()}
+    return set(fock._PARTS.values())
 
 
 def _scaled_sum(s, k):
@@ -760,7 +781,7 @@ def test_memo_keys_are_parts_and_their_read_parts(params, monkeypatch):
         for s in states:
             op.apply(s)
     assert set(fock._MEMO) == {(part, mono & fock._READ_FIELDS[part.read])
-                               for op in ops for part in op.parts for mono in monos}
+                               for op in ops for part, _k in op.parts for mono in monos}
 
 
 def test_an_affine_run_walks_each_sum_once_per_read_part(monkeypatch):
@@ -838,7 +859,7 @@ def test_a_combination_applies_under_its_bases_parameter_set():
         # images alone
         assert fock._MEMO_PARAMS.key == P.key
         assert {base for base, _ in fock._MEMO} <= {
-            part for _c, b in op for part in b.parts}
+            part for _c, b in op for part, _k in b.parts}
         assert got == [_apply_by_parts(op, s, P) for s in states]
 
 
@@ -879,10 +900,11 @@ def test_memo_holds_one_parameter_set(monkeypatch):
     opP = tau_mode("e", 1, P)
     for s in states:
         opP.apply(s)
-    assert len(opP.parts) == 4 and {op for op, _ in memo} == set(opP.parts)
+    parts_P = [part for part, _k in opP.parts]
+    assert len(parts_P) == 4 and {op for op, _ in memo} == set(parts_P)
     assert list(ops.values()) == [opP]
     # b and b1 act through kappa0, B0 and B1, the oscillators through r alone
-    osc = [part for part in opP.parts if not part.read & fock._CURRENT]
+    osc = [part for part in parts_P if not part.read & fock._CURRENT]
     assert len(osc) == 2 and _held_parts() == set(osc)
     entries_P = {key: image for key, image in memo.items() if key[0] in osc}
     walks_P, plans_P = dict(walks), dict(plans)
@@ -897,11 +919,11 @@ def test_memo_holds_one_parameter_set(monkeypatch):
     assert fock._MEMO is memo and fock._WALKS is walks and fock._PLANS is plans
     assert fock._OPS is ops and list(ops.values()) == [opQ]
     assert fock._PARTS is parts
-    assert {op for op, _ in memo} == set(opQ.parts) | set(osc)
-    assert set(opQ.parts) & set(opP.parts) == {osc[1]}
-    assert opQ.mults[opQ.parts.index(osc[1])] == 2
+    parts_Q = [part for part, _k in opQ.parts]
+    assert {op for op, _ in memo} == set(parts_Q) | set(osc)
+    assert set(parts_Q) & set(parts_P) == {osc[1]} and (osc[1], 2) in opQ.parts
     assert all(memo[key] is image for key, image in entries_P.items())
-    assert {part for part in opQ.parts if not part.read & fock._CURRENT} < _held_parts()
+    assert {part for part in parts_Q if not part.read & fock._CURRENT} < _held_parts()
     # at the same r the oscillator walks and every plan are kept, and the
     # walks of b and b1 are made anew
     assert walks.keys() == walks_P.keys()
@@ -947,7 +969,7 @@ def test_oscillator_parts_are_shared_across_kappa0(r, monkeypatch):
         params = RepParams(r=r, kappa0=kappa0)
         ops = {(g, m): tau_mode(g, m, params) for g in free for m in (-1, 0, 1)}
         for (g, m), op in ops.items():
-            for part, mult in zip(op.parts, op.mults):
+            for part, mult in op.parts:
                 if part.read in free[g]:
                     assert shared.setdefault((g, m, part.read), part) is part, (g, m)
                 mults.add(mult)
@@ -968,14 +990,38 @@ def test_oscillator_parts_are_shared_across_kappa0(r, monkeypatch):
     assert mults == {1, 2, 3, 4}
 
 
+def test_a_part_made_at_a_den_another_operator_does_not_divide_is_kept(monkeypatch):
+    """At one r, e_1 at kappa0 3/2 (den 2) makes its {x, x1} part first.
+    e_1 at kappa0 1 (den 1) cannot apply it at an int multiplier, so it
+    makes its own, which _PARTS does not keep in its place; e_1 at kappa0
+    5/2 (den 2) then shares the den-2 part at multiplier 1.  Every image
+    equals the brute-force one."""
+    for name in ("_MEMO", "_PARTS", "_OPS", "_WALKS", "_PLANS"):
+        monkeypatch.setattr(fock, name, {})
+    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
+    states = [FockState.vacuum()] + seeded_states(17, 2)
+    ops, xx1 = [], []
+    for kappa0 in (QQ(3, 2), 1, QQ(5, 2)):
+        op = tau_mode("e", 1, RepParams(r=0, kappa0=kappa0))
+        ops.append(op)
+        xx1 += [(part, k) for part, k in op.parts if part.read == 1 << X | 1 << X1]
+        for s in states:
+            assert op.apply(s) == _brute_image(op, s), kappa0
+    assert [op.den for op in ops] == [2, 1, 2]
+    (first, _), (own, own_mult), shared = xx1
+    assert own is not first and (own.den, own_mult) == (1, 1)
+    assert first in _held_parts() and own not in _held_parts()
+    assert shared == (first, 1)
+
+
 def test_a_zero_right_hand_side_adds_no_memo_entry(monkeypatch):
     params = RepParams(r=0, kappa0=QQ(3, 2))
     zero = tau_realize(affine_bracket(("e", 1), ("e", 2)), params)
     assert zero == ()
     # the identity field away from its mode is a whole operator with
-    # nothing in it, which combine drops
+    # nothing in it and no part, which combine drops
     empty = field_mode("1", 0, params)
-    assert (empty.terms, empty.sums, empty.read) == ((), (), 0)
+    assert (empty.terms, empty.sums, empty.parts) == ((), (), ())
     assert empty.params.key == params.key
     assert combine(((2, empty),)) == ()
     A, B = tau_mode("e", 1, params), tau_mode("e", 2, params)

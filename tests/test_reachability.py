@@ -17,6 +17,11 @@ parameter exists only for the tests.  ALLOWED_DEFAULTS names the
 exceptions, as "function(parameter)", on the same terms.
 
 No module of src/threepv imports another module's _-prefixed name.
+
+Every name that perfbench/layertrace.py reads a per-layer metric from is a
+function or method defined in src/threepv, so that a rename fails here
+rather than leave a metric absent.  METRIC_EXCEPTIONS names the
+exceptions, on the same terms as ALLOWED.
 """
 
 import ast
@@ -30,6 +35,14 @@ ALLOWED = {
 }
 
 ALLOWED_DEFAULTS = {}
+
+# read by layertrace but defined nowhere in src/threepv; a trailing "*"
+# matches any rest of the name
+METRIC_EXCEPTIONS = {
+    "scalars.QQ.*": "the scalar backend type, gmpy2's mpq or fractions.Fraction",
+    "liealg.affine_bracket_kassel": "a closure that kassel_bracket returns, "
+                                    "which layertrace does not wrap (ROADMAP item 12)",
+}
 
 
 def _defined(stmt):
@@ -159,3 +172,58 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
     assert not unpassed, "parameters no program call passes: " + ", ".join(unpassed)
     stale = sorted(set(ALLOWED_DEFAULTS) - unset)
     assert not stale, "ALLOWED_DEFAULTS names a passed or undefined parameter: " + ", ".join(stale)
+
+
+def _metric_names():
+    """The "layer.qualname" names perfbench/layertrace.py reads a per-layer
+    metric from: the first argument of each calls.get and incl.get call,
+    "liealg." + b for each b in BRACKETS, and the names that _call_hook
+    compares name against."""
+    tree = ast.parse((ROOT / "perfbench" / "layertrace.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("calls", "incl")
+                and isinstance(node.args[0], ast.Constant)):
+            names.add(node.args[0].value)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "BRACKETS" for t in node.targets):
+            names |= {"liealg." + b for b in ast.literal_eval(node.value)}
+        elif isinstance(node, ast.FunctionDef) and node.name == "_call_hook":
+            names |= {c.value for cmp in ast.walk(node) if isinstance(cmp, ast.Compare)
+                      and isinstance(cmp.left, ast.Name) and cmp.left.id == "name"
+                      for c in cmp.comparators if isinstance(c, ast.Constant)}
+    return names
+
+
+def _functions_and_methods():
+    """"module.function" for each top-level function of src/threepv and
+    "module.Class.method" for each method of a top-level class."""
+    out = set()
+    for path in (ROOT / "src" / "threepv").glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef):
+                out.add("%s.%s" % (path.stem, stmt.name))
+            elif isinstance(stmt, ast.ClassDef):
+                out |= {"%s.%s.%s" % (path.stem, stmt.name, f.name)
+                        for f in stmt.body if isinstance(f, ast.FunctionDef)}
+    return out
+
+
+def test_every_name_behind_a_per_layer_metric_is_defined():
+    names = _metric_names()
+    # one name from each of the three places the names are read
+    assert {"liealg.check_cocycle_identity", "liealg.vir_bracket",
+            "suites.emit_report"} <= names
+    undefined = names - _functions_and_methods()
+
+    def excepted(name):
+        return {e for e in METRIC_EXCEPTIONS
+                if name == e or e.endswith("*") and name.startswith(e[:-1])}
+
+    missing = sorted(name for name in undefined if not excepted(name))
+    assert not missing, "layertrace reads metrics from undefined names: " + ", ".join(missing)
+    # an entry stays only while it covers a name read and not defined
+    stale = sorted(set(METRIC_EXCEPTIONS) - set().union(*map(excepted, undefined)))
+    assert not stale, "METRIC_EXCEPTIONS names a defined or unread name: " + ", ".join(stale)

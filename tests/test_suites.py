@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from combination import apply_combination
-from threepv import fock, suites
+from threepv import fock, liealg, suites
 from threepv.fock import FockState, ModeOp, RepParams, combine, seeded_states
 from threepv.scalars import QQ
 from threepv.suites import (
@@ -169,6 +169,26 @@ def test_cocycle_identity_passes():
     rep = report("cocycle-identity", window=3)
     assert rep.failed == 0
     assert len(rep.checks) == 4
+
+
+def test_cocycle_identity_reports_a_broken_phi1(monkeypatch):
+    """phi1 off by one at (d_1, d_-1) breaks its antisymmetry and its
+    cocycle identity, and phi2 = -2 phi1 on like-kind pairs with it; each
+    check names its count and first violation."""
+    phi1 = liealg.phi1
+    monkeypatch.setattr(liealg, "phi1", lambda i, j: phi1(i, j) + (
+        (i, j) == (("d", 1), ("d", -1))))
+    rep = report("cocycle-identity", window=2)
+    assert {c["lhs"]: (c["pass"], c["residual"]) for c in rep.checks} == {
+        "phi1 antisymmetry, |modes| <= 2": (
+            False, "1 violations; first ('antisym', ('d', -1), ('d', 1)) -> 1"),
+        "phi1 cocycle identity, |modes| <= 2": (
+            False, "4 violations; first ('jacobi', ('d', -2), ('d', 0), ('d', 1)) -> 2"),
+        "phi2 antisymmetry, |modes| <= 2": (
+            False, "1 violations; first ('antisym', ('d', -1), ('d', 1)) -> -2"),
+        "phi2 cocycle identity, |modes| <= 2": (
+            False, "4 violations; first ('jacobi', ('d', -2), ('d', 0), ('d', 1)) -> -4"),
+    }
 
 
 def test_coboundary_window_emits_certificates():
