@@ -84,21 +84,19 @@ made at, and an operator of those weights whose den that one divides
 applies it at the int multiplier of their quotient, so the operators of
 one gauge at every kappa0, B0 and B1 share it and its entries.
 
-One rule keeps the caches: _MEMO, _PARTS, _WALKS, _PLANS and _OPS, the
-operators built_once builders made, hold one parameter set.  _use(params)
-leaves them as they are when params equals the set they hold, so a
-repeated configuration gets its operators and their images back.  At a new
-set with the same r it drops exactly the entries whose families include b
-or b1, whose actions read kappa0, B0 and B1: their parts' memo entries and
-their walks (no part in _PARTS has them); at another r it clears them all,
-and at any change _OPS.  A shared part is applied under the set the caches
-hold, not the older one it was made with.
+Every cache entry is valid under any parameter set, keyed by what it
+reads: a part holds the set it applies under, its operator's, or RepParams(r)
+if it reads r alone, and _WALKS keys carry it; _OPS keys carry a builder's
+set, and _PARTS keys r.  A set is one object, so keys compare it by
+identity, and operators of several sets, such as virasoro-rep's grid and
+its probes, apply side by side.  Eviction only bounds memory: hold, called
+once per suite run, frees what other sets left (see there), so a repeated
+configuration gets its operators and their images back.
 
 A linear combination (combine) is a tuple of (coeff, op) pairs, each op a
 whole ModeOp, and adds through its operators' images; the empty one, the
 zero operator, adds nothing.  An ImageTable is no module cache: it belongs
-to its caller, and an image in it stays valid whatever _use clears, as
-each operator keeps its own parameter set.
+to its caller, and an image in it stays valid under any hold.
 """
 
 import functools
@@ -114,34 +112,40 @@ X, X1, Y, Y1 = 0, 1, 2, 3
 VACUUM_MONO = ((), 0)
 
 
+# parameter set key -> the one RepParams of that set
+_SETS = {}
+
+
 class RepParams:
     """Gauge r, central value kappa0, and the zero-mode data B0, B1: the one
     rule for their values.  r is 0 or 1, kappa0 is nonzero, and B1 is a 2x2
-    matrix of exact rationals with equal diagonal entries."""
+    matrix of exact rationals with equal diagonal entries.  An equal set is
+    the same object, kept in _SETS by its key, which is hashed once."""
 
     __slots__ = ("r", "kappa0", "B0", "B1", "key")
 
-    def __init__(self, r=0, kappa0=1, B0=1, B1=((1, 2), (3, 1))):
+    def __new__(cls, r=0, kappa0=1, B0=1, B1=((1, 2), (3, 1))):
         if r not in (0, 1):
             raise ValueError("r must be 0 or 1, got %r" % (r,))
-        self.r = int(r)
-        self.kappa0 = qq(kappa0)
-        if not self.kappa0:
+        kappa0 = qq(kappa0)
+        if not kappa0:
             raise ValueError("kappa0 must be nonzero")
-        self.B0 = qq(B0)
         (a, b), (c, d) = B1
-        self.B1 = ((qq(a), qq(b)), (qq(c), qq(d)))
-        if self.B1[0][0] != self.B1[1][1]:
+        B1 = ((qq(a), qq(b)), (qq(c), qq(d)))
+        if B1[0][0] != B1[1][1]:
             raise ValueError("B1 must have equal diagonal entries")
-        self.key = (self.r, self.kappa0, self.B0, self.B1)
+        key = (int(r), kappa0, qq(B0), B1)
+        self = _SETS.get(key)
+        if self is None:
+            self = _SETS[key] = object.__new__(cls)
+            self.r, self.kappa0, self.B0, self.B1 = self.key = key
+        return self
+
+    def __reduce__(self):  # a copy is the one object of its set
+        return RepParams, self.key
 
     def __repr__(self):
-        return "RepParams(r=%d, kappa0=%s, B0=%s, B1=%r)" % (
-            self.r,
-            self.kappa0,
-            self.B0,
-            self.B1,
-        )
+        return "RepParams(r=%d, kappa0=%s, B0=%s, B1=%r)" % self.key
 
 
 class FockState(Vec):
@@ -386,8 +390,7 @@ def _read_set(fams):
     return i
 
 
-# (fams, packed monomial) -> the branches of _walk, for the r of _MEMO's
-# parameter set, and for the set itself when fams include b or b1;
+# (fams, packed monomial, params) -> the branches of _walk under params;
 # (creators, highs) -> the record (creators, highs, {rest: plan}) that
 # branches share, parameter-free but cleared with the walks at another r.
 _WALKS = {}
@@ -440,14 +443,13 @@ def _apply_sum(fams, M, c0, c1, mono, params, acc):
     then fill the rest of M within their half-lines, slot 0 being the last
     of them when it creates, by the plan _plan makes once per (slots, rest).
     ModeOp.apply_mono passes a part's read part, which is what each of the
-    part's sums reads, so the walks are shared by every monomial that
-    differs from it only in unread fields.
+    part's sums reads, and its set, so the walks are shared by every
+    monomial that differs from it only in unread fields.
     """
-    if params is not _MEMO_PARAMS:  # say, a call from outside ModeOp._apply
-        _use(params)
-    branches = _WALKS.get((fams, mono))
+    key = (fams, mono, params)
+    branches = _WALKS.get(key)
     if branches is None:
-        branches = _WALKS[(fams, mono)] = _walk(fams, mono, params)
+        branches = _WALKS[key] = _walk(fams, mono, params)
     for terms, total, slots, top, p in branches:
         rest = M - total
         if rest > top:
@@ -519,19 +521,17 @@ def naive_sum_apply(sum_op, state, params, box):
 _MEMO = {}              # (part, packed monomial) -> image
 _PARTS = {}             # (r, weights given) -> part reading no b or b1
 _OPS = {}               # (build, args) -> the operator built_once kept
-_MEMO_PARAMS = None     # the RepParams of every cache, as _use keeps it
+_HELD = None            # the parameter set of the last hold
 
 
-def _use(params):
-    """Make params the parameter set of _MEMO, _PARTS, _WALKS, _PLANS and
-    _OPS.  Unless it equals the one they hold, clear _OPS, and drop what
-    reads the difference, in place: at the same r the memo entries and
-    walks whose families include b or b1, whose actions read kappa0, B0
-    and B1 (no part in _PARTS reads them), and at another r everything.
-    An equal set leaves them the object they already hold."""
-    global _MEMO_PARAMS
-    held = _MEMO_PARAMS
-    if held is None or params.key != held.key:
+def hold(params):
+    """Free what the caches keep for sets other than params, the set of a
+    suite run.  Unless it is the last hold's, clear _OPS and drop in place,
+    at the same r, the memo entries and walks whose families include b or
+    b1, whose actions read kappa0, B0 and B1, and at another r everything."""
+    global _HELD
+    held = _HELD
+    if params is not held:
         _OPS.clear()
         if held is None or params.r != held.r:
             _MEMO.clear()
@@ -543,21 +543,17 @@ def _use(params):
                 del _MEMO[key]
             for key in [key for key in _WALKS if "b" in key[0] or "b1" in key[0]]:
                 del _WALKS[key]
-        _MEMO_PARAMS = params
+        _HELD = params
 
 
 def built_once(build):
-    """build, with the operator it returns for (*args, params) kept in _OPS,
-    so each is built once per parameter set, and built with the set object
-    the caches hold, so that applying it never calls _use."""
+    """build, with the operator it returns for its arguments, a parameter
+    set last, kept in _OPS until a hold of another set frees it."""
     @functools.wraps(build)
     def builder(*args):
-        if args[-1] is not _MEMO_PARAMS:
-            _use(args[-1])
-        key = (build,) + args[:-1]
-        op = _OPS.get(key)
+        op = _OPS.get((build, args))
         if op is None:
-            op = _OPS[key] = build(*args[:-1], _MEMO_PARAMS)
+            op = _OPS[build, args] = build(*args)
         return op
     return builder
 
@@ -575,17 +571,18 @@ class ModeOp:
     apply_mono work on packed ones.  parts is ((part, mult), ...): the
     operator's terms and sums grouped by the read sets of their own
     families, in first-seen order, each group a part applied at the int
-    multiplier mult.  A part is a bare ModeOp with terms, sums, den and
-    read alone: den is that of the operator that made it, so that
+    multiplier mult.  A part is a bare ModeOp with terms, sums, den,
+    read and params alone: den is that of the operator that made it, so that
     part.den * mult == den, and read is the read set of its families.  A
-    part over b or b1 is its operator's own.  Any other has an image that
-    depends on r and its weights alone, so _PARTS keeps it by r and the
-    weights given, and an operator of the same weights at that r, at any
-    kappa0, B0 and B1, whose den the part's divides shares it at the
-    quotient; any other makes its own.  A part is its own key in _MEMO for
-    its images on the parts of packed monomials it reads, and an operator
-    is never one.  ModeOp keeps identity equality: equal operators share
-    entries by sharing parts, through _PARTS or built_once.
+    part over b or b1 is its operator's own, with its params.  Any other
+    has an image that depends on r and its weights alone, so it holds
+    RepParams(r), _PARTS keeps it by r and the weights given, and an
+    operator of the same weights at that r, at any kappa0, B0 and B1, whose
+    den the part's divides shares it at the quotient; any other makes its
+    own.  A part is its own key in _MEMO for its images on the parts of
+    packed monomials it reads, and an operator is never one.  ModeOp keeps
+    identity equality: equal operators share entries by sharing parts,
+    through _PARTS or built_once.
     """
 
     __slots__ = ("terms", "sums", "params", "den", "read", "parts")
@@ -624,6 +621,7 @@ class ModeOp:
                 part.terms = tuple([items[i] for i in group if i < n])
                 part.sums = tuple([items[i] for i in group if i >= n])
                 part.read, part.den = read, den
+                part.params = RepParams(params.r) if key else params
                 if key:
                     _PARTS.setdefault(key, part)
             parts.append((part, den // part.den))
@@ -632,15 +630,13 @@ class ModeOp:
     def apply_mono(self, mono):
         """The image of a packed monomial under the part self at the int
         weights it keeps, ((packed monomial, coeff), ...), through _MEMO,
-        made under the set the caches hold: _apply has made it equal to
-        its operator's, and a part shared across sets reads r alone.
-        _apply calls it on each part with the part of each monomial that
-        the part reads, so monomials differing only in fields a part does
-        not read share its entry."""
+        made under the set the part holds.  _apply calls it on each part
+        with the part of each monomial that the part reads, so monomials
+        differing only in fields a part does not read share its entry."""
         key = (self, mono)
         cached = _MEMO.get(key)
         if cached is None:
-            params = _MEMO_PARAMS
+            params = self.params
             acc = {}
             for coeff, factors in self.terms:
                 for mo, c in apply_product(factors, mono, params):
@@ -667,8 +663,6 @@ class ModeOp:
         den * self into out; return out.  Part by part, each monomial is
         looked up by what the part reads, each coefficient taken at the
         part's multiplier, and each image term takes back the rest."""
-        if self.params is not _MEMO_PARAMS:
-            _use(self.params)
         items = packed_terms.items()
         if sign != 1:
             items = [(mono, -c) for mono, c in items]

@@ -103,8 +103,9 @@ def vir_bracket(i, j):
     if i[0] in CENTRAL_FAMILIES or j[0] in CENTRAL_FAMILIES:
         return Vec()
     out = witt_bracket(i, j)
-    out.add_term(("c1", 0), phi1(i, j))
-    out.add_term(("c2", 0), phi2(i, j))
+    c1 = phi1(i, j)
+    out.add_term(("c1", 0), c1)
+    out.add_term(("c2", 0), -2 * c1 if i[0] == j[0] else 0)  # = phi2(i, j)
     return out
 
 

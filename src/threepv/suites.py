@@ -43,7 +43,7 @@ from .liealg import (
 )
 from .density import density_module_check
 from .fock import (FockState, ImageTable, RepParams, combine, commutator_apply,
-                   seeded_states)
+                   hold, seeded_states)
 from .realization import (
     AFFINE_GENERATORS,
     VirParams,
@@ -578,5 +578,6 @@ def run_suite(cfg):
     builder = _SUITES.get(cfg.suite)
     if builder is None:
         raise ValueError("unknown suite: %s" % (cfg.suite,))
+    hold(cfg.params)
     checks = sorted(builder(cfg), key=lambda c: (c["lhs"], c["rhs"], c["state"]))
     return CheckReport(cfg.suite, cfg.params_dict(), checks)

@@ -322,7 +322,7 @@ def test_unboundable_sum_raises():
         for M in (0, 0, 3):
             with pytest.raises(AssertionError):
                 ModeOp((), (QuadSum(*fams, M, QQ(1), QQ(0)),), P1).apply(st)
-            assert (fams, vac) in fock._WALKS
+            assert (fams, vac, P1) in fock._WALKS
 
 
 def test_creation_plans_cross_bit_7_and_stop_at_the_field_limit():
@@ -460,6 +460,7 @@ def test_every_realization_sum_matches_naive(params):
 def test_walks_are_shared_across_total_modes_and_weights(params, monkeypatch):
     walks = {}
     monkeypatch.setattr(fock, "_WALKS", walks)
+    monkeypatch.setattr(fock, "_MEMO", {})
     st = FockState({make_monomial({(X, 2): 1, (X1, 2): 1, (X, -1): 1,
                                    (Y, -2): 1}, 1): 1})
     mono = fock._pack(next(iter(st.terms)))
@@ -474,7 +475,7 @@ def test_walks_are_shared_across_total_modes_and_weights(params, monkeypatch):
                 sum_op = CubicSum(*fams, M, c0)
             _assert_sum_matches_naive(sum_op, [st], params)
             # the first M makes the walk, and every other one reuses it
-            key = (fams, mono & fock._READ_FIELDS[fock._read_set(fams)])
+            key = (fams, mono & fock._READ_FIELDS[fock._read_set(fams)], params)
             if walked is None:
                 walked = walks[key]
             assert walks[key] is walked, (fams, M)
@@ -556,19 +557,19 @@ def test_the_unit_by_unit_creation_keeps_the_unread_variables():
 def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
     """ModeOp.apply_mono looks up apply_quad_sum / apply_cubic_sum in the
     module and passes them exactly (sum, monomial, params, acc), params
-    being the set the caches hold."""
+    being the set the part holds: over oscillators alone, its gauge's."""
     st = FockState({make_monomial({(X, 1): 2, (X, -1): 1}): 1})
     for name, sum_op in (("apply_quad_sum", QuadSum("a", "a*", 0, 1, 0)),
                          ("apply_cubic_sum", CubicSum("a", "a*", "a*", 0, 1))):
         calls = []
+        op = ModeOp((), (sum_op,), RepParams(kappa0=3))
         monkeypatch.setattr(fock, "_MEMO", {})
-        monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
-        assert not ModeOp((), (sum_op,), P0).apply(st).is_zero()
+        assert not op.apply(st).is_zero()
         monkeypatch.setattr(fock, "_MEMO", {})
         monkeypatch.setattr(
             fock, name,
             lambda s, mono, params, acc: calls.append((s, mono, params)))
-        assert ModeOp((), (sum_op,), P0).apply(st).is_zero()
+        assert op.apply(st).is_zero()
         monkeypatch.undo()
         assert calls == [(sum_op, fock._pack(next(iter(st.terms))), P0)], name
 
@@ -589,11 +590,8 @@ def test_mode_op_addition_and_scaling():
     }
 
 
-def test_memoization_is_consistent(monkeypatch):
-    for name in ("_MEMO", "_PARTS", "_OPS", "_WALKS", "_PLANS"):
-        monkeypatch.setattr(fock, name, {})
-    # the caches hold P0's set, so the first apply clears no part built here
-    monkeypatch.setattr(fock, "_MEMO_PARAMS", P0)
+def test_memoization_is_consistent():
+    # whatever the caches hold: no apply frees an entry
     op = ModeOp(
         ((1, (("a", -1), ("a", 0))),),
         (QuadSum("a", "a*", 0, QQ(1), QQ(1)),),
@@ -610,17 +608,16 @@ def test_memoization_is_consistent(monkeypatch):
     first = op.apply(st)
     assert not first.is_zero()
     second = op.apply(st)  # memo hit
-    assert first == second
-    monkeypatch.setattr(fock, "_MEMO", {})
-    third = op.apply(st)  # recomputed
-    assert first == third
+    assert first == second == _brute_image(op, st)
     # op reads no b or b1, so an equal operator built apart, here at
     # another kappa0, gets op's part back and reads its entries, which op
     # itself never keys
     op2 = ModeOp(op.terms, op.sums, RepParams(r=0, kappa0=2))
     assert op2 is not op and op2.parts == op.parts == ((part, 1),)
-    assert op2.apply(st) == first
-    assert set(fock._MEMO) == {(part, rel) for rel in read}
+    entries = len(fock._MEMO)
+    assert op2.apply(st) == first and len(fock._MEMO) == entries
+    assert {(part, rel) for rel in read} <= set(fock._MEMO)
+    assert op not in {base for base, _mono in fock._MEMO}
     # in the other gauge it makes a part of its own
     other = ModeOp(op.terms, op.sums, P1)
     assert other.parts[0][0] is not part
@@ -634,7 +631,7 @@ def test_memoization_is_consistent(monkeypatch):
     (b_part, _), (b_part2, _) = opb.parts[1], opb2.parts[1]
     assert b_part is not b_part2
     assert opb.apply(st) == opb2.apply(st) == _brute_image(opb, st) != first
-    assert {base for base, _mono in fock._MEMO} == {part, b_part, b_part2}
+    assert {part, b_part, b_part2} <= {base for base, _mono in fock._MEMO}
 
 
 def _added(pairs, state):
@@ -663,6 +660,9 @@ def test_images_are_kept_per_read_part(r, monkeypatch):
     monomials in both auxiliary components, with an unread variable at
     exponent 200, apply equals the brute-force image of the whole monomial."""
     params = RepParams(r=r, kappa0=QQ(3, 2))
+    # no part kept from another kappa0 of this gauge
+    for name in ("_MEMO", "_PARTS", "_OPS"):
+        monkeypatch.setattr(fock, name, {})
     ops = [_unit(params)]
     for m in (-1, 0, 1):
         ops += [tau_mode(g, m, params) for g in ("e", "e1", "h", "h1", "f", "f1")]
@@ -674,7 +674,6 @@ def test_images_are_kept_per_read_part(r, monkeypatch):
         {(X, -1): 1, (X1, 1): 1, (Y1, -1): 1, (Y, -3): 200},
         {(X1, -2): 200, (Y1, -1): 1, (Y, -1): 1},
         {(X, 2): 200, (Y1, -2): 1})]
-    monkeypatch.setattr(fock, "_MEMO", {})
     for op in ops:
         states = [FockState({mono: 1}) for mono in monos] + [
             FockState({mono: i + 1 for i, mono in enumerate(monos)})]
@@ -712,11 +711,9 @@ def test_e_and_e1_have_four_parts_by_read_set(monkeypatch):
             "e1": {x1, x | x1, x | y1 | fock._AUX, x1 | y}}
     for name in ("_MEMO", "_PARTS", "_OPS", "_WALKS", "_PLANS"):
         monkeypatch.setattr(fock, name, {})
-    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
-    dens = set()
+    dens, built = set(), []
     states = [FockState.vacuum()] + seeded_states(41, 2)
     for params in (P0, RepParams(r=1, kappa0=QQ(3, 2))):
-        built = []
         for m in (-1, 0, 2):
             for g, reads in want.items():
                 op = tau_mode(g, m, params)
@@ -731,11 +728,14 @@ def test_e_and_e1_have_four_parts_by_read_set(monkeypatch):
                     == Counter(op.sums)
                 for part, mult in op.parts:
                     # a bare part, made at its operator's den in this set
-                    assert not hasattr(part, "params") and not hasattr(part, "parts")
+                    assert not hasattr(part, "parts")
                     assert part.den * mult == op.den and mult == 1
-                    # a part over b or b1 is the operator's own; any other
-                    # is kept by its gauge and weights
-                    assert (part in _held_parts()) == (not part.read & fock._CURRENT)
+                    # a part over b or b1 is the operator's own, under its
+                    # set; any other is kept by its gauge and weights, and
+                    # applies under its gauge's set
+                    osc = not part.read & fock._CURRENT
+                    assert (part in _held_parts()) == osc
+                    assert part.params is (RepParams(r=params.r) if osc else params)
             for op in (tau_mode("f", m, params), tau_mode("f1", m, params), _unit(params)):
                 built.append(op)
                 ((part, mult),) = op.parts
@@ -792,7 +792,6 @@ def test_an_affine_run_walks_each_sum_once_per_read_part(monkeypatch):
     they make at most 55% of that."""
     for name in ("_MEMO", "_OPS", "_WALKS", "_PLANS"):
         monkeypatch.setattr(fock, name, {})
-    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
     calls = Counter()
     for name in ("apply_quad_sum", "apply_cubic_sum"):
         def counted(*args, _fn=getattr(fock, name), _name=name):
@@ -852,15 +851,12 @@ def test_a_combination_applies_under_its_bases_parameter_set():
     assert all(len(op) > 1 for op in combos)
     states = [FockState.vacuum()] + seeded_states(5, 2)
     for op in combos:
+        # an operator of another set applied in between changes nothing
         tau_mode("e", 0, Q).apply(states[1])
-        assert fock._MEMO_PARAMS is Q
         got = [_added(op, s) for s in states]
-        # the caches moved back to P's set, and hold the operators' parts'
-        # images alone
-        assert fock._MEMO_PARAMS.key == P.key
-        assert {base for base, _ in fock._MEMO} <= {
-            part for _c, b in op for part, _k in b.parts}
         assert got == [_apply_by_parts(op, s, P) for s in states]
+        # each part over b or b1 applies under P, any other under P's gauge
+        assert {part.params for _c, b in op for part, _k in b.parts} <= {P, P0}
 
 
 def test_right_hand_sides_reuse_their_generators_memo_entries(monkeypatch):
@@ -884,19 +880,20 @@ def test_right_hand_sides_reuse_their_generators_memo_entries(monkeypatch):
     assert got == [_apply_by_parts(rhs, s, params) for rhs in rhss for s in states]
 
 
-def test_memo_holds_one_parameter_set(monkeypatch):
+def test_hold_frees_what_another_parameter_set_left(monkeypatch):
     memo, parts, ops, walks, plans = {}, {}, {}, {}, {}
     monkeypatch.setattr(fock, "_MEMO", memo)
     monkeypatch.setattr(fock, "_PARTS", parts)
     monkeypatch.setattr(fock, "_OPS", ops)
     monkeypatch.setattr(fock, "_WALKS", walks)
     monkeypatch.setattr(fock, "_PLANS", plans)
-    # and the set they belong to, so the caches put back match it
-    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
+    # and the set of the last hold, so the caches put back match it
+    monkeypatch.setattr(fock, "_HELD", None)
     # P at den 1 first, so Q at den 2 shares P's parts at multiplier 2
     P, Q = RepParams(r=0, kappa0=2), RepParams(r=0, kappa0=QQ(3, 2))
     states = [FockState.vacuum()] + seeded_states(17, 2)
     # at mode 1 chi0 weighs e's {x} part, so P and Q share only {x, x1}
+    fock.hold(P)
     opP = tau_mode("e", 1, P)
     for s in states:
         opP.apply(s)
@@ -911,6 +908,10 @@ def test_memo_holds_one_parameter_set(monkeypatch):
     assert any(slots[2] for slots in plans_P.values())
     osc_walks = {key for key in walks_P if not {"b", "b1"} & set(key[0])}
     assert osc_walks and osc_walks != walks_P.keys()
+    # the oscillator walks carry the gauge's set, the others P
+    assert {key[2] for key in osc_walks} == {P0}
+    assert {key[2] for key in walks_P.keys() - osc_walks} == {P}
+    fock.hold(Q)
     opQ = tau_mode("e", 1, Q)
     for s in states:
         opQ.apply(s)
@@ -924,29 +925,31 @@ def test_memo_holds_one_parameter_set(monkeypatch):
     assert set(parts_Q) & set(parts_P) == {osc[1]} and (osc[1], 2) in opQ.parts
     assert all(memo[key] is image for key, image in entries_P.items())
     assert {part for part in parts_Q if not part.read & fock._CURRENT} < _held_parts()
-    # at the same r the oscillator walks and every plan are kept, and the
-    # walks of b and b1 are made anew
-    assert walks.keys() == walks_P.keys()
-    assert all((walks[key] is walk) == (key in osc_walks) for key, walk in walks_P.items())
+    # at the same r the oscillator walks and every plan are kept, the walks
+    # of b and b1 under P dropped, and Q's made anew
+    assert all(walks[key] is walks_P[key] for key in osc_walks)
+    assert {key[2] for key in walks.keys() - osc_walks} == {Q}
     assert all(plans[key] is plan for key, plan in plans_P.items())
     # the walks reach plans through _PLANS alone
     reached = {id(branch[2]) for w in walks.values() for branch in w}
     assert reached <= {id(p) for p in plans.values()}
-    # equal parameters in a new object keep them, and get Q's operator back
+    # an equal parameter set is the same object: a hold of it keeps
+    # everything, and the builder gives Q's operator back
     entries, walked, planned, interned = dict(memo), dict(walks), dict(plans), dict(parts)
+    assert RepParams(r=0, kappa0=QQ(3, 2)) is Q
+    fock.hold(RepParams(r=0, kappa0=QQ(3, 2)))
     assert tau_mode("e", 1, RepParams(r=0, kappa0=QQ(3, 2))) is opQ
     opQ.apply(states[1])
     assert memo == entries and walks == walked and plans == planned and parts == interned
     assert all(plans[k] is planned[k] for k in plans)
-    # another r clears every cache, so the two gauges never share parts
-    # or walks, though their keys are the same
-    fock._use(P1)
+    # a hold at another r clears every cache
+    fock.hold(P1)
     assert not (memo or parts or ops or walks or plans)
+    # without a hold the two gauges walk side by side, under keys of their own
     sum_op = QuadSum("a", "a*", 1, 1, 1)
     for params in (P0, P1, P0):
-        before = list(walks.values())
         _assert_sum_matches_naive(sum_op, states, params)
-        assert walks and not {id(w) for w in before} & {id(w) for w in walks.values()}
+    assert {key[2] for key in walks} == {P0, P1}
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -957,7 +960,6 @@ def test_oscillator_parts_are_shared_across_kappa0(r, monkeypatch):
     the brute-force ones at the new kappa0."""
     for name in ("_MEMO", "_PARTS", "_OPS", "_WALKS", "_PLANS"):
         monkeypatch.setattr(fock, name, {})
-    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
     x, x1 = 1 << X, 1 << X1
     # e's {x} and e1's {x1} parts carry chi0, which reads kappa0
     free = {"e": {x | x1}, "e1": {x | x1}, "h": {x, x1}, "f": {x}, "f1": {x1}}
@@ -978,11 +980,11 @@ def test_oscillator_parts_are_shared_across_kappa0(r, monkeypatch):
         # the shared parts kept their entries and made no new one
         keys = {key for key in fock._MEMO if key[0] in shared.values()}
         assert kept is None or keys == kept
-        # on a new monomial they miss, and walk under the caches' set
+        # on a new monomial they miss, and walk under their gauge's set
         new = FockState({make_monomial({(X, -2): 1, (X1, i - 2): 1}): 1})
         for (g, m), op in ops.items():
             assert op.apply(new) == _brute_image(op, new), (g, m, kappa0)
-            assert fock._MEMO_PARAMS.key == params.key
+        assert {part.params for part in shared.values()} == {RepParams(r=r)}
         kept = {key for key in fock._MEMO if key[0] in shared.values()}
         assert kept > keys
     assert len(shared) == 18
@@ -998,7 +1000,6 @@ def test_a_part_made_at_a_den_another_operator_does_not_divide_is_kept(monkeypat
     equals the brute-force one."""
     for name in ("_MEMO", "_PARTS", "_OPS", "_WALKS", "_PLANS"):
         monkeypatch.setattr(fock, name, {})
-    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
     states = [FockState.vacuum()] + seeded_states(17, 2)
     ops, xx1 = [], []
     for kappa0 in (QQ(3, 2), 1, QQ(5, 2)):
@@ -1012,6 +1013,43 @@ def test_a_part_made_at_a_den_another_operator_does_not_divide_is_kept(monkeypat
     assert own is not first and (own.den, own_mult) == (1, 1)
     assert first in _held_parts() and own not in _held_parts()
     assert shared == (first, 1)
+
+
+def test_an_operator_applies_under_its_own_set_whatever_ran_since():
+    """A stale-entry guard.  Operators reading b are built and applied at P,
+    then operators of the same shapes at a set of the same r with other
+    kappa0 and B0, and at a set of the other r, with no hold between.
+    Applied again, the first operators equal the brute force at P, and so
+    does a new operator at P of each of their sums alone, which walks
+    again.  A cache key that lets an entry, a walk or a built operator
+    made under one set be read under another fails here."""
+    P = RepParams(r=0, kappa0=QQ(3, 2), B0=2)
+    same_r = RepParams(r=0, kappa0=QQ(-5, 3), B0=-1)
+    other_r = RepParams(r=1, kappa0=QQ(3, 2), B0=2)
+    terms = ((QQ(1, 2), (("b", 0), ("a*", 1))), (1, (("b1", 0),)))
+    sums = (QuadSum("b", "b", 1, QQ(1, 2), 1), QuadSum("b", "b1", -1, 1, 0),
+            QuadSum("b1", "b1", 0, 2, -1), QuadSum("a", "a*", 1, 1, 1),
+            CubicSum("b", "a*", "a*", 0, 3))
+    states = [FockState.vacuum()] + seeded_states(61, 3)
+
+    def applied(params):
+        ops = [ModeOp(terms, sums, params), tau_mode("e", 1, params)]
+        for op in ops:
+            assert op.params is params
+            for s in states:
+                assert op.apply(s) == _brute_image(op, s), params
+        return ops
+
+    first = applied(P)
+    applied(same_r)
+    applied(other_r)
+    for op in first:
+        for s in states:
+            assert op.apply(s) == _brute_image(op, s)
+    for sum_op in sums:
+        for s in states:
+            assert ModeOp((), (sum_op,), P).apply(s) == naive_sum_apply(
+                sum_op, s, P, _box(sum_op, s)), sum_op
 
 
 def test_a_zero_right_hand_side_adds_no_memo_entry(monkeypatch):
@@ -1034,20 +1072,21 @@ def test_a_zero_right_hand_side_adds_no_memo_entry(monkeypatch):
         assert commutator_apply(A, B, s, zero) == commutator_apply(A, B, s)
 
 
-def test_use_of_another_parameter_set_empties_every_cache():
-    """A guard for new caches: every module-level dict of fock lives for one
-    parameter set, but for the constant family tables and the packing's
-    intern table _SHIFT, which is parameter-free and lives for the
-    process."""
+def test_a_hold_at_another_r_empties_every_cache():
+    """A guard for new caches: a hold at another r empties every
+    module-level dict of fock, but for the constant family tables, the
+    packing's intern table _SHIFT, which is parameter-free, and _SETS, the
+    one object of each parameter set, which both live for the process."""
     params = RepParams(r=0, kappa0=QQ(3, 2))
+    fock.hold(params)
     for s in [FockState.vacuum()] + seeded_states(5, 2):
         apply_combination(tau_realize(affine_bracket(("e1", 1), ("f1", -3)), params), s)
-    exempt = {"CREATES", "ANNIHILATES", "_FAMILY_READ", "_SHIFT"}
+    exempt = {"CREATES", "ANNIHILATES", "_FAMILY_READ", "_SHIFT", "_SETS"}
     caches = {name: value for name, value in vars(fock).items()
               if isinstance(value, dict) and not name.startswith("__")
               and name not in exempt}
     assert all(caches[name] for name in ("_MEMO", "_PARTS", "_OPS", "_WALKS", "_PLANS"))
-    fock._use(RepParams(r=1, kappa0=2))
+    fock.hold(RepParams(r=1, kappa0=2))
     assert not any(caches.values())
     assert all(vars(fock)[name] is value for name, value in caches.items())
 
@@ -1174,17 +1213,12 @@ def test_the_kernel_stays_in_ints(kappa0, monkeypatch):
     and chi0 are not integers."""
     monkeypatch.setattr(fock, "_MEMO", {})
     seen = []
-    use = fock._use
-
-    def recording(params):
-        seen.extend(c for image in fock._MEMO.values() for _mo, c in image)
-        use(params)
-    monkeypatch.setattr(fock, "_use", recording)
     for suite in ("virasoro-rep", "affine-rep"):
         for r in (0, 1):
             suites.run_suite(suites.SuiteConfig(
                 suite, window=1, states="random:1:3", seed=8, r=r, kappa0=kappa0))
-    recording(RepParams(kappa0=7))
+            # before the next run's hold drops any of them
+            seen.extend(c for image in fock._MEMO.values() for _mo, c in image)
     assert seen and all(type(c) is int for c in seen)
     params = RepParams(kappa0=kappa0)
     assert pi_vir_mode("D", 0, params).den == (12 if kappa0 == 3 else 6)

@@ -130,6 +130,12 @@ def test_cocycle_identity_window_6():
     # phi1 and phi2 are the c1 and c2 coefficients of vir_bracket, through
     # which the check reads them
     assert vir_bracket(("d", 1), ("d", -1)).terms.keys() >= {("c1", 0), ("c2", 0)}
+    gens = [(kind, m) for kind in ("d", "d1") for m in range(-4, 5)]
+    for x in gens:
+        for y in gens:
+            terms = vir_bracket(x, y).terms
+            assert (terms.get(("c1", 0), 0), terms.get(("c2", 0), 0)) == (
+                phi1(x, y), phi2(x, y)), (x, y)
     assert check_cocycle_identity(6) == []
 
 

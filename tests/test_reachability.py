@@ -116,9 +116,10 @@ def test_every_method_is_reached_outside_the_tests():
 
 def _defaults(node, cls=None):
     """(callee name, parameter, index) for each parameter with a default of
-    each function under node.  The callee name of __init__ is its class's,
-    and index is the parameter's place among a call's positional arguments
-    (self or cls not counted), or None for a keyword-only one."""
+    each function under node.  The callee name of __init__ or __new__ is
+    its class's, and index is the parameter's place among a call's
+    positional arguments (self or cls not counted), or None for a
+    keyword-only one."""
     out = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
@@ -131,7 +132,8 @@ def _defaults(node, cls=None):
                          for d in child.decorator_list)
             if cls is not None and not static:
                 args = args[1:]
-            name = cls.name if cls is not None and child.name == "__init__" else child.name
+            constructor = child.name in ("__init__", "__new__")
+            name = cls.name if cls is not None and constructor else child.name
             out += [(name, arg.arg, args.index(arg)) for arg in defaulted]
             out += [(name, arg.arg, None)
                     for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]

@@ -104,16 +104,21 @@ def test_builders_return_one_operator_per_parameter_set():
         lambda p: field_mode("no_beta1_sq", 1, p),
         lambda p: pi_vir_mode("D1", 0, p, VirParams(nu=1, gamma1=2, gammaP=3)),
     )
+    fock.hold(params)
     for build in builds:
         op = build(params)
         assert build(params) is op
-        # an equal parameter set in another object gets the same operator
-        assert build(other) is op
+        # an equal parameter set is the same object, and gets the same operator
+        assert other is params and build(other) is op
     assert tau_mode("e1", 1, params) is not tau_mode("e1", 2, params)
     assert tau_mode("e1", 2, params) is not tau_mode("f1", 2, params)
-    # another parameter set frees them: back at the first, each is rebuilt
+    # another parameter set gets an operator of its own, and frees none
     op = tau_mode("e1", 2, params)
-    assert tau_mode("e1", 2, RepParams(r=1, kappa0=QQ(3, 2))) is not op
+    other_r = RepParams(r=1, kappa0=QQ(3, 2))
+    assert tau_mode("e1", 2, other_r) is not op
+    assert tau_mode("e1", 2, params) is op
+    # a hold of another set frees them: back at the first, each is rebuilt
+    fock.hold(other_r)
     assert tau_mode("e1", 2, params) is not op
 
 

@@ -553,7 +553,7 @@ def _fresh_fock_tables(monkeypatch):
     put back as they were after the test."""
     for name, fresh in _FRESH_TABLES.items():
         monkeypatch.setattr(fock, name, fresh())
-    monkeypatch.setattr(fock, "_MEMO_PARAMS", None)
+    monkeypatch.setattr(fock, "_HELD", None)
 
 
 def test_fresh_fock_tables_reset_every_table_interning_writes(monkeypatch):
@@ -583,6 +583,20 @@ def test_reports_do_not_depend_on_the_packing_order(suite, monkeypatch):
         assert '"residual": "' in first
 
 
+def _counted_holds(monkeypatch):
+    """The names of the functions that call hold, in call order, through
+    the name fock defines and the one suites imports."""
+    hold, callers = fock.hold, []
+
+    def counted(params):
+        callers.append(sys._getframe(1).f_code.co_name)
+        hold(params)
+
+    monkeypatch.setattr(fock, "hold", counted)
+    monkeypatch.setattr(suites, "hold", counted)
+    return callers
+
+
 def test_a_repeated_config_enumerates_no_sum(monkeypatch):
     # criterion 12's config and three more: a re-run gets its operators back
     # and finds every image in the memo
@@ -592,8 +606,8 @@ def test_a_repeated_config_enumerates_no_sum(monkeypatch):
                ("affine-rep", small)]
     init = ModeOp.__init__
     for suite, kw in configs:
+        holds = _counted_holds(monkeypatch)
         first = emit_report(report(suite, **kw), "json")
-        held = fock._MEMO_PARAMS
         calls, builds = [], []
         for name in ("apply_quad_sum", "apply_cubic_sum"):
             monkeypatch.setattr(fock, name, lambda *args: calls.append(args))
@@ -601,55 +615,54 @@ def test_a_repeated_config_enumerates_no_sum(monkeypatch):
                             lambda op, *args: builds.append(init(op, *args)))
         assert emit_report(report(suite, **kw), "json") == first
         assert calls == [] and builds == [], suite
-        # an equal parameter set keeps the object the caches hold
-        assert fock._MEMO_PARAMS is held, suite
+        # each run frees the caches once, from run_suite
+        assert holds == ["run_suite"] * 2, suite
         monkeypatch.undo()
 
 
 def test_a_repeated_virasoro_config_walks_no_oscillator_sum_again(monkeypatch):
-    # virasoro-rep runs its probes under B0 = 0, B1 = 0 after the main grid,
-    # so a re-run finds the caches holding the probes' set; only b and b1
-    # act through kappa0, B0 and B1, so the walks of the other families and
-    # the images of the parts that read neither, kept per gauge, are all
-    # found, and only the parts over b or b1 miss
+    # virasoro-rep runs its probes under B0 = 0, B1 = 0 after the main grid;
+    # the operators and entries of both sets are kept side by side, so a
+    # re-run finds every part's image in the memo, calls no sum and walks
+    # nothing
     for r in (0, 1):
         kw = dict(r=r, kappa0=1, window=2, states="random:3:3", seed=1)
         first = emit_report(report("virasoro-rep", **kw), "json")
         walk, walked = fock._walk, []
-        apply_mono, missed = ModeOp.apply_mono, []
+        apply_mono, looked, missed = ModeOp.apply_mono, [], []
+        calls = []
 
         def counted(fams, *args):
             walked.append(fams)
             return walk(fams, *args)
 
         def looked_up(part, mono):
+            looked.append(part.read)
             if (part, mono) not in fock._MEMO:
                 missed.append(part.read)
             return apply_mono(part, mono)
 
         monkeypatch.setattr(fock, "_walk", counted)
         monkeypatch.setattr(ModeOp, "apply_mono", looked_up)
+        for name in ("apply_quad_sum", "apply_cubic_sum"):
+            monkeypatch.setattr(fock, name, lambda *args: calls.append(args))
         assert emit_report(report("virasoro-rep", **kw), "json") == first
         monkeypatch.undo()
-        assert walked and all({"b", "b1"} & set(fams) for fams in walked), r
-        assert missed and all(read & fock._CURRENT for read in missed), r
+        assert walked == [] and missed == [] and calls == [], r
+        # parts over b or b1 among them
+        assert any(read & fock._CURRENT for read in looked), r
 
 
-def test_a_kept_operator_holds_the_parameter_set_the_caches_hold(monkeypatch):
-    # the second run builds its window-2 modes while the caches hold the
-    # first run's equal parameter set; applying them compares no keys
+def test_run_suite_is_the_one_caller_of_hold(monkeypatch):
+    # applying, building and the probes' own parameter set free nothing:
+    # each run frees the caches once, from run_suite
     kw = dict(r=0, kappa0=QQ(3, 2), states="random:3:3", seed=12)
-    _fresh_fock_tables(monkeypatch)
+    callers = _counted_holds(monkeypatch)
     report("witt-rep", window=1, **kw)
-    use, callers = fock._use, []
-
-    def counted(params):
-        callers.append(sys._getframe(1).f_code.co_name)
-        use(params)
-
-    monkeypatch.setattr(fock, "_use", counted)
     report("witt-rep", window=2, **kw)
-    assert callers and not {"_apply", "_apply_sum"} & set(callers), set(callers)
+    report("virasoro-rep", window=1, **kw)
+    report("virasoro-rep", window=1, **dict(kw, r=1))
+    assert callers == ["run_suite"] * 4
 
 
 def test_all_suite_names_runnable():
