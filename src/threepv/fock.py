@@ -42,13 +42,14 @@ apply_factor applies them, _ann_candidates inverts them on a monomial's
 variables, and contraction reads the coefficient off them; only the
 zero-mode data B0, B1 are special-cased.
 
-Infinite normal-ordered sums (QuadSum, CubicSum) act locally finitely: for
-each monomial only finitely many summands contribute, and they are found
-exactly.  Normal ordering puts every annihilator right of every creator, so
-each summand is creators(annihilators(monomial)).  Annihilators act by
-derivatives and zero-mode scalars or matrices, and creators by multiplying
-with coefficient 1, so each group commutes within itself.  The sum is
-therefore walked slot by slot: a slot either annihilates, with a mode read
+An infinite normal-ordered sum, a NormalSum over two or three families,
+acts locally finitely: for each monomial only finitely many summands
+contribute, and they are found exactly.  Normal ordering puts every
+annihilator right of every creator, so each summand is
+creators(annihilators(monomial)).  Annihilators act by derivatives and
+zero-mode scalars or matrices, and creators by multiplying with
+coefficient 1, so each group commutes within itself.  The sum is therefore
+walked slot by slot: a slot either annihilates, with a mode read
 off the monomial's variables, and is applied at once to the partial image
 the later slots share; or it is left to create.  The creating slots then
 take up the rest of the total mode, each within its half-line.  A sum
@@ -100,6 +101,7 @@ to its caller, and an image in it stays valid under any hold.
 """
 
 import functools
+import itertools
 import math
 import random
 from collections import namedtuple
@@ -330,10 +332,9 @@ def apply_product(factors, mono, params):
 # infinite normal-ordered sums
 # ---------------------------------------------------------------------------
 
-# QuadSum:  sum over p+q = M of (c0 + c1 p) :A_p B_q:
-# CubicSum: c * sum over i+j+k = M of :A_i B_j C_k:
-QuadSum = namedtuple("QuadSum", "famA famB M c0 c1")
-CubicSum = namedtuple("CubicSum", "famA famB famC M c")
+# sum over modes m_i of two or three families fams with total M of
+# (c0 + c1 m_0) :prod_i fams[i](m_i):
+NormalSum = namedtuple("NormalSum", "fams M c0 c1")
 
 
 def _ann_candidates(fam, mono, params):
@@ -434,9 +435,10 @@ def _walk(fams, mono, params):
              top, p) for terms, total, creators, highs, top, p in branches]
 
 
-def _apply_sum(fams, M, c0, c1, mono, params, acc):
-    """Accumulate sum over modes m_i of fams with total M of
-    (c0 + c1 m_0) :prod_i fam_i(m_i): applied to mono into the dict acc.
+def _apply_sum(s, mono, params, acc):
+    """Accumulate the NormalSum s = (fams, M, c0, c1), the sum over modes
+    m_i of fams with total M of (c0 + c1 m_0) :prod_i fam_i(m_i):, applied
+    to mono into the dict acc.
 
     Each term is creators(annihilators(mono)).  The annihilation branches
     come from _walk, once per fams and mono; the creating slots of each
@@ -446,6 +448,7 @@ def _apply_sum(fams, M, c0, c1, mono, params, acc):
     part's sums reads, and its set, so the walks are shared by every
     monomial that differs from it only in unread fields.
     """
+    fams, M, c0, c1 = s
     key = (fams, mono, params)
     branches = _WALKS.get(key)
     if branches is None:
@@ -478,39 +481,36 @@ def _apply_sum(fams, M, c0, c1, mono, params, acc):
                     acc.pop(mo, None)
 
 
-def apply_quad_sum(qs, mono, params, acc):
-    """Accumulate (QuadSum applied to a packed monomial) into the dict acc."""
-    famA, famB, M, c0, c1 = qs
-    _apply_sum((famA, famB), M, c0, c1, mono, params, acc)
+# one entry point per arity, each its own function, so that a tracer can
+# count the two-family and the three-family sums apart
+def apply_quad_sum(s, mono, params, acc):
+    """Accumulate (a NormalSum of two families applied to a packed monomial)
+    into the dict acc."""
+    _apply_sum(s, mono, params, acc)
 
 
-def apply_cubic_sum(cs, mono, params, acc):
-    """Accumulate (CubicSum applied to a packed monomial) into the dict acc."""
-    famA, famB, famC, M, weight = cs
-    _apply_sum((famA, famB, famC), M, weight, 0, mono, params, acc)
+def apply_cubic_sum(s, mono, params, acc):
+    """Accumulate (a NormalSum of three families applied to a packed
+    monomial) into the dict acc."""
+    _apply_sum(s, mono, params, acc)
 
 
 def naive_sum_apply(sum_op, state, params, box):
     """Brute-force windowed application, for cross-checking the smart
-    enumeration.  Only valid when box exceeds every contributing mode."""
+    enumeration: apply_product on every mode tuple whose modes but the last
+    lie in [-box, box], the last taking the rest of M.  Only valid when box
+    exceeds every contributing mode."""
+    fams, M, c0, c1 = sum_op
     out = FockState()
     for mono, c in state.terms.items():
         mono = _pack(mono)
-        if isinstance(sum_op, QuadSum):
-            famA, famB, M, c0, c1 = sum_op
-            for p in range(-box, box + 1):
-                w = c0 + c1 * p
-                if not w:
-                    continue
-                for mo, cc in apply_product(((famA, p), (famB, M - p)), mono, params):
-                    out.add_term(mo, c * w * cc)
-        else:
-            famA, famB, famC, M, weight = sum_op
-            for i in range(-box, box + 1):
-                for j in range(-box, box + 1):
-                    factors = ((famA, i), (famB, j), (famC, M - i - j))
-                    for mo, cc in apply_product(factors, mono, params):
-                        out.add_term(mo, c * weight * cc)
+        for modes in itertools.product(range(-box, box + 1), repeat=len(fams) - 1):
+            w = c0 + c1 * modes[0]
+            if not w:
+                continue
+            factors = tuple(zip(fams, modes + (M - sum(modes),)))
+            for mo, cc in apply_product(factors, mono, params):
+                out.add_term(mo, c * w * cc)
     return _state(out.terms)
 
 
@@ -563,7 +563,7 @@ class ModeOp:
     infinite sums, at fixed parameters, kept over one denominator.
 
     terms: tuple of (coeff, ((family, mode), ...)) -- () is the identity
-    sums:  tuple of QuadSum / CubicSum
+    sums:  tuple of NormalSum
     den:   the lcm of the denominators of the term coefficients and sum
            weights given; terms and sums keep them multiplied by den, as ints
 
@@ -591,20 +591,17 @@ class ModeOp:
         terms = [(qq(c), tuple(fs)) for c, fs in terms if c]
         sums = tuple(sums)
         given = terms + list(sums)
-        # the weights follow each sum's families and its total mode, an int
-        loose = [w for s in sums for w in s[3:] if type(w) is not int]
+        loose = [w for s in sums for w in (s.c0, s.c1) if type(w) is not int]
         loose += [c for c, _fs in terms if type(c) is not int]
         den = self.den = math.lcm(*(w.denominator for w in loose))
         if loose:
             terms = [(qq(c * den), fs) for c, fs in terms]
-            sums = tuple(s._replace(c0=qq(s.c0 * den), c1=qq(s.c1 * den))
-                         if isinstance(s, QuadSum) else s._replace(c=qq(s.c * den))
-                         for s in sums)
+            sums = tuple(s._replace(c0=qq(s.c0 * den), c1=qq(s.c1 * den)) for s in sums)
         self.terms = tuple(terms)
         self.sums = sums
         self.params = params
         used = [{f for f, _m in fs} for _c, fs in self.terms]
-        used += [set(s[:2 if isinstance(s, QuadSum) else 3]) for s in sums]
+        used += [set(s.fams) for s in sums]
         fams = set().union(*used)
         if not fams <= ANNIHILATES.keys():
             raise ValueError("unknown mode family %r" % min(fams - ANNIHILATES.keys()))
@@ -647,7 +644,7 @@ class ModeOp:
                     else:
                         acc.pop(mo, None)
             for sum_op in self.sums:
-                if isinstance(sum_op, QuadSum):
+                if len(sum_op.fams) == 2:
                     apply_quad_sum(sum_op, mono, params, acc)
                 else:
                     apply_cubic_sum(sum_op, mono, params, acc)

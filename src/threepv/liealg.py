@@ -266,31 +266,29 @@ def kassel_bracket():
 # generic structural checks
 # ---------------------------------------------------------------------------
 
-def check_antisymmetry(bracket, gens):
-    """All (i, j) with bracket(i,j) + bracket(j,i) != 0 or bracket(i,i) != 0."""
-    bad = []
-    for a in range(len(gens)):
-        for b in range(a, len(gens)):
-            res = bracket(gens[a], gens[b]) + bracket(gens[b], gens[a])
-            if not res.is_zero():
-                bad.append(((gens[a], gens[b]), res))
-    return bad
-
-
 def check_jacobi(bracket, gens):
-    """All unordered triples violating Jacobi; empty list means it holds.
+    """Violations of antisymmetry and Jacobi over gens; an empty list means
+    both hold.  Each is (where, residual): where is ("antisym", x, y) for a
+    pair x, y of gens, x not after y, with [x, y] + [y, x] != 0, then
+    ("jacobi", x, y, z) for an unordered triple whose jacobiator is nonzero.
 
     Each bracket is computed once per check and kept as item tuples:
     ad[i][w] holds [gens[i], w], filled up front for every ordered pair of
     gens and on first use for a mode an inner bracket reaches outside them,
-    and inner[i][j] is ad[i][gens[j]] without its central families.  A
-    triple sums its three nested brackets into one dict, and only a
-    nonzero sum is turned into a Vec residual.
+    and inner[i][j] is ad[i][gens[j]] without its central families.  A pair
+    or triple sums its brackets into one dict, and only a nonzero sum is
+    turned into a Vec residual.
     """
     ad = [{w: tuple(bracket(x, w).terms.items()) for w in gens} for x in gens]
     inner = [[tuple((w, c) for w, c in row[y] if w[0] not in CENTRAL_FAMILIES)
               for y in gens] for row in ad]
     bad = []
+    for i, j in itertools.combinations_with_replacement(range(len(gens)), 2):
+        acc = dict(ad[i][gens[j]])
+        for key, v in ad[j][gens[i]]:
+            acc[key] = acc.get(key, 0) + v
+        if any(acc.values()):
+            bad.append((("antisym", gens[i], gens[j]), Vec(acc)))
     for i, j, k in itertools.combinations(range(len(gens)), 3):
         acc = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -302,7 +300,7 @@ def check_jacobi(bracket, gens):
                 for key, v in items:
                     acc[key] = acc.get(key, 0) + cw * v
         if any(acc.values()):
-            bad.append(((gens[i], gens[j], gens[k]), Vec(acc)))
+            bad.append((("jacobi", gens[i], gens[j], gens[k]), Vec(acc)))
     return bad
 
 
@@ -310,19 +308,17 @@ def check_cocycle_identity(window):
     """Violations of the 2-cocycle identities of phi1 and phi2 over the Witt
     basis with |modes| <= window, read off vir_bracket: as the Witt bracket
     is antisymmetric and satisfies Jacobi, the c1 and c2 coefficients of the
-    residuals of check_antisymmetry and check_jacobi on vir_bracket are
-    phi(x,y) + phi(y,x) and phi(x,[y,z]) + phi(y,[z,x]) + phi(z,[x,y]) for
-    phi1 and phi2.  Each violation is (("antisym", x, y) or ("jacobi", x, y,
-    z), central family, value)."""
+    residuals of check_jacobi on vir_bracket are phi(x,y) + phi(y,x) and
+    phi(x,[y,z]) + phi(y,[z,x]) + phi(z,[x,y]) for phi1 and phi2.  Each
+    violation is (("antisym", x, y) or ("jacobi", x, y, z), central family,
+    value)."""
     gens = [(k, m) for k in ("d", "d1") for m in range(-window, window + 1)]
     bad = []
-    for kind, found in (("antisym", check_antisymmetry(vir_bracket, gens)),
-                        ("jacobi", check_jacobi(vir_bracket, gens))):
-        for where, res in found:
-            for fam in ("c1", "c2"):
-                value = res.terms.get((fam, 0))
-                if value:
-                    bad.append(((kind,) + where, fam, value))
+    for where, res in check_jacobi(vir_bracket, gens):
+        for fam in ("c1", "c2"):
+            value = res.terms.get((fam, 0))
+            if value:
+                bad.append((where, fam, value))
     return bad
 
 

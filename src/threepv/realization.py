@@ -27,7 +27,7 @@ combination (fock.combine) of field modes, each named once.
 """
 
 from .scalars import QQ, binom, qq
-from .fock import CubicSum, ModeOp, QuadSum, built_once, combine
+from .fock import ModeOp, NormalSum, built_once, combine
 from .ring import RRingElem
 
 AFFINE_GENERATORS = ("e", "f", "h", "e1", "f1", "h1")
@@ -107,8 +107,8 @@ def _field_op(pieces, k, params):
     M = k + p + 1 - (their weights) - (1 if i is set), weighted by coeff c,
     times -(mode_i + w_i) if i is set.  These merge on (fams, M) in
     first-seen order and zero weights drop; then no family gives the
-    identity at M = 0, one family a term, two a QuadSum, three a CubicSum,
-    and nothing left an operator with neither, which combine drops.
+    identity at M = 0, one family a term, two or three a NormalSum, and
+    nothing left an operator with neither, which combine drops.
     """
     merged = {}
     for coeff, f, fams, i in pieces:
@@ -130,10 +130,8 @@ def _field_op(pieces, k, params):
     for (fams, total), (c0, c1) in merged.items():
         if len(fams) < 2 and c0 + c1 * total:
             terms.append((c0 + c1 * total, tuple((fam, total) for fam in fams)))
-        elif len(fams) == 2 and (c0 or c1):
-            sums.append(QuadSum(*fams, total, qq(c0), qq(c1)))
-        elif len(fams) == 3 and c0:
-            sums.append(CubicSum(*fams, total, qq(c0)))
+        elif len(fams) > 1 and (c0 or c1):
+            sums.append(NormalSum(fams, total, qq(c0), qq(c1)))
     return ModeOp(terms, sums, params)
 
 

@@ -29,7 +29,6 @@ from .kaehler import CohomClass, OneForm, differential, reduce_mod_dR
 from .kaehler import lambda_coeff, mu_oracle
 from .liealg import (
     affine_bracket,
-    check_antisymmetry,
     check_cocycle_identity,
     check_jacobi,
     coboundary_window_test,
@@ -326,17 +325,18 @@ def _suite_mu_compare(cfg):
 
 def _suite_affine_jacobi(cfg):
     gens = [(g, m) for g in AFFINE_GENERATORS for m in _modes(cfg.window)]
-    kassel = kassel_bracket()
-    bad_anti = check_antisymmetry(kassel, gens)
+    bad = check_jacobi(kassel_bracket(), gens)
+    bad_anti = [where[1:] for where, _res in bad if where[0] == "antisym"]
     yield _check(
         "antisymmetry of the oracle-backed bracket, |modes| <= %d" % cfg.window,
         "0", "-", not bad_anti,
         None if not bad_anti else "%d violations; first %r" % (
-            len(bad_anti), bad_anti[0][0]))
+            len(bad_anti), bad_anti[0]))
     bad_by_fams = {}
-    for (x, y, z), res in check_jacobi(kassel, gens):
-        key = tuple(sorted((x[0], y[0], z[0])))
-        bad_by_fams.setdefault(key, []).append(((x, y, z), res))
+    for (kind, *xyz), res in bad:
+        if kind == "jacobi":
+            key = tuple(sorted(g[0] for g in xyz))
+            bad_by_fams.setdefault(key, []).append((xyz, res))
     for fams in itertools.combinations_with_replacement(sorted(AFFINE_GENERATORS), 3):
         hits = bad_by_fams.get(fams, [])
         residual = None

@@ -30,8 +30,7 @@ from threepv.fock import (
     FockState,
     ImageTable,
     ModeOp,
-    QuadSum,
-    CubicSum,
+    NormalSum,
     make_monomial,
     apply_product,
     naive_sum_apply,
@@ -79,7 +78,7 @@ def test_packed_exponents_raise_at_the_field_limit_and_never_carry():
     with pytest.raises(OverflowError):
         single("a", -7, P0).apply(st)
     with pytest.raises(OverflowError):
-        ModeOp((), (QuadSum("a", "a", -8, 1, 0),), P0).apply(st)
+        ModeOp((), (NormalSum(("a", "a"), -8, 1, 0),), P0).apply(st)
     # a derivative reads the field alone
     assert single("a*", 6, P0).apply(st).terms == {
         make_monomial({(X, -7): top, (Y, -1): 2}): -1}
@@ -182,8 +181,8 @@ def test_unknown_mode_family_is_refused():
         fock.apply_factor("c", 0, fock._pack(VACUUM_MONO), P0)
     # when an operator is built, in a product or in a sum, not when applied
     for terms, sums in ((((1, (("a", 1), ("c", 0))),), ()),
-                        ((), (QuadSum("c", "a", 0, 1, 0),)),
-                        ((), (CubicSum("a", "a*", "c", 0, 1),))):
+                        ((), (NormalSum(("c", "a"), 0, 1, 0),)),
+                        ((), (NormalSum(("a", "a*", "c"), 0, 1, 0),))):
         with pytest.raises(ValueError, match="unknown mode family 'c'"):
             ModeOp(terms, sums, P0)
     # in either position of a contraction
@@ -295,7 +294,7 @@ def test_quad_sums_match_naive(params):
     states = seeded_states(404, 3, max_degree=2)
     for famA, famB in QUAD_SHAPES:
         for M in (-3, -1, 0, 2):
-            qs = QuadSum(famA, famB, M, QQ(1), QQ(2))
+            qs = NormalSum((famA, famB), M, QQ(1), QQ(2))
             for s in states:
                 smart = ModeOp((), (qs,), params).apply(s)
                 brute = naive_sum_apply(qs, s, params, 12)
@@ -307,7 +306,7 @@ def test_cubic_sums_match_naive(params):
     states = seeded_states(505, 2, max_degree=2)
     for fams in CUBIC_SHAPES:
         for M in (-2, 0, 1):
-            cs = CubicSum(fams[0], fams[1], fams[2], M, QQ(1))
+            cs = NormalSum(fams, M, QQ(1), 0)
             for s in states:
                 smart = ModeOp((), (cs,), params).apply(s)
                 brute = naive_sum_apply(cs, s, params, 12)
@@ -321,14 +320,14 @@ def test_unboundable_sum_raises():
         # on the miss that makes the walk, and on hits at other M
         for M in (0, 0, 3):
             with pytest.raises(AssertionError):
-                ModeOp((), (QuadSum(*fams, M, QQ(1), QQ(0)),), P1).apply(st)
+                ModeOp((), (NormalSum(fams, M, QQ(1), QQ(0)),), P1).apply(st)
             assert (fams, vac, P1) in fock._WALKS
 
 
 def test_creation_plans_cross_bit_7_and_stop_at_the_field_limit():
     # every term of sum_{i+j+k=-3} :a_i a_j a_k: at r=0 on a monomial in
     # x_{-1} alone is x_{-1}^3 times it: delta adds 3 to one field
-    cs = CubicSum("a", "a", "a", -3, 1)
+    cs = NormalSum(("a", "a", "a"), -3, 1, 0)
     for e in (126, 127, 252):
         st = FockState({make_monomial({(X, -1): e}): 1})
         got = ModeOp((), (cs,), P0).apply(st)
@@ -338,7 +337,7 @@ def test_creation_plans_cross_bit_7_and_stop_at_the_field_limit():
         ModeOp((), (cs,), P0).apply(FockState({make_monomial({(X, -1): 253}): 1}))
     # two creators on different fields, one of them at 127: terms
     # (p, q) = (-1, -2) and (-2, -1) of sum_{p+q=-3} (3 + p) :a_p a1_q:
-    qs = QuadSum("a", "a1", -3, 3, 1)
+    qs = NormalSum(("a", "a1"), -3, 3, 1)
     st = FockState({make_monomial({(X, -1): 127, (X1, -1): 1}): 1})
     got = ModeOp((), (qs,), P0).apply(st)
     assert got == naive_sum_apply(qs, st, P0, 4)
@@ -351,7 +350,7 @@ def test_quad_sum_frozen_example():
     # sum_{p+q=0} 2 :a_p a*_q: at r=0 acts diagonally on monomials:
     # x_j with j >= 0 counts +1 per power (term p = j, x_j d/dx_j), while
     # x_j with j < 0 counts -1 per power (term p = j, ordered x_j (-d/dx_j))
-    qs = QuadSum("a", "a*", 0, QQ(2), QQ(0))
+    qs = NormalSum(("a", "a*"), 0, QQ(2), QQ(0))
     st = FockState({make_monomial({(X, 2): 1, (X, -1): 2}): 1})
     out = ModeOp((), (qs,), P0).apply(st)
     assert out == st.scale(2 * (1 - 2))
@@ -381,7 +380,7 @@ def test_quad_sum_weight_vanishing_at_a_contributing_mode(params):
     })
     for famA, famB in QUAD_SHAPES:
         for M in (-1, 0, 2, 3):
-            qs = QuadSum(famA, famB, M, 2, -1)
+            qs = NormalSum((famA, famB), M, 2, -1)
             _assert_sum_matches_naive(qs, [st], params)
 
 
@@ -398,7 +397,7 @@ def test_sums_with_vanishing_zero_mode_data(r):
     ]
     for famA, famB in QUAD_SHAPES:
         for M in (-2, 0, 1):
-            _assert_sum_matches_naive(QuadSum(famA, famB, M, 1, 1), states, params)
+            _assert_sum_matches_naive(NormalSum((famA, famB), M, 1, 1), states, params)
 
 
 @pytest.mark.parametrize("r", [0, 1])
@@ -407,10 +406,10 @@ def test_sums_at_rational_kappa0(r):
     states = [FockState.vacuum()] + seeded_states(808, 2, max_degree=2)
     for famA, famB in QUAD_SHAPES:
         for M in (-2, 0, 1):
-            _assert_sum_matches_naive(QuadSum(famA, famB, M, QQ(1, 3), 2),
+            _assert_sum_matches_naive(NormalSum((famA, famB), M, QQ(1, 3), 2),
                                       states, params)
     for fams in CUBIC_SHAPES:
-        _assert_sum_matches_naive(CubicSum(*fams, -1, QQ(-5, 2)), states, params)
+        _assert_sum_matches_naive(NormalSum(fams, -1, QQ(-5, 2), 0), states, params)
 
 
 _VARS = ([(X, j) for j in range(-3, 4)] + [(X1, j) for j in range(-3, 4)]
@@ -427,11 +426,7 @@ _coeffs = hs.one_of(hs.integers(-3, 3),
        hs.dictionaries(_monos, hs.integers(-3, 3).filter(bool), min_size=1, max_size=2))
 @settings(max_examples=120, deadline=None)
 def test_sums_match_naive_on_drawn_shapes(fams, M, c0, c1, params, terms):
-    if len(fams) == 2:
-        sum_op = QuadSum(*fams, M, c0, c1)
-    else:
-        sum_op = CubicSum(*fams, M, c0)
-    _assert_sum_matches_naive(sum_op, [FockState(terms)], params)
+    _assert_sum_matches_naive(NormalSum(fams, M, c0, c1), [FockState(terms)], params)
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
@@ -444,7 +439,7 @@ def test_every_realization_sum_matches_naive(params):
         ops += [pi_vir_mode(k, m, params) for k in ("D", "D1")]
         ops += [field_mode(name, m, params) for name in realization._FIELDS]
     sums = {s for op in ops for s in op.sums}
-    assert any(isinstance(s, CubicSum) for s in sums)
+    assert any(len(s.fams) == 3 for s in sums)
     states = [
         FockState.vacuum(),
         FockState({
@@ -469,11 +464,7 @@ def test_walks_are_shared_across_total_modes_and_weights(params, monkeypatch):
     for fams in QUAD_SHAPES + CUBIC_SHAPES:
         walked = None
         for M, (c0, c1) in zip((0, 2, -3, 3), weights):
-            if len(fams) == 2:
-                sum_op = QuadSum(*fams, M, c0, c1)
-            else:
-                sum_op = CubicSum(*fams, M, c0)
-            _assert_sum_matches_naive(sum_op, [st], params)
+            _assert_sum_matches_naive(NormalSum(fams, M, c0, c1), [st], params)
             # the first M makes the walk, and every other one reuses it
             key = (fams, mono & fock._READ_FIELDS[fock._read_set(fams)], params)
             if walked is None:
@@ -487,8 +478,7 @@ def _walks_of(fams, monos, params):
     naive_sum_apply."""
     states = [FockState({make_monomial(powers, vpart): 1}) for powers, vpart in monos]
     for M in (-2, 0, 3):
-        sum_op = QuadSum(*fams, M, 2, -1) if len(fams) == 2 else CubicSum(*fams, M, 3)
-        _assert_sum_matches_naive(sum_op, states, params)
+        _assert_sum_matches_naive(NormalSum(fams, M, 2, -1), states, params)
     return [walk for key, walk in fock._WALKS.items() if key[0] == fams]
 
 
@@ -538,14 +528,14 @@ def test_the_unit_by_unit_creation_keeps_the_unread_variables():
     # as in test_creation_plans_cross_bit_7_and_stop_at_the_field_limit, on
     # monomials that also carry y, y1 and vpart 1, which (a, a, a) and
     # (a, a1) do not read
-    cs = CubicSum("a", "a", "a", -3, 1)
+    cs = NormalSum(("a", "a", "a"), -3, 1, 0)
     unread = {(Y, -1): 1, (Y1, -2): 3}
     for e in (127, 128, 200):
         st = FockState({make_monomial({**unread, (X, -1): e}, 1): 1})
         got = ModeOp((), (cs,), P0).apply(st)
         assert got == naive_sum_apply(cs, st, P0, 4), e
         assert got.terms == {make_monomial({**unread, (X, -1): e + 3}, 1): 1}, e
-    qs = QuadSum("a", "a1", -3, 3, 1)
+    qs = NormalSum(("a", "a1"), -3, 3, 1)
     st = FockState({make_monomial({**unread, (X, -1): 130, (X1, -1): 1}, 1): 1})
     got = ModeOp((), (qs,), P0).apply(st)
     assert got == naive_sum_apply(qs, st, P0, 4)
@@ -559,8 +549,8 @@ def test_mode_op_dispatches_sums_through_the_module_functions(monkeypatch):
     module and passes them exactly (sum, monomial, params, acc), params
     being the set the part holds: over oscillators alone, its gauge's."""
     st = FockState({make_monomial({(X, 1): 2, (X, -1): 1}): 1})
-    for name, sum_op in (("apply_quad_sum", QuadSum("a", "a*", 0, 1, 0)),
-                         ("apply_cubic_sum", CubicSum("a", "a*", "a*", 0, 1))):
+    for name, sum_op in (("apply_quad_sum", NormalSum(("a", "a*"), 0, 1, 0)),
+                         ("apply_cubic_sum", NormalSum(("a", "a*", "a*"), 0, 1, 0))):
         calls = []
         op = ModeOp((), (sum_op,), RepParams(kappa0=3))
         monkeypatch.setattr(fock, "_MEMO", {})
@@ -594,7 +584,7 @@ def test_memoization_is_consistent():
     # whatever the caches hold: no apply frees an entry
     op = ModeOp(
         ((1, (("a", -1), ("a", 0))),),
-        (QuadSum("a", "a*", 0, QQ(1), QQ(1)),),
+        (NormalSum(("a", "a*"), 0, QQ(1), QQ(1)),),
         P0,
     )
     # op reads x alone: the seeded monomials in x1 and y share the read part
@@ -759,9 +749,7 @@ def _held_parts():
 
 def _scaled_sum(s, k):
     """The sum s with its weights multiplied by k."""
-    if isinstance(s, QuadSum):
-        return s._replace(c0=k * s.c0, c1=k * s.c1)
-    return s._replace(c=k * s.c)
+    return s._replace(c0=k * s.c0, c1=k * s.c1)
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
@@ -946,7 +934,7 @@ def test_hold_frees_what_another_parameter_set_left(monkeypatch):
     fock.hold(P1)
     assert not (memo or parts or ops or walks or plans)
     # without a hold the two gauges walk side by side, under keys of their own
-    sum_op = QuadSum("a", "a*", 1, 1, 1)
+    sum_op = NormalSum(("a", "a*"), 1, 1, 1)
     for params in (P0, P1, P0):
         _assert_sum_matches_naive(sum_op, states, params)
     assert {key[2] for key in walks} == {P0, P1}
@@ -1027,9 +1015,9 @@ def test_an_operator_applies_under_its_own_set_whatever_ran_since():
     same_r = RepParams(r=0, kappa0=QQ(-5, 3), B0=-1)
     other_r = RepParams(r=1, kappa0=QQ(3, 2), B0=2)
     terms = ((QQ(1, 2), (("b", 0), ("a*", 1))), (1, (("b1", 0),)))
-    sums = (QuadSum("b", "b", 1, QQ(1, 2), 1), QuadSum("b", "b1", -1, 1, 0),
-            QuadSum("b1", "b1", 0, 2, -1), QuadSum("a", "a*", 1, 1, 1),
-            CubicSum("b", "a*", "a*", 0, 3))
+    sums = (NormalSum(("b", "b"), 1, QQ(1, 2), 1), NormalSum(("b", "b1"), -1, 1, 0),
+            NormalSum(("b1", "b1"), 0, 2, -1), NormalSum(("a", "a*"), 1, 1, 1),
+            NormalSum(("b", "a*", "a*"), 0, 3, 0))
     states = [FockState.vacuum()] + seeded_states(61, 3)
 
     def applied(params):
@@ -1171,11 +1159,13 @@ def test_paired_residuals_equal_two_single_order_calls(r, kappa0):
 _SCALED_CASES = [
     # (terms, sums, den)
     (((QQ(7, 4), (("b", 1),)), (QQ(-2, 3), (("a1*", -1), ("b1", 0))), (3, ())),
-     (QuadSum("a", "a*", 1, QQ(1, 6), QQ(-3, 4)), QuadSum("b", "b1", -1, QQ(1, 2), 0),
-      CubicSum("a", "a1*", "a1*", 0, QQ(5, 12))), 12),
-    (((QQ(2, 5), (("a", 0), ("b", -1))),), (CubicSum("a1", "a*", "a*", 1, QQ(5, 12)),), 60),
-    ((), (QuadSum("b1", "b1", 0, QQ(-1, 6), QQ(3, 4)),), 12),
-    (((QQ(4, 2), (("a*", 1),)),), (QuadSum("a1", "a1*", 1, 2, -1),), 1),
+     (NormalSum(("a", "a*"), 1, QQ(1, 6), QQ(-3, 4)),
+      NormalSum(("b", "b1"), -1, QQ(1, 2), 0),
+      NormalSum(("a", "a1*", "a1*"), 0, QQ(5, 12), 0)), 12),
+    (((QQ(2, 5), (("a", 0), ("b", -1))),),
+     (NormalSum(("a1", "a*", "a*"), 1, QQ(5, 12), 0),), 60),
+    ((), (NormalSum(("b1", "b1"), 0, QQ(-1, 6), QQ(3, 4)),), 12),
+    (((QQ(4, 2), (("a*", 1),)),), (NormalSum(("a1", "a1*"), 1, 2, -1),), 1),
 ]
 
 
@@ -1192,7 +1182,7 @@ def test_the_scaled_kernel_agrees_with_unscaled_fraction_arithmetic(r, kappa0):
         op = ModeOp(terms, sums, params)
         assert op.den == den
         assert all(type(c) is int for c, _fs in op.terms)
-        assert all(type(w) is int for q in op.sums for w in q[3:])
+        assert all(type(w) is int for q in op.sums for w in (q.c0, q.c1))
         for s in states:
             want = FockState()
             for sum_op in sums:

@@ -12,7 +12,6 @@ from threepv.kaehler import lambda_coeff, mu_oracle, pairing
 from threepv.liealg import (
     CENTRAL_FAMILIES,
     affine_bracket,
-    check_antisymmetry,
     check_cocycle_identity,
     check_jacobi,
     coboundary_window_test,
@@ -37,6 +36,12 @@ def affine_gens(window):
     return [(k, m) for k in fams for m in range(-window, window + 1)]
 
 
+def antisym_violations(bracket, gens):
+    """The antisymmetry entries of check_jacobi, whatever Jacobi gives."""
+    return [(where, res) for where, res in check_jacobi(bracket, gens)
+            if where[0] == "antisym"]
+
+
 # --- witt bracket -----------------------------------------------------------
 
 def test_witt_bracket_matches_geometric_window_12():
@@ -50,9 +55,7 @@ def test_witt_bracket_matches_geometric_window_12():
 
 
 def test_witt_antisymmetry_and_jacobi():
-    gens = witt_gens(4)
-    assert check_antisymmetry(witt_bracket, gens) == []
-    assert check_jacobi(witt_bracket, gens) == []
+    assert check_jacobi(witt_bracket, witt_gens(4)) == []
 
 
 # --- mu ----------------------------------------------------------------------
@@ -190,18 +193,17 @@ def test_heis_bracket_frozen():
 def test_heis_antisymmetry_and_jacobi():
     gens = [(k, m) for k in ("b", "b1") for m in range(-4, 5)]
     gens += [("one0", 0), ("one1", 0)]
-    assert check_antisymmetry(heis_bracket, gens) == []
     assert check_jacobi(heis_bracket, gens) == []
 
 
 # --- affine: closed table vs Kassel construction -----------------------------
 
 def test_affine_table_antisymmetry():
-    assert check_antisymmetry(affine_bracket, affine_gens(3)) == []
+    assert antisym_violations(affine_bracket, affine_gens(3)) == []
 
 
 def test_affine_kassel_antisymmetry():
-    assert check_antisymmetry(kassel_bracket(), affine_gens(3)) == []
+    assert antisym_violations(kassel_bracket(), affine_gens(3)) == []
 
 
 def test_affine_table_fails_jacobi_with_witness():
@@ -225,9 +227,9 @@ def test_affine_kassel_satisfies_jacobi_window_2():
 def test_affine_table_jacobi_violations_exist():
     bad = check_jacobi(affine_bracket, affine_gens(2))
     assert bad
-    # every violation is purely central, in the w1 direction
-    for (_, residual) in bad:
-        assert set(residual.terms) == {("w1", 0)}
+    # every violation is of Jacobi, purely central, in the w1 direction
+    for (where, residual) in bad:
+        assert where[0] == "jacobi" and set(residual.terms) == {("w1", 0)}
 
 
 def test_affine_routes_differ_only_in_w1_of_mixed_pairs():
@@ -349,7 +351,6 @@ def test_vir_bracket_examples():
 
 def test_vir_jacobi_window_3():
     gens = witt_gens(3) + [("c1", 0), ("c2", 0)]
-    assert check_antisymmetry(vir_bracket, gens) == []
     assert check_jacobi(vir_bracket, gens) == []
 
 
@@ -368,7 +369,18 @@ def _reference_jacobi(bracket, gens):
     for x, y, z in itertools.combinations(gens, 3):
         total = ad(x, bracket(y, z)) + ad(y, bracket(z, x)) + ad(z, bracket(x, y))
         if not total.is_zero():
-            bad.append(((x, y, z), total))
+            bad.append((("jacobi", x, y, z), total))
+    return bad
+
+
+def _reference_antisymmetry(bracket, gens):
+    """The pair loop that check_jacobi's antisymmetry entries replace: both
+    orders of each pair, x not after y, bracketed anew as Vecs."""
+    bad = []
+    for a, b in itertools.combinations_with_replacement(range(len(gens)), 2):
+        total = bracket(gens[a], gens[b]) + bracket(gens[b], gens[a])
+        if not total.is_zero():
+            bad.append((("antisym", gens[a], gens[b]), total))
     return bad
 
 
@@ -381,3 +393,24 @@ def test_jacobi_residuals_match_the_reference_loop():
     assert [repr(r) for _, r in got] == [repr(r) for _, r in want]
     assert [r.terms for _, r in got] == [r.terms for _, r in want]
 
+
+def test_antisymmetry_residuals_match_the_reference_loop():
+    """A Witt bracket that adds c1 + n d_0 to every [d_1, (k, n)] breaks
+    antisymmetry on each pair with d_1, the diagonal pair included, at a
+    residual that reads the pair's order."""
+    def skewed(x, y):
+        out = witt_bracket(x, y)
+        if x == ("d", 1):
+            out += Vec({("c1", 0): 1, ("d", 0): y[1]})
+        return out
+
+    gens = witt_gens(2)
+    got = antisym_violations(skewed, gens)
+    want = _reference_antisymmetry(skewed, gens)
+    assert len(want) == len(gens)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert [repr(r) for _, r in got] == [repr(r) for _, r in want]
+    assert [r.terms for _, r in got] == [r.terms for _, r in want]
+    # the antisymmetry entries come first, then Jacobi's
+    kinds = [where[0] for where, _res in check_jacobi(skewed, gens)]
+    assert kinds == sorted(kinds) and kinds[-1] == "jacobi"

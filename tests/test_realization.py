@@ -11,10 +11,9 @@ from combination import apply_combination
 from threepv import fock, realization, suites
 from threepv.scalars import QQ, Vec, binom
 from threepv.fock import (
-    CubicSum,
     FockState,
     ModeOp,
-    QuadSum,
+    NormalSum,
     RepParams,
     combine,
     commutator_apply,
@@ -194,30 +193,30 @@ def _tau_closed_form(gen, m, x0):
     if gen == "f1":
         return ((-1, (("a1", m),)),), ()
     if gen == "h":
-        return ((1, (("b", m),)),), (QuadSum("a", "a*", m, 2, 0),
-                                     QuadSum("a1", "a1*", m, 2, 0))
+        return ((1, (("b", m),)),), (NormalSum(("a", "a*"), m, 2, 0),
+                                     NormalSum(("a1", "a1*"), m, 2, 0))
     if gen == "h1":
-        return ((1, (("b1", m),)),), (QuadSum("a1", "a*", m, 2, 0),
-                                      QuadSum("a", "a1*", m + 2, 2, 0),
-                                      QuadSum("a", "a1*", m + 1, 8, 0))
+        return ((1, (("b1", m),)),), (NormalSum(("a1", "a*"), m, 2, 0),
+                                      NormalSum(("a", "a1*"), m + 2, 2, 0),
+                                      NormalSum(("a", "a1*"), m + 1, 8, 0))
     if gen == "e":
         return ((-m * x0, (("a*", m),)),), (
-            CubicSum("a", "a*", "a*", m, 1),
-            CubicSum("a", "a1*", "a1*", m + 2, 1),
-            CubicSum("a", "a1*", "a1*", m + 1, 4),
-            CubicSum("a1", "a*", "a1*", m, 2),
-            QuadSum("b", "a*", m, 1, 0),
-            QuadSum("b1", "a1*", m, 1, 0),
+            NormalSum(("a", "a*", "a*"), m, 1, 0),
+            NormalSum(("a", "a1*", "a1*"), m + 2, 1, 0),
+            NormalSum(("a", "a1*", "a1*"), m + 1, 4, 0),
+            NormalSum(("a1", "a*", "a1*"), m, 2, 0),
+            NormalSum(("b", "a*"), m, 1, 0),
+            NormalSum(("b1", "a1*"), m, 1, 0),
         )
     return ((-(m + 1) * x0, (("a1*", m + 2),)), (-(4 * m + 2) * x0, (("a1*", m + 1),))), (
-        CubicSum("a1", "a*", "a*", m, 1),
-        CubicSum("a1", "a1*", "a1*", m + 2, 1),
-        CubicSum("a1", "a1*", "a1*", m + 1, 4),
-        CubicSum("a", "a*", "a1*", m + 2, 2),
-        CubicSum("a", "a*", "a1*", m + 1, 8),
-        QuadSum("b1", "a*", m, 1, 0),
-        QuadSum("b", "a1*", m + 2, 1, 0),
-        QuadSum("b", "a1*", m + 1, 4, 0),
+        NormalSum(("a1", "a*", "a*"), m, 1, 0),
+        NormalSum(("a1", "a1*", "a1*"), m + 2, 1, 0),
+        NormalSum(("a1", "a1*", "a1*"), m + 1, 4, 0),
+        NormalSum(("a", "a*", "a1*"), m + 2, 2, 0),
+        NormalSum(("a", "a*", "a1*"), m + 1, 8, 0),
+        NormalSum(("b1", "a*"), m, 1, 0),
+        NormalSum(("b", "a1*"), m + 2, 1, 0),
+        NormalSum(("b", "a1*"), m + 1, 4, 0),
     )
 
 
@@ -277,7 +276,7 @@ def _witt_closed_form(kind, m):
 
 def _weights(op):
     """op's sums with their weights divided back by op.den."""
-    return [(*s[:3], QQ(s.c0) / op.den, QQ(s.c1) / op.den) for s in op.sums]
+    return [(*s.fams, s.M, QQ(s.c0) / op.den, QQ(s.c1) / op.den) for s in op.sums]
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])
@@ -385,7 +384,7 @@ def test_quad_sums_drop_zero_and_cancelling_pieces():
         # k :a1 a1*: cancels the constant weight of w :a1 da1*: at mode k,
         # and the merged sum keeps its p-weight
         cut = op(((1, W(1), ("a1", "a1*"), 1), (k, W(0), ("a1", "a1*"), None)), k)
-        assert cut.sums == (QuadSum("a1", "a1*", k, 0, 1),)
+        assert cut.sums == (NormalSum(("a1", "a1*"), k, 0, 1),)
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=["r0", "r1"])

@@ -12,7 +12,7 @@ import pytest
 from combination import apply_combination
 from threepv import fock, liealg, suites
 from threepv.fock import FockState, ModeOp, RepParams, combine, seeded_states
-from threepv.scalars import QQ
+from threepv.scalars import QQ, Vec
 from threepv.suites import (
     SUITE_NAMES,
     CheckReport,
@@ -148,6 +148,30 @@ def test_affine_jacobi_passes():
     assert rep.failed == 0
     # one antisymmetry check plus one per unordered family triple
     assert len(rep.checks) == 1 + 56
+
+
+def test_affine_jacobi_reports_a_broken_bracket(monkeypatch):
+    """The closed table, which fails Jacobi in w1, with w0 added to every
+    [e_1, y]: the antisymmetry check names its count and first pair, and
+    each failing family triple its count and first triple."""
+    def broken():
+        def bracket(x, y):
+            out = liealg.affine_bracket(x, y)
+            if x == ("e", 1):
+                out += Vec({("w0", 0): 1})
+            return out
+        return bracket
+
+    monkeypatch.setattr(suites, "kassel_bracket", broken)
+    rep = report("affine-jacobi", window=1)
+    failed = {c["lhs"]: c["residual"] for c in rep.checks if not c["pass"]}
+    assert len(failed) == rep.failed == 15
+    assert failed["antisymmetry of the oracle-backed bracket, |modes| <= 1"] == (
+        "18 violations; first (('e', -1), ('e', 1))")
+    assert failed["jacobiator on {e, e1, f}, |modes| <= 1"] == (
+        "9 violations; first at (e_1, f_-1, e1_-1): -1*w0_0")
+    assert failed["jacobiator on {e1, f1, h1}, |modes| <= 1"] == (
+        "25 violations; first at (e1_-1, f1_-1, h1_-1): 1*w1_0")
 
 
 def test_kassel_vs_table_differences_are_w1_only_on_mixed_pairs():
